@@ -6,21 +6,19 @@ human table by default, or --json / --csv.  Exit codes: 0 all checks pass,
 1 check failure, 2 usage error, 3 numerical instability.
 
 A config file (simple key=value lines; --config PATH, default ./qcpn.cfg)
-may set default q0, M, L, tol; flags override.  QCPN_THREADS caps the
-worker pool used for parameter sweeps.
+may set default q0, M, L, tol; flags override.  tau1 checks its pairings
+and modular residuals exactly in Q(s) and prints their values at --q.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from . import identities, rep_sphere, suq2
 from .ncpoly import NCPoly, Presentation, UqGenerator, mul, normalize, star
@@ -36,22 +34,6 @@ from .projections import (
 )
 from .qcoeff import qint, qpow
 from .report import PairingRecord, Report
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QCPN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items: Sequence):
-    """Deterministic parallel map (order preserved)."""
-    t = _threads()
-    if t <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=t) as ex:
-        return list(ex.map(fn, items))
 
 
 def _load_config(path: str | None) -> Dict[str, str]:
@@ -225,18 +207,13 @@ def cmd_pairing(args) -> int:
         "Fredholm pairings <[F_k],[P_-N]>",
         metadata={"n": args.n, "q0": args.q, "M": args.M},
     )
-    jobs = [(int(N), int(k)) for N in _parse_range(args.N) for k in _parse_range(args.k)]
-
-    def run(job):
-        N, k = job
-        return rep_sphere.fredholm_pairing(N, k, args.n, args.M, args.q)
-
-    results = _pmap(run, jobs)
     unstable = False
-    for (N, k), r in zip(jobs, results):
-        rep.add(PairingRecord("pairing", {"N": N, "k": k}, r.value, r.target, r.error, args.tol))
-        if r.tail_estimate > args.tol:
-            unstable = True
+    for N in map(int, _parse_range(args.N)):
+        for k in map(int, _parse_range(args.k)):
+            r = rep_sphere.fredholm_pairing(N, k, args.n, args.M, args.q)
+            rep.add(PairingRecord("pairing", {"N": N, "k": k}, r.value, r.target, r.error, args.tol))
+            if r.tail_estimate > args.tol:
+                unstable = True
     rep.unstable = unstable
     rep.wall_time = time.time() - t0
     return _emit(rep, args)
@@ -310,19 +287,27 @@ def cmd_holo_dim(args) -> int:
 
 def cmd_tau1(args) -> int:
     t0 = time.time()
-    rep = Report("twisted Hochschild pairing tau_1", metadata={"L": args.L, "q0": args.q})
+    if not 0.0 < args.q < 1.0:
+        raise ValueError("q0 must lie in (0,1)")
+    rep = Report("twisted Hochschild pairing tau_1", metadata={"q0": args.q})
     P1 = Presentation(1)
     for N in _parse_range(args.N):
         N = int(N)
-        r = suq2.tau1_pairing(N, args.L, args.q)
-        rep.add(PairingRecord("tau1", {"N": N}, r.value, r.target, r.rel_error, args.tol))
+        val, target = suq2.tau1_pairing(N), qpow(-4) * qint(N)
+        ok = val == target
+        rep.add(
+            PairingRecord(
+                "tau1", {"N": N}, val.evalf_stable(args.q), target.evalf_stable(args.q), 0.0 if ok else 1.0, 0.5
+            )
+        )
     z0, z1 = NCPoly.gen(0), NCPoly.gen(1)
-    z0s, z1s = NCPoly.gen(0, True), NCPoly.gen(1, True)
+    z1s = NCPoly.gen(1, True)
     A = mul(z1s, z1, P1)
     B = mul(z1s, z0, P1)
     for a, b, nm in ((A, A, "A,A"), (B, star(B, P1), "B,B*"), (A, B, "A,B")):
-        res = suq2.modular_check(a, b, args.L, args.q)
-        rep.add(PairingRecord("modular_residual", {"pair": nm}, res, 0.0, res, 1e-9))
+        res = suq2.modular_check(a, b)
+        ok = res.is_zero()
+        rep.add(PairingRecord("modular_residual", {"pair": nm}, res.evalf_stable(args.q), 0.0, 0.0 if ok else 1.0, 0.5))
     rep.wall_time = time.time() - t0
     return _emit(rep, args)
 
@@ -463,9 +448,7 @@ def build_parser(cfg: Dict[str, str]) -> argparse.ArgumentParser:
 
     p = sub.add_parser("tau1", help="twisted Hochschild pairing")
     p.add_argument("--N", default="0..2")
-    p.add_argument("--L", type=int, default=10)
     p.add_argument("--q", type=float, default=q0)
-    p.add_argument("--tol", type=float, default=1e-6)
     common(p)
     p.set_defaults(fn=cmd_tau1)
 
@@ -496,7 +479,10 @@ def main(argv: List[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:  # input checks
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # instability and bug tripwires
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -22,12 +22,13 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .qcoeff import ONE, ZERO, QScalar, qpow
 
 Word = Tuple[int, ...]
 TermMap = Dict[Word, QScalar]
+LetterMap = Callable[[int], Optional[Tuple[QScalar, int]]]
 
 _Q = qpow(1)
 _QINV = qpow(-1)
@@ -398,6 +399,41 @@ def _f_on_letter(i: int, g: int, n: int) -> Tuple[QScalar, int] | None:
     return None
 
 
+def coproduct_act(
+    a: NCPoly, P: Presentation, weight: Callable[[int], Fraction | int], on_letter: LetterMap | None = None
+) -> NCPoly:
+    """Action on a of a grouplike K, or of an X with coproduct X (x) K + K^{-1} (x) X.
+
+    weight(g) is the exponent w with K |> g = q^w g.  Without on_letter the
+    result is K |> a; otherwise on_letter(g) gives X |> g as (coeff, letter),
+    or None if X kills g, and X acts on a word letter by letter with K^{-1}
+    weights to the left of the acted letter and K weights to its right.
+    """
+    acc: TermMap = {}
+
+    def add(w: Word, c: QScalar) -> None:
+        v = acc.get(w, ZERO) + c
+        if v.is_zero():
+            acc.pop(w, None)
+        else:
+            acc[w] = v
+
+    for w, c in a.terms.items():
+        ws = [weight(g) for g in w]
+        if on_letter is None:
+            add(w, c * qpow(sum(ws)))
+            continue
+        left, total = 0, sum(ws)
+        for p, g in enumerate(w):
+            hit = on_letter(g)
+            if hit is not None:
+                coeff, g2 = hit
+                e = total - ws[p] - 2 * left
+                add(w[:p] + (g2,) + w[p + 1:], c * coeff * qpow(e))
+            left += ws[p]
+    return normalize(NCPoly(acc), P)
+
+
 def uq_act(x: UqGenerator, a: NCPoly, P: Presentation) -> NCPoly:
     """Left module-algebra action of a U_q(su(n+1)) generator on a.
 
@@ -405,34 +441,20 @@ def uq_act(x: UqGenerator, a: NCPoly, P: Presentation) -> NCPoly:
     (likewise for F); K-type generators act multiplicatively.  Starred
     letters transform via x |> a^* = (S(x)^* |> a)^*.
     """
-    n = P.n
-    out = NCPoly.zero()
-    if x.kind in ("K", "Kinv", "K2rho", "K2rhoInv"):
-        sign = -1 if x.kind in ("Kinv", "K2rhoInv") else 1
-        for w, c in a.terms.items():
-            if x.kind in ("K", "Kinv"):
-                e = sum((_k_weight(x.i, g, n) for g in w), Fraction(0)) * sign
-            else:
-                e = Fraction(sum(_k2rho_weight(g, n) for g in w) * sign)
-            out = out + NCPoly.word(w, c * qpow(e))
-        return normalize(out, P)
-    if x.kind not in ("E", "F"):
+    n, i = P.n, x.i
+    if x.kind in ("K", "E", "F"):
+        weight = lambda g: _k_weight(i, g, n)
+    elif x.kind == "Kinv":
+        weight = lambda g: -_k_weight(i, g, n)
+    elif x.kind in ("K2rho", "K2rhoInv"):
+        sign = -1 if x.kind == "K2rhoInv" else 1
+        weight = lambda g: sign * _k2rho_weight(g, n)
+    else:
         raise ValueError(f"unknown generator kind {x.kind}")
+    if x.kind not in ("E", "F"):
+        return coproduct_act(a, P, weight)
     on_letter = _e_on_letter if x.kind == "E" else _f_on_letter
-    for w, c in a.terms.items():
-        for p, g in enumerate(w):
-            hit = on_letter(x.i, g, n)
-            if hit is None:
-                continue
-            coeff, g2 = hit
-            # K_i^{-1} weights to the left of p, K_i weights to the right
-            e = Fraction(0)
-            for r in range(p):
-                e -= _k_weight(x.i, w[r], n)
-            for r in range(p + 1, len(w)):
-                e += _k_weight(x.i, w[r], n)
-            out = out + NCPoly.word(w[:p] + (g2,) + w[p + 1:], c * coeff * qpow(e))
-    return normalize(out, P)
+    return coproduct_act(a, P, weight, lambda g: on_letter(i, g, n))
 
 
 def counit(x: UqGenerator) -> QScalar:

@@ -57,8 +57,6 @@ def _in_vnk(m: FockIndex, k: int) -> bool:
     for i in range(k, len(m) - 1):
         if m[i] <= m[i + 1]:
             return False
-    if k < len(m) and m[-1] < 0:
-        return False
     return True
 
 

@@ -35,7 +35,7 @@ class PairingRecord:
     def passed(self) -> bool:
         if self.residual is None or self.tol is None:
             return True
-        return self.residual <= self.tol
+        return bool(self.residual <= self.tol)
 
 
 @dataclass

@@ -24,8 +24,8 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 from scipy import sparse
 
-from .ncpoly import NCPoly, Presentation, UqGenerator, letter, mul, normalize, star, uq_act
-from .qcoeff import ONE, QScalar, is_positive_at_q, qint, qpow
+from .ncpoly import NCPoly, Presentation, UqGenerator, coproduct_act, letter, mul, normalize, star, uq_act
+from .qcoeff import ONE, ZERO, QScalar, is_positive_at_q, qint, qpow
 
 Lmn = Tuple[int, int, int]  # doubled (2l, 2m, 2n)
 
@@ -359,18 +359,8 @@ class SUq2Box:
 _Z0, _Z1 = letter(0, False), letter(1, False)
 _Z0S, _Z1S = letter(0, True), letter(1, True)
 
-_LE_TABLE = {
-    _Z0: (-(ONE), _Z1S),
-    _Z1: (qpow(-1), _Z0S),
-    _Z0S: None,
-    _Z1S: None,
-}
-_LF_TABLE = {
-    _Z0: None,
-    _Z1: None,
-    _Z0S: (qpow(1), _Z1),
-    _Z1S: (-(ONE), _Z0),
-}
+_LE_TABLE = {_Z0: (-ONE, _Z1S), _Z1: (qpow(-1), _Z0S)}
+_LF_TABLE = {_Z0S: (qpow(1), _Z1), _Z1S: (-ONE, _Z0)}
 
 
 def _lk_weight(g: int) -> Fraction:
@@ -382,31 +372,14 @@ def l_act(kind: str, a: NCPoly, P: Presentation) -> NCPoly:
 
     Letter tables are fixed by the left-regular matrix action; products
     follow L_E(ab) = (L_E a)(L_{K^{-1}} b) + (L_K a)(L_E b), same shape
-    for L_F.
+    for L_F: the coproduct of uq_act with L_{K^{-1}} in the role of K.
     """
     if P.n != 1:
         raise ValueError("symbolic L action implemented for n = 1 only")
     if kind == "K":
-        out = NCPoly.zero()
-        for w, c in a.terms.items():
-            e = sum((_lk_weight(g) for g in w), Fraction(0))
-            out = out + NCPoly.word(w, c * qpow(e))
-        return normalize(out, P)
+        return coproduct_act(a, P, _lk_weight)
     table = {"E": _LE_TABLE, "F": _LF_TABLE}[kind]
-    out = NCPoly.zero()
-    for w, c in a.terms.items():
-        for p, g in enumerate(w):
-            hit = table[g]
-            if hit is None:
-                continue
-            coeff, g2 = hit
-            e = Fraction(0)
-            for r in range(p):
-                e += _lk_weight(w[r])  # L_K weights on the left
-            for r in range(p + 1, len(w)):
-                e -= _lk_weight(w[r])  # L_{K^{-1}} weights on the right
-            out = out + NCPoly.word(w[:p] + (g2,) + w[p + 1:], c * coeff * qpow(e))
-    return normalize(out, P)
+    return coproduct_act(a, P, lambda g: -_lk_weight(g), table.get)
 
 
 def dbar(a: NCPoly, P: Presentation, N: int = 0) -> NCPoly:
@@ -843,33 +816,31 @@ def haar_symbolic(a: NCPoly, P: Presentation) -> QScalar:
     both commuting actions are z0*^a z0^a, and
     h(z0*^a z0^a) = h((alpha^* alpha)^a) = (1-q^2)/(1-q^{2a+2});
     cross-checked numerically against the vacuum expectation in the tests.
+    The coefficients are summed per a first, so each a costs one division.
     """
     if P.n != 1:
         raise ValueError("symbolic Haar implemented for n = 1 only")
-    from .qcoeff import ZERO
-
-    a = normalize(a, P)
-    out = ZERO
-    one_minus_q2 = ONE - qpow(2)
-    for w, c in a.terms.items():
+    by_a: Dict[int, QScalar] = {}
+    for w, c in normalize(a, P).terms.items():
         counts = [0, 0, 0, 0]
         for g in w:
             counts[g] += 1
-        b0, a0, b1, a1 = counts[0], counts[1], counts[2], counts[3]
+        b0, a0, b1, a1 = counts
         if a1 or b1 or a0 != b0:
             continue
-        out = out + c * (one_minus_q2 / (ONE - qpow(2 * a0 + 2)))
+        by_a[a0] = by_a.get(a0, ZERO) + c
+    one_minus_q2 = ONE - qpow(2)
+    out = ZERO
+    for a0, c in by_a.items():
+        out = out + c * one_minus_q2 / (ONE - qpow(2 * a0 + 2))
     return out
 
 
-def modular_check(a: NCPoly, b: NCPoly, L: int = 8, q0: float = 0.5) -> float:
-    """|h(ab) - h(eta(b) a)| with eta = K_2rho^{-1} |> (twisted-trace residual)."""
+def modular_check(a: NCPoly, b: NCPoly) -> QScalar:
+    """Exact residual h(ab) - h(eta(b) a) with eta = K_2rho^{-1} |> (twisted trace)."""
     P = Presentation(1)
-    box = SUq2Box(L, q0)
     eta_b = uq_act(UqGenerator("K2rhoInv"), b, P)
-    lhs = box.haar(box.represent(mul(a, b, P)))
-    rhs = box.haar(box.represent(mul(eta_b, a, P)))
-    return abs(lhs - rhs)
+    return haar_symbolic(mul(a, b, P) - mul(eta_b, a, P), P)
 
 
 @dataclass
@@ -918,56 +889,32 @@ def holo_dim(N: int, L: int, q0: float, tol: float = 1e-9) -> HoloReport:
     return HoloReport(null_dim, safe, smallest_kept, largest_dropped)
 
 
-@dataclass
-class Tau1Report:
-    value: float
-    target: float
-    sensitivity: float
-
-    @property
-    def rel_error(self) -> float:
-        scale = max(abs(self.target), 1.0)
-        return abs(self.value - self.target) / scale
-
-
-def tau1_pairing(N: int, L: int = 10, q0: float = 0.5) -> Tau1Report:
-    """Twisted Hochschild pairing <[tau_1], [(P'_N, sigma^N)]> at n = 1.
+def tau1_pairing(N: int) -> QScalar:
+    """Twisted Hochschild pairing <[tau_1], [(P'_N, sigma^N)]> at n = 1, exactly.
 
     Evaluates tau_1(Tr(P (x). P (x). P sigma(K_2rho^{-1})^t)) with
-    tau_1(a0,a1,a2) = h(a0 (dbar a1^*)^* (dbar a2)), everything reduced to
-    left-regular operators and the vacuum Haar state; the radical weights of
-    P_N enter only through closed index loops, hence as exact squares.
+    tau_1(a0,a1,a2) = h(a0 (dbar a1^*)^* (dbar a2)).  The radical weights of
+    P_N enter only through closed index loops, hence as exact squares, so
+    the summand over (i0, i1, i2) is one polynomial with Laurent
+    coefficients and the Haar state is applied to it once.
     Target value: q^{-4} [N].
     """
-    from .projections import k2rho_eigenvalues, psi
-    from .ncpoly import star as nc_star
+    from .projections import k2rho_eigenvalues, projection, psi
 
     P = Presentation(1)
-    av = psi(N, 1, P)
-    k = len(av)
-    stars = [nc_star(m) for m in av.monomials]
-    core = [[mul(av.monomials[i], stars[j], P) for j in range(k)] for i in range(k)]
-    rho_inv = [x.inv() for x in k2rho_eigenvalues(av)]
-
-    def tau1_of(a0: NCPoly, a1: NCPoly, a2: NCPoly) -> QScalar:
-        x = dbar(nc_star(a1, P), P)
-        y = dbar(a2, P)
-        return haar_symbolic(mul(mul(a0, nc_star(x, P), P), y, P), P)
-
-    def value_at(Luse: int) -> float:
-        total = QScalar.from_int(0)
-        for i0 in range(k):
-            for i1 in range(k):
-                for i2 in range(k):
-                    t = tau1_of(core[i0][i1], core[i1][i2], core[i2][i0])
-                    if t.is_zero():
-                        continue
-                    total = total + av.weights[i0] * av.weights[i1] * av.weights[i2] * rho_inv[i0] * t
-        return total.evalf_stable(q0)
-
-    val = value_at(L)
-    target = (qpow(-4) * qint(N)).evalf_stable(q0) if N else 0.0
-    return Tau1Report(val, target, 0.0)
+    M = projection(N, 1, P)
+    k = len(M)
+    rho_inv = [x.inv() for x in k2rho_eigenvalues(psi(N, 1, P))]
+    y = [[dbar(M.core[i][j], P) for j in range(k)] for i in range(k)]
+    # x[i][j] = (dbar core[i][j]^*)^*, where core[i][j]^* = core[j][i] as P_N is selfadjoint
+    x = [[star(y[j][i], P) for j in range(k)] for i in range(k)]
+    total = NCPoly.zero()
+    for i0 in range(k):
+        for i1 in range(k):
+            for i2 in range(k):
+                c = M.weights[i0] * M.weights[i1] * M.weights[i2] * rho_inv[i0]
+                total = total + mul(mul(M.core[i0][i1], x[i1][i2], P), y[i2][i0], P).scale(c)
+    return haar_symbolic(total, P)
 
 
 # ---------------------------------------------------------------------------
@@ -1119,7 +1066,7 @@ def casimir_block_check(N: int, L: int, q0: float) -> float:
     le, lf = box.le(), box.lf()
     pref = 1.0 / (q0 - 1.0 / q0)
     kterm = (math.sqrt(q0) * lk - (1.0 / math.sqrt(q0)) * sparse.diags(1.0 / lk.diagonal())) * pref
-    cas = kterm @ kterm + lf_le_product(le, lf)
+    cas = kterm @ kterm + lf @ le  # L_{FE} = L_F L_E
     worst = 0.0
     for i in sl:
         l2 = box.states[i][0]
@@ -1131,8 +1078,3 @@ def casimir_block_check(N: int, L: int, q0: float) -> float:
         row[i] = 0.0
         worst = max(worst, float(np.abs(row).max()))
     return worst
-
-
-def lf_le_product(le: sparse.csr_matrix, lf: sparse.csr_matrix) -> sparse.csr_matrix:
-    """F E in the L-realization (L is a homomorphism: L_{FE} = L_F L_E)."""
-    return lf @ le

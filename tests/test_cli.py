@@ -170,9 +170,24 @@ def test_cli_config_file(tmp_path, monkeypatch):
     assert json.loads(out)["metadata"]["M"] == "12"
 
 
-def test_cli_threads_env(monkeypatch):
-    monkeypatch.setenv("QCPN_THREADS", "2")
-    code, out, _ = run_cli("pairing", "--n", "2", "--N", "0..2", "--k", "0..1", "--M", "16", "--json")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("holo-dim", "--L", "3"),
+        ("verify", "triple", "--j", "7/2", "--L", "4"),
+        ("pairing", "--q", "1.0"),
+        ("tau1", "--q", "1.0"),
+    ],
+    ids=["holo-dim", "verify-triple", "pairing", "tau1"],
+)
+def test_cli_input_errors_exit_2(argv):
+    code, _, err = run_cli(*argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_cli_spectrum_json():
+    code, out, _ = run_cli("spectrum", "--j", "3/2", "--L", "10", "--json")
     assert code == 0
     assert json.loads(out)["pass"] is True
 

@@ -340,10 +340,10 @@ def test_haar_symbolic_matches_vacuum(box):
 
 
 def test_modular_property():
-    assert modular_check(NCPoly.one(), NCPoly.one()) == 0.0
-    assert modular_check(A_EL, A_EL) < 1e-9
-    assert modular_check(B_EL, star(B_EL, P1)) < 1e-9
-    assert modular_check(A_EL, B_EL) < 1e-9
+    assert modular_check(NCPoly.one(), NCPoly.one()).is_zero()
+    assert modular_check(A_EL, A_EL).is_zero()
+    assert modular_check(B_EL, star(B_EL, P1)).is_zero()
+    assert modular_check(A_EL, B_EL).is_zero()
 
 
 @pytest.mark.parametrize(
@@ -369,12 +369,9 @@ def test_dbar_kills_holomorphic_generators():
 
 @pytest.mark.parametrize("N,scale", [(0, 0.0), (1, 16.0), (2, 40.0)])
 def test_tau1_values(N, scale):
-    r = tau1_pairing(N, 10, Q0)
-    assert r.target == pytest.approx(scale, rel=1e-12)
-    assert r.rel_error < 1e-6
+    assert tau1_pairing(N).evalf_stable(Q0) == pytest.approx(scale, rel=1e-12)
 
 
-def test_tau1_truncation_insensitive():
-    a = tau1_pairing(2, 10, Q0).value
-    b = tau1_pairing(2, 14, Q0).value
-    assert a == pytest.approx(b, rel=1e-9)
+def test_tau1_exact():
+    for N in range(5):
+        assert tau1_pairing(N) == qpow(-4) * qint(N)
