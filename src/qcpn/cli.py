@@ -57,6 +57,8 @@ def _parse_range(text: str) -> List[Fraction]:
         if ".." in chunk:
             a, b = chunk.split("..")
             lo, hi = Fraction(a), Fraction(b)
+            if lo > hi:
+                raise ValueError(f"empty range {chunk}: {lo} > {hi}")
             step = Fraction(1)
             x = lo
             while x <= hi:
@@ -64,6 +66,17 @@ def _parse_range(text: str) -> List[Fraction]:
                 x += step
         else:
             out.append(Fraction(chunk))
+    return out
+
+
+def _int_range(text: str, flag: str, scale: int = 1) -> List[int]:
+    """scale * x for each x of a range argument; a non-integral product is a usage error."""
+    out = []
+    for x in _parse_range(text):
+        if (scale * x).denominator != 1:
+            kind = "an integer" if scale == 1 else f"a multiple of 1/{scale}"
+            raise ValueError(f"{flag} must be {kind}, got {x}")
+        out.append(int(scale * x))
     return out
 
 
@@ -191,8 +204,7 @@ def cmd_verify_equivariance(args) -> int:
 def cmd_verify_triple(args) -> int:
     t0 = time.time()
     rep = Report("spectral triple axioms", metadata={"L": args.L, "q0": args.q})
-    for j in _parse_range(args.j):
-        j2 = int(2 * j)
+    for j2 in _int_range(args.j, "--j", 2):
         res = suq2.triple_axiom_suite(j2, args.L, args.q)
         for name, val in sorted(res.items()):
             tol = 1e-3 if "drift" in name else args.tol  # drift is a stability proxy
@@ -208,8 +220,9 @@ def cmd_pairing(args) -> int:
         metadata={"n": args.n, "q0": args.q, "M": args.M},
     )
     unstable = False
-    for N in map(int, _parse_range(args.N)):
-        for k in map(int, _parse_range(args.k)):
+    Ns, ks = _int_range(args.N, "--N"), _int_range(args.k, "--k")
+    for N in Ns:
+        for k in ks:
             r = rep_sphere.fredholm_pairing(N, k, args.n, args.M, args.q)
             rep.add(PairingRecord("pairing", {"N": N, "k": k}, r.value, r.target, r.error, args.tol))
             if r.tail_estimate > args.tol:
@@ -223,8 +236,7 @@ def cmd_index(args) -> int:
     t0 = time.time()
     rep = Report("index of pD_j^+ p", metadata={"q0": args.q, "L": args.L})
     unstable = False
-    for j in _parse_range(args.j):
-        j2 = int(2 * j)
+    for j2 in _int_range(args.j, "--j", 2):
         ia = suq2.index_analytic(j2)
         branch = _index_branch_formula(j2)
         rep.add(PairingRecord("index_analytic", {"j": f"{j2}/2"}, ia, branch, float(abs(ia - branch)), 0.5))
@@ -259,8 +271,7 @@ def _index_branch_formula(j2: int) -> int:
 def cmd_spectrum(args) -> int:
     t0 = time.time()
     rep = Report("Dirac spectrum vs q-integer products", metadata={"L": args.L, "q0": args.q})
-    for j in _parse_range(args.j):
-        j2 = int(2 * j)
+    for j2 in _int_range(args.j, "--j", 2):
         worst, spec = suq2.dirac_spectrum_check(j2, args.L, args.q)
         rep.add(PairingRecord("spectrum_residual", {"j": f"{j2}/2"}, worst, 0.0, worst, args.tol))
         for ev, mult in spec:
@@ -273,8 +284,7 @@ def cmd_holo_dim(args) -> int:
     t0 = time.time()
     rep = Report("holomorphic section dimensions", metadata={"L": args.L, "q0": args.q})
     unstable = False
-    for N in _parse_range(args.N):
-        N = int(N)
+    for N in _int_range(args.N, "--N"):
         r = suq2.holo_dim(N, args.L, args.q)
         target = abs(N) + 1 if N <= 0 else 0
         rep.add(PairingRecord("holo_dim", {"N": N}, r.dimension, target, float(abs(r.dimension - target)), 0.5))
@@ -291,8 +301,7 @@ def cmd_tau1(args) -> int:
         raise ValueError("q0 must lie in (0,1)")
     rep = Report("twisted Hochschild pairing tau_1", metadata={"q0": args.q})
     P1 = Presentation(1)
-    for N in _parse_range(args.N):
-        N = int(N)
+    for N in _int_range(args.N, "--N"):
         val, target = suq2.tau1_pairing(N), qpow(-4) * qint(N)
         ok = val == target
         rep.add(

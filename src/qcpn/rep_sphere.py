@@ -10,8 +10,8 @@ pullback representations, which converges geometrically in M.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -41,23 +41,24 @@ class RepSpec:
             raise ValueError("q0 must lie in (0,1) for the Fock representations")
 
 
+def _box_labels(spec: RepSpec) -> np.ndarray:
+    """All labels of the box {0..M}^n as an (n, (M+1)^n) array, in lexicographic order."""
+    return np.indices((spec.M + 1,) * spec.n).reshape(spec.n, -1)
+
+
+def _vnk_mask(m: np.ndarray, k: int) -> np.ndarray:
+    """Which label columns lie in V^n_k: m_1 <= .. <= m_k and m_{k+1} > .. > m_n."""
+    return np.all(np.diff(m[:k], axis=0) >= 0, axis=0) & np.all(np.diff(m[k:], axis=0) < 0, axis=0)
+
+
+def _tuples(m: np.ndarray) -> List[FockIndex]:
+    return list(zip(*m.tolist()))
+
+
 def fock_states(spec: RepSpec) -> List[FockIndex]:
     """Basis of V^n_k inside the box {0..M}^n, in lexicographic order."""
-    out = []
-    for m in itertools.product(range(spec.M + 1), repeat=spec.n):
-        if _in_vnk(m, spec.k):
-            out.append(m)
-    return out
-
-
-def _in_vnk(m: FockIndex, k: int) -> bool:
-    for i in range(k - 1):
-        if m[i] > m[i + 1]:
-            return False
-    for i in range(k, len(m) - 1):
-        if m[i] <= m[i + 1]:
-            return False
-    return True
+    m = _box_labels(spec)
+    return _tuples(m[:, _vnk_mask(m, spec.k)])
 
 
 class FockRep:
@@ -70,16 +71,20 @@ class FockRep:
 
     def __init__(self, spec: RepSpec, full_box: bool = False):
         self.spec = spec
-        if full_box:
-            self.states = [m for m in itertools.product(range(spec.M + 1), repeat=spec.n)]
-        else:
-            self.states = fock_states(spec)
-        self.index: Dict[FockIndex, int] = {m: i for i, m in enumerate(self.states)}
+        m = _box_labels(spec)
+        in_vnk = _vnk_mask(m, spec.k)
+        # labels (n, dimension) of the basis, and which of them lie in V^n_k
+        self.labels = m if full_box else m[:, in_vnk]
+        self.in_vnk = in_vnk if full_box else np.ones(self.labels.shape[1], dtype=bool)
         self._gen_cache: Dict[Tuple[int, bool], sparse.csr_matrix] = {}
+
+    @cached_property
+    def states(self) -> List[FockIndex]:
+        return _tuples(self.labels)
 
     @property
     def dimension(self) -> int:
-        return len(self.states)
+        return self.labels.shape[1]
 
     def generator(self, i: int, starred: bool) -> sparse.csr_matrix:
         key = (i, starred)
@@ -92,46 +97,32 @@ class FockRep:
         return mat
 
     def _build_generator(self, i: int) -> sparse.csr_matrix:
-        n, k, q0 = self.spec.n, self.spec.k, self.spec.q0
+        n, k, M, q0 = self.spec.n, self.spec.k, self.spec.M, self.spec.q0
         dim = self.dimension
-        rows, cols, vals = [], [], []
+        src = np.flatnonzero(self.in_vnk)
         if k == 0:
             # z_0 is the projection onto strictly decreasing strings; z_{>0} = 0
-            if i == 0:
-                for idx, m in enumerate(self.states):
-                    if not _in_vnk(m, 0):
-                        continue
-                    rows.append(idx)
-                    cols.append(idx)
-                    vals.append(1.0)
-            return sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+            diag = src if i == 0 else src[:0]
+            return sparse.csr_matrix((np.ones(len(diag)), (diag, diag)), shape=(dim, dim))
         if i > k:
             return sparse.csr_matrix((dim, dim))
+        # the scalar powers q0 ** e, so amplitudes match the scalar formulas bit for bit
+        qpow = np.array([q0 ** e for e in range(2 * M + 3)])
+        m = self.labels[:, src]
         if i == k:
-            for idx, m in enumerate(self.states):
-                if not _in_vnk(m, k):
-                    continue
-                rows.append(idx)
-                cols.append(idx)
-                vals.append(q0 ** m[k - 1])
-            return sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+            return sparse.csr_matrix((qpow[m[k - 1]], (src, src)), shape=(dim, dim))
         # 0 <= i <= k-1: shift m_{i+1}..m_k up by one
-        for idx, m in enumerate(self.states):
-            if not _in_vnk(m, k):
-                continue
-            mi = m[i - 1] if i >= 1 else 0
-            target = tuple(
-                mj + (1 if i + 1 <= pos + 1 <= k else 0) for pos, mj in enumerate(m)
-            )
-            tgt = self.index.get(target)
-            if tgt is None:
-                continue  # leaves the box; harmless outside the interior window
-            amp = q0 ** mi * np.sqrt(1.0 - q0 ** (2 * (m[i] - mi + 1)))
-            if amp != 0.0:
-                rows.append(tgt)
-                cols.append(idx)
-                vals.append(amp)
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        mi = m[i - 1] if i >= 1 else np.zeros_like(m[i])
+        amp = qpow[mi] * np.sqrt(1.0 - qpow[2 * (m[i] - mi + 1)])
+        pos = np.arange(n)[:, None]
+        target = m + ((pos >= i) & (pos < k))
+        # leaving the box is harmless outside the interior window
+        keep = np.all(target <= M, axis=0) & (amp != 0.0)
+        # a shifted V^n_k label stays in V^n_k, so it is a basis state; the
+        # basis is in lexicographic order, so its flat box indices ascend
+        shape = (M + 1,) * n
+        tgt = np.searchsorted(np.ravel_multi_index(self.labels, shape), np.ravel_multi_index(target[:, keep], shape))
+        return sparse.csr_matrix((amp[keep], (tgt, src[keep])), shape=(dim, dim))
 
     def poly(self, a: NCPoly) -> sparse.csr_matrix:
         """Represent a normalized NCPoly (multiplicative on each word)."""
@@ -146,11 +137,7 @@ class FockRep:
 
     def interior_window(self, margin: int) -> np.ndarray:
         """Indices of states at distance >= margin from the truncation wall."""
-        M = self.spec.M
-        return np.array(
-            [i for i, m in enumerate(self.states) if all(mj <= M - margin for mj in m)],
-            dtype=int,
-        )
+        return np.flatnonzero(np.all(self.labels <= self.spec.M - margin, axis=0))
 
 
 def rep_generator(spec: RepSpec, i: int, starred: bool) -> sparse.csr_matrix:
@@ -245,6 +232,8 @@ def fredholm_pairing(
             spec = RepSpec(k, j, box + deg, q0)
             rep = FockRep(spec)
             gens = [rep.generator(i, False).tocsc() for i in range(k + 1)]
+            # diagonal of mat mat^dag is summed over the reporting box only
+            keep = np.all(rep.labels <= box, axis=0)
             contrib = 0.0
             for wt, w in terms:
                 mat = None
@@ -253,13 +242,8 @@ def fredholm_pairing(
                     mat = gm if mat is None else gm @ mat
                 if mat is None:
                     mat = sparse.identity(rep.dimension, format="csc")
-                # diagonal of mat mat^dag restricted to the reporting box
-                keep = np.array(
-                    [all(mj <= box for mj in st) for st in rep.states], dtype=bool
-                )
-                rows, data = mat.tocoo().row, mat.tocoo().data
-                mask = keep[rows]
-                contrib += wt * float(np.sum(data[mask] ** 2))
+                coo = mat.tocoo()
+                contrib += wt * float(np.sum(coo.data[keep[coo.row]] ** 2))
             total += contrib if j % 2 == 0 else -contrib
         return total
 

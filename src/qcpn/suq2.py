@@ -17,7 +17,9 @@ the generator matrices.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
@@ -30,6 +32,11 @@ from .qcoeff import ONE, ZERO, QScalar, is_positive_at_q, qint, qpow
 Lmn = Tuple[int, int, int]  # doubled (2l, 2m, 2n)
 
 
+def _shell_offset(l2: np.ndarray) -> np.ndarray:
+    """Basis index of the first state of shell l2: the sum of (k+1)^2 for k < l2."""
+    return l2 * (l2 + 1) * (2 * l2 + 1) // 6
+
+
 def _brk(q0: float, x: float) -> float:
     """Numeric q-bracket [x] at q0."""
     if x == 0:
@@ -38,205 +45,174 @@ def _brk(q0: float, x: float) -> float:
 
 
 class SUq2Box:
-    """Truncated left-regular representation of A(SU_q(2)) with l <= L."""
+    """Truncated left-regular representation of A(SU_q(2)) with l <= L.
+
+    The basis is ordered by l, then m, then n.  ``lmn`` holds its doubled
+    labels as a (3, dim) integer array; ``states`` and ``index`` give the
+    same labels as tuples.
+    """
 
     def __init__(self, L: int, q0: float):
         if not (0.0 < q0 < 1.0):
             raise ValueError("q0 must lie in (0,1)")
         self.L = L
         self.q0 = q0
-        self.states: List[Lmn] = []
-        for l2 in range(0, 2 * L + 1):
-            for m2 in range(-l2, l2 + 1, 2):
-                for n2 in range(-l2, l2 + 1, 2):
-                    self.states.append((l2, m2, n2))
-        self.index: Dict[Lmn, int] = {s: i for i, s in enumerate(self.states)}
-        self.dim = len(self.states)
-        self.vac = self.index[(0, 0, 0)]
+        shell = np.arange(2 * L + 1)
+        l2 = np.repeat(shell, (shell + 1) ** 2)
+        pos = np.arange(len(l2)) - _shell_offset(l2)
+        self.lmn = np.stack([l2, 2 * (pos // (l2 + 1)) - l2, 2 * (pos % (l2 + 1)) - l2])
+        self.dim = len(l2)
+        self.vac = 0  # |0,0,0> is the whole l = 0 shell
+        # q0^x and [x] at every half-integer |x| <= 3L + 4 (the largest operator
+        # exponent), indexed by 2x + _half0; the scalar values, so the vectorised
+        # amplitudes equal the displayed formulas bit for bit
+        self._half0 = 6 * L + 8
+        xs = [k / 2 for k in range(-self._half0, self._half0 + 1)]
+        self._qpow = np.array([q0 ** x for x in xs])
+        self._qbrk = np.array([_brk(q0, x) for x in xs])
         self._ops: Dict[str, sparse.csr_matrix] = {}
 
-    # -- generic builders ------------------------------------------------------
+    @cached_property
+    def states(self) -> List[Lmn]:
+        return list(zip(*self.lmn.tolist()))
 
-    def _build(self, name: str, entries: Callable[[Lmn], List[Tuple[Lmn, float]]]) -> sparse.csr_matrix:
+    @cached_property
+    def index(self) -> Dict[Lmn, int]:
+        return {s: i for i, s in enumerate(self.states)}
+
+    def _q(self, x: np.ndarray) -> np.ndarray:
+        """q0 ** x at a half-integer array x."""
+        return self._qpow[(2 * x).astype(np.intp) + self._half0]
+
+    def _br(self, x: np.ndarray) -> np.ndarray:
+        """The q-bracket [x] at a half-integer array x."""
+        return self._qbrk[(2 * x).astype(np.intp) + self._half0]
+
+    def _locate(self, l2: np.ndarray, m2: np.ndarray, n2: np.ndarray) -> np.ndarray:
+        """Basis index of each doubled label, or -1 past the wall or off the shell."""
+        ok = (l2 >= 0) & (l2 <= 2 * self.L) & (np.abs(m2) <= l2) & (np.abs(n2) <= l2)
+        return np.where(ok, _shell_offset(l2) + (m2 + l2) // 2 * (l2 + 1) + (n2 + l2) // 2, -1)
+
+    # -- generic builder -------------------------------------------------------
+
+    def _build(self, name: str, entries: Callable[..., List[Tuple[Lmn, np.ndarray]]]) -> sparse.csr_matrix:
+        """Assemble and cache the operator ``name``.
+
+        ``entries(l, m, n)`` receives the basis labels as float arrays and
+        returns (shift, amplitude) terms: each column |l,m,n> maps to the
+        doubled label plus ``shift`` with that amplitude.  Zero amplitudes and
+        targets past the truncation wall are dropped; amplitudes at dropped
+        targets may be inf or nan.
+        """
         if name in self._ops:
             return self._ops[name]
+        l2, m2, n2 = self.lmn
         rows, cols, vals = [], [], []
-        for idx, st in enumerate(self.states):
-            for tgt, amp in entries(st):
-                if amp == 0.0:
-                    continue
-                j = self.index.get(tgt)
-                if j is None:
-                    continue  # truncation wall
-                rows.append(j)
-                cols.append(idx)
-                vals.append(amp)
-        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = entries(l2 / 2.0, m2 / 2.0, n2 / 2.0)
+        for (dl2, dm2, dn2), amp in terms:
+            tgt = self._locate(l2 + dl2, m2 + dm2, n2 + dn2)
+            keep = (tgt >= 0) & (amp != 0.0)
+            rows.append(tgt[keep])
+            cols.append(np.flatnonzero(keep))
+            vals.append(amp[keep])
+        mat = sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(self.dim, self.dim)
+        )
         self._ops[name] = mat
         return mat
 
     # -- left regular representation of the generators -------------------------
 
     def alpha(self) -> sparse.csr_matrix:
-        q0 = self.q0
+        q, br = self._q, self._br
 
-        def entries(st: Lmn):
-            l2, m2, n2 = st
-            l, m, n = l2 / 2.0, m2 / 2.0, n2 / 2.0
-            out = []
-            up = (
-                q0 ** (-l + (m + n - 1) / 2.0)
-                * math.sqrt(
-                    max(_brk(q0, l + m + 1) * _brk(q0, l + n + 1), 0.0)
-                    / (_brk(q0, 2 * l + 1) * _brk(q0, 2 * l + 2))
-                )
+        def entries(l, m, n):
+            up = q(-l + (m + n - 1) / 2.0) * np.sqrt(
+                np.maximum(br(l + m + 1) * br(l + n + 1), 0.0) / (br(2 * l + 1) * br(2 * l + 2))
             )
-            out.append(((l2 + 1, m2 + 1, n2 + 1), up))
-            if l2 >= 1 and abs(m2 + 1) <= l2 - 1 and abs(n2 + 1) <= l2 - 1:
-                dn = (
-                    q0 ** (l + (m + n + 1) / 2.0)
-                    * math.sqrt(
-                        max(_brk(q0, l - m) * _brk(q0, l - n), 0.0)
-                        / (_brk(q0, 2 * l) * _brk(q0, 2 * l + 1))
-                    )
-                )
-                out.append(((l2 - 1, m2 + 1, n2 + 1), dn))
-            return out
+            dn = q(l + (m + n + 1) / 2.0) * np.sqrt(
+                np.maximum(br(l - m) * br(l - n), 0.0) / (br(2 * l) * br(2 * l + 1))
+            )
+            return [((1, 1, 1), up), ((-1, 1, 1), dn)]
 
         return self._build("alpha", entries)
 
     def beta(self) -> sparse.csr_matrix:
-        q0 = self.q0
+        q, br = self._q, self._br
 
-        def entries(st: Lmn):
-            l2, m2, n2 = st
-            l, m, n = l2 / 2.0, m2 / 2.0, n2 / 2.0
-            out = []
-            up = (
-                q0 ** ((m + n - 1) / 2.0)
-                * math.sqrt(
-                    max(_brk(q0, l - m + 1) * _brk(q0, l + n + 1), 0.0)
-                    / (_brk(q0, 2 * l + 1) * _brk(q0, 2 * l + 2))
-                )
+        def entries(l, m, n):
+            up = q((m + n - 1) / 2.0) * np.sqrt(
+                np.maximum(br(l - m + 1) * br(l + n + 1), 0.0) / (br(2 * l + 1) * br(2 * l + 2))
             )
-            out.append(((l2 + 1, m2 - 1, n2 + 1), up))
-            if l2 >= 1 and abs(m2 - 1) <= l2 - 1 and abs(n2 + 1) <= l2 - 1:
-                dn = (
-                    -q0 ** ((m + n - 1) / 2.0)
-                    * math.sqrt(
-                        max(_brk(q0, l + m) * _brk(q0, l - n), 0.0)
-                        / (_brk(q0, 2 * l) * _brk(q0, 2 * l + 1))
-                    )
-                )
-                out.append(((l2 - 1, m2 - 1, n2 + 1), dn))
-            return out
+            dn = -q((m + n - 1) / 2.0) * np.sqrt(
+                np.maximum(br(l + m) * br(l - n), 0.0) / (br(2 * l) * br(2 * l + 1))
+            )
+            return [((1, -1, 1), up), ((-1, -1, 1), dn)]
 
         return self._build("beta", entries)
 
     def a_op(self) -> sparse.csr_matrix:
         """A = beta^* beta via its closed three-term form."""
-        q0 = self.q0
+        q, br = self._q, self._br
 
-        def entries(st: Lmn):
-            l2, m2, n2 = st
-            l, m, n = l2 / 2.0, m2 / 2.0, n2 / 2.0
-            pref = q0 ** (m + n - 1)
-            out = []
+        def entries(l, m, n):
+            pref = q(m + n - 1)
             up = (
                 -pref
-                / _brk(q0, 2 * l + 2)
-                * math.sqrt(
-                    max(
-                        _brk(q0, l + m + 1)
-                        * _brk(q0, l - m + 1)
-                        * _brk(q0, l + n + 1)
-                        * _brk(q0, l - n + 1),
-                        0.0,
-                    )
-                    / (_brk(q0, 2 * l + 1) * _brk(q0, 2 * l + 3))
+                / br(2 * l + 2)
+                * np.sqrt(
+                    np.maximum(br(l + m + 1) * br(l - m + 1) * br(l + n + 1) * br(l - n + 1), 0.0)
+                    / (br(2 * l + 1) * br(2 * l + 3))
                 )
             )
-            out.append(((l2 + 2, m2, n2), up))
             diag = pref * (
-                _brk(q0, l - m + 1) * _brk(q0, l + n + 1) / (_brk(q0, 2 * l + 1) * _brk(q0, 2 * l + 2))
-                + (
-                    _brk(q0, l + m) * _brk(q0, l - n) / (_brk(q0, 2 * l) * _brk(q0, 2 * l + 1))
-                    if l2 >= 1
-                    else 0.0
+                br(l - m + 1) * br(l + n + 1) / (br(2 * l + 1) * br(2 * l + 2))
+                + np.where(l > 0, br(l + m) * br(l - n) / (br(2 * l) * br(2 * l + 1)), 0.0)
+            )
+            dn = (
+                -pref
+                / br(2 * l)
+                * np.sqrt(
+                    np.maximum(br(l + m) * br(l - m) * br(l + n) * br(l - n), 0.0)
+                    / (br(2 * l - 1) * br(2 * l + 1))
                 )
             )
-            out.append((st, diag))
-            if l2 >= 2 and abs(m2) <= l2 - 2 and abs(n2) <= l2 - 2:
-                dn = (
-                    -pref
-                    / _brk(q0, 2 * l)
-                    * math.sqrt(
-                        max(
-                            _brk(q0, l + m)
-                            * _brk(q0, l - m)
-                            * _brk(q0, l + n)
-                            * _brk(q0, l - n),
-                            0.0,
-                        )
-                        / (_brk(q0, 2 * l - 1) * _brk(q0, 2 * l + 1))
-                    )
-                )
-                out.append(((l2 - 2, m2, n2), dn))
-            return out
+            return [((2, 0, 0), up), ((0, 0, 0), diag), ((-2, 0, 0), dn)]
 
         return self._build("A", entries)
 
     def b_op(self) -> sparse.csr_matrix:
         """B = beta^* alpha via its closed three-term form."""
-        q0 = self.q0
+        q, br = self._q, self._br
 
-        def entries(st: Lmn):
-            l2, m2, n2 = st
-            l, m, n = l2 / 2.0, m2 / 2.0, n2 / 2.0
-            out = []
+        def entries(l, m, n):
             up = (
-                -q0 ** (-l + m + n - 0.5)
-                / _brk(q0, 2 * l + 2)
-                * math.sqrt(
-                    max(
-                        _brk(q0, l + m + 1)
-                        * _brk(q0, l + m + 2)
-                        * _brk(q0, l + n + 1)
-                        * _brk(q0, l - n + 1),
-                        0.0,
-                    )
-                    / (_brk(q0, 2 * l + 1) * _brk(q0, 2 * l + 3))
+                -q(-l + m + n - 0.5)
+                / br(2 * l + 2)
+                * np.sqrt(
+                    np.maximum(br(l + m + 1) * br(l + m + 2) * br(l + n + 1) * br(l - n + 1), 0.0)
+                    / (br(2 * l + 1) * br(2 * l + 3))
                 )
             )
-            out.append(((l2 + 2, m2 + 2, n2), up))
-            if abs(m2 + 2) <= l2:
-                mid = (
-                    q0 ** (m + n)
-                    * math.sqrt(max(_brk(q0, l + m + 1) * _brk(q0, l - m), 0.0))
-                    / _brk(q0, 2 * l + 1)
-                    * (
-                        q0 ** (-l - 0.5) * _brk(q0, l + n + 1) / _brk(q0, 2 * l + 2)
-                        - (q0 ** (l + 0.5) * _brk(q0, l - n) / _brk(q0, 2 * l) if l2 >= 1 else 0.0)
-                    )
+            mid = (
+                q(m + n)
+                * np.sqrt(np.maximum(br(l + m + 1) * br(l - m), 0.0))
+                / br(2 * l + 1)
+                * (
+                    q(-l - 0.5) * br(l + n + 1) / br(2 * l + 2)
+                    - np.where(l > 0, q(l + 0.5) * br(l - n) / br(2 * l), 0.0)
                 )
-                out.append(((l2, m2 + 2, n2), mid))
-            if l2 >= 2 and abs(m2 + 2) <= l2 - 2 and abs(n2) <= l2 - 2:
-                dn = (
-                    q0 ** (l + m + n + 0.5)
-                    / _brk(q0, 2 * l)
-                    * math.sqrt(
-                        max(
-                            _brk(q0, l - m)
-                            * _brk(q0, l - m - 1)
-                            * _brk(q0, l + n)
-                            * _brk(q0, l - n),
-                            0.0,
-                        )
-                        / (_brk(q0, 2 * l - 1) * _brk(q0, 2 * l + 1))
-                    )
+            )
+            dn = (
+                q(l + m + n + 0.5)
+                / br(2 * l)
+                * np.sqrt(
+                    np.maximum(br(l - m) * br(l - m - 1) * br(l + n) * br(l - n), 0.0)
+                    / (br(2 * l - 1) * br(2 * l + 1))
                 )
-                out.append(((l2 - 2, m2 + 2, n2), dn))
-            return out
+            )
+            return [((2, 2, 0), up), ((0, 2, 0), mid), ((-2, 2, 0), dn)]
 
         return self._build("B", entries)
 
@@ -263,50 +239,30 @@ class SUq2Box:
     # -- L action (right action turned into a left action) ---------------------
 
     def lk(self) -> sparse.csr_matrix:
-        q0 = self.q0
-        return self._build("LK", lambda st: [(st, q0 ** (-st[2] / 2.0))])
+        return self._build("LK", lambda l, m, n: [((0, 0, 0), self._q(-n))])
 
     def lf(self) -> sparse.csr_matrix:
-        q0 = self.q0
-
-        def entries(st: Lmn):
-            l2, m2, n2 = st
-            l, n = l2 / 2.0, n2 / 2.0
-            amp2 = _brk(q0, l - n) * _brk(q0, l + n + 1)
-            if amp2 <= 0 or abs(n2 + 2) > l2:
-                return []
-            return [((l2, m2, n2 + 2), math.sqrt(amp2))]
-
-        return self._build("LF", entries)
+        br = self._br
+        return self._build(
+            "LF", lambda l, m, n: [((0, 0, 2), np.sqrt(np.maximum(br(l - n) * br(l + n + 1), 0.0)))]
+        )
 
     def le(self) -> sparse.csr_matrix:
-        q0 = self.q0
-
-        def entries(st: Lmn):
-            l2, m2, n2 = st
-            l, n = l2 / 2.0, n2 / 2.0
-            amp2 = _brk(q0, l - n + 1) * _brk(q0, l + n)
-            if amp2 <= 0 or abs(n2 - 2) > l2:
-                return []
-            return [((l2, m2, n2 - 2), math.sqrt(amp2))]
-
-        return self._build("LE", entries)
+        br = self._br
+        return self._build(
+            "LE", lambda l, m, n: [((0, 0, -2), np.sqrt(np.maximum(br(l - n + 1) * br(l + n), 0.0)))]
+        )
 
     def k_left(self) -> sparse.csr_matrix:
         """Diagonal of the canonical left action K|> (eigenvalue q^m)."""
-        q0 = self.q0
-        return self._build("Kleft", lambda st: [(st, q0 ** (st[1] / 2.0))])
+        return self._build("Kleft", lambda l, m, n: [((0, 0, 0), self._q(m))])
 
     def theta(self) -> sparse.csr_matrix:
         """Matrix of the antilinear star map (apply with complex conjugation)."""
-
-        def entries(st: Lmn):
-            l2, m2, n2 = st
-            sign = -1.0 if ((m2 - n2) // 2) % 2 else 1.0
-            amp = sign * self.q0 ** ((m2 - n2) / 2.0 + n2)
-            return [((l2, -m2, -n2), amp)]
-
-        return self._build("theta", entries)
+        _, m2, n2 = self.lmn  # the shift (0, -2 m2, -2 n2) reflects |l,m,n> to |l,-m,-n>
+        return self._build(
+            "theta", lambda l, m, n: [((0, -2 * m2, -2 * n2), np.where((m - n) % 2, -1.0, 1.0) * self._q(m + n))]
+        )
 
     # -- elements of the sphere algebra as operators ---------------------------
 
@@ -341,15 +297,15 @@ class SUq2Box:
         return float(op[self.vac, self.vac])
 
     def interior(self, margin_l: int, max_n2: int | None = None) -> np.ndarray:
-        keep = []
-        for i, (l2, m2, n2) in enumerate(self.states):
-            if l2 <= 2 * self.L - 2 * margin_l and (max_n2 is None or abs(n2) <= max_n2):
-                keep.append(i)
-        return np.array(keep, dtype=int)
+        l2, _, n2 = self.lmn
+        keep = l2 <= 2 * self.L - 2 * margin_l
+        if max_n2 is not None:
+            keep &= np.abs(n2) <= max_n2
+        return np.flatnonzero(keep)
 
-    def gamma_slice(self, N: int) -> List[int]:
-        """Basis indices of (truncated) Gamma_N: states with n = -N/2."""
-        return [i for i, st in enumerate(self.states) if st[2] == -N]
+    def gamma_slice(self, N: int) -> np.ndarray:
+        """Basis indices of (truncated) Gamma_N: states with n = -N/2, ascending."""
+        return np.flatnonzero(self.lmn[2] == -N)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +360,7 @@ class SpectralTriple:
     j2: int  # 2j, odd
     box: SUq2Box
     slots: List[int] = field(init=False)  # doubled n
-    slot_states: List[List[int]] = field(init=False)
+    slot_states: List[np.ndarray] = field(init=False)
     offsets: List[int] = field(init=False)
     dim: int = field(init=False)
 
@@ -436,22 +392,20 @@ class SpectralTriple:
         cols = self.slot_states[src_slot]
         return mat[np.ix_(rows, cols)]
 
+    def _box_labels(self) -> np.ndarray:
+        """Doubled box labels (3, dim) of the global basis, slot by slot."""
+        return self.box.lmn[:, np.concatenate(self.slot_states)]
+
     def dirac(self) -> sparse.csr_matrix:
         """D_j: L_E into even-offset slots, L_F into their partners."""
         le, lf = self.box.le(), self.box.lf()
-        blocks: List[Tuple[int, int, sparse.csr_matrix]] = []
+        blocks: List[List[sparse.csr_matrix | None]] = [[None] * len(self.slots) for _ in self.slots]
         for r, n2 in enumerate(self.slots):
             if (n2 + self.j2) % 4 == 0:  # paired slot (n, n+1): this is n
-                blocks.append((r, r + 1, self._block(le, r, r + 1)))
+                blocks[r][r + 1] = self._block(le, r, r + 1)
             else:
-                blocks.append((r, r - 1, self._block(lf, r, r - 1)))
-        out = sparse.lil_matrix((self.dim, self.dim))
-        for r, c, blk in blocks:
-            out[
-                self.offsets[r]: self.offsets[r] + len(self.slot_states[r]),
-                self.offsets[c]: self.offsets[c] + len(self.slot_states[c]),
-            ] = blk
-        return out.tocsr()
+                blocks[r][r - 1] = self._block(lf, r, r - 1)
+        return sparse.bmat(blocks, format="csr")
 
     def grading(self) -> sparse.csr_matrix:
         diag = np.zeros(self.dim)
@@ -462,49 +416,33 @@ class SpectralTriple:
 
     def real_structure(self) -> sparse.csr_matrix:
         """J_j as a real matrix (antilinear: conjugate, then apply)."""
-        out = sparse.lil_matrix((self.dim, self.dim))
+        rows, cols, vals = [], [], []
         for r, n2 in enumerate(self.slots):
             rp = self.slot_of(-n2)
-            src = self.slot_states[r]
-            for a, ibox in enumerate(src):
-                l2, m2, n2b = self.box.states[ibox]
-                tgt_state = (l2, -m2, -n2b)
-                jbox = self.box.index[tgt_state]
-                b = self.slot_states[rp].index(jbox)
-                # (J a)_{-n} = (-1)^{j+m-2n} |l,-m,-n>
-                expo = (self.j2 + m2) // 2 - n2b
-                sgn = -1.0 if expo % 2 else 1.0
-                out[self.offsets[rp] + b, self.offsets[r] + a] = sgn
-        return out.tocsr()
+            l2, m2, _ = self.box.lmn[:, self.slot_states[r]]
+            # |l,m,n> -> |l,-m,-n>, located inside slot rp (its box indices ascend)
+            tgt = np.searchsorted(self.slot_states[rp], self.box._locate(l2, -m2, np.full_like(l2, -n2)))
+            # (J a)_{-n} = (-1)^{j+m-2n} |l,-m,-n>
+            expo = (self.j2 + m2) // 2 - n2
+            rows.append(self.offsets[rp] + tgt)
+            cols.append(self.offsets[r] + np.arange(len(l2)))
+            vals.append(np.where(expo % 2, -1.0, 1.0))
+        return sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(self.dim, self.dim)
+        )
+
+    def _diagonal_blocks(self, mat: sparse.csr_matrix) -> sparse.csr_matrix:
+        return sparse.block_diag([self._block(mat, r, r) for r in range(len(self.slots))], format="csr")
 
     def represent(self, a: NCPoly) -> sparse.csr_matrix:
         """Block-diagonal left multiplication by a in A(CP^1_q)."""
-        mat = self.box.represent(a)
-        out = sparse.lil_matrix((self.dim, self.dim))
-        for r in range(len(self.slots)):
-            out[
-                self.offsets[r]: self.offsets[r] + len(self.slot_states[r]),
-                self.offsets[r]: self.offsets[r] + len(self.slot_states[r]),
-            ] = self._block(mat, r, r)
-        return out.tocsr()
+        return self._diagonal_blocks(self.box.represent(a))
 
     def right_represent(self, a: NCPoly) -> sparse.csr_matrix:
-        mat = self.box.right_mult(a)
-        out = sparse.lil_matrix((self.dim, self.dim))
-        for r in range(len(self.slots)):
-            out[
-                self.offsets[r]: self.offsets[r] + len(self.slot_states[r]),
-                self.offsets[r]: self.offsets[r] + len(self.slot_states[r]),
-            ] = self._block(mat, r, r)
-        return out.tocsr()
+        return self._diagonal_blocks(self.box.right_mult(a))
 
     def interior(self, margin_l: int) -> np.ndarray:
-        keep = []
-        for r in range(len(self.slots)):
-            for a, ibox in enumerate(self.slot_states[r]):
-                if self.box.states[ibox][0] <= 2 * self.box.L - 2 * margin_l:
-                    keep.append(self.offsets[r] + a)
-        return np.array(keep, dtype=int)
+        return np.flatnonzero(self._box_labels()[0] <= 2 * self.box.L - 2 * margin_l)
 
 
 def build_triple(j2: int, L: int, q0: float) -> SpectralTriple:
@@ -529,7 +467,7 @@ class GammaModule:
 
     N: int
     box: SUq2Box
-    basis: List[int] = field(init=False)
+    basis: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.basis = self.box.gamma_slice(self.N)
@@ -862,12 +800,11 @@ def holo_dim(N: int, L: int, q0: float, tol: float = 1e-9) -> HoloReport:
         raise ValueError("truncation too small")
     box = SUq2Box(L, q0)
     sl = box.gamma_slice(N)
-    if not sl:
+    if len(sl) == 0:
         return HoloReport(0, True, float("inf"), 0.0)
     lf = box.lf()
-    # target slice has n2 = -N + 2
-    tgt = [i for i, st in enumerate(box.states) if st[2] == -N + 2]
-    mat = lf[np.ix_(tgt, sl)].toarray() if tgt else np.zeros((0, len(sl)))
+    tgt = box.gamma_slice(N - 2)  # L_F raises n by one
+    mat = lf[np.ix_(tgt, sl)].toarray() if len(tgt) else np.zeros((0, len(sl)))
     if mat.shape[0] == 0:
         sv = np.zeros(0)
         rank = 0
@@ -880,12 +817,8 @@ def holo_dim(N: int, L: int, q0: float, tol: float = 1e-9) -> HoloReport:
     smallest_kept = float(min((s for s in sv if s > tol), default=float("inf")))
     largest_dropped = float(max((s for s in sv if s <= tol), default=0.0))
     # boundary safety: kernel basis vectors supported at l2 = |N| only
-    safe = True
-    for kcol in range(null_vecs.shape[1]):
-        vec = null_vecs[:, kcol]
-        for amp, i in zip(vec, sl):
-            if abs(amp) > 1e-7 and box.states[i][0] != abs(N):
-                safe = False
+    off_shell = box.lmn[0][sl] != abs(N)
+    safe = not np.any(np.abs(null_vecs[off_shell]) > 1e-7)
     return HoloReport(null_dim, safe, smallest_kept, largest_dropped)
 
 
@@ -1002,7 +935,8 @@ def index_regularized_trace(j2: int, L: int, q0: float, cutoff2: int | None = No
     p22 = box.a_op().diagonal()
     total = 0.0
     for n2 in range(-j2, j2 + 1, 2):
-        sl = [i for i in box.gamma_slice(-n2) if box.states[i][0] <= cutoff2]
+        sl = box.gamma_slice(-n2)
+        sl = sl[box.lmn[0][sl] <= cutoff2]
         tr = float(np.sum(p11[sl]) + np.sum(p22[sl]))
         total += tr if ((j2 + n2) // 2) % 2 == 1 else -tr
     return total
@@ -1035,26 +969,16 @@ def dirac_spectrum_check(j2: int, L: int, q0: float, tol: float = 1e-10) -> Tupl
     st = build_triple(j2, L, q0)
     D = st.dirac()
     D2 = (D @ D).tocsr()
-    win = set(st.interior(2).tolist())
-    worst = 0.0
-    spec: Dict[float, int] = {}
     diag = D2.diagonal()
-    off = abs(D2 - sparse.diags(diag)).max()
-    worst = max(worst, float(off))
-    for r, n2 in enumerate(st.slots):
-        for aa, ibox in enumerate(st.slot_states[r]):
-            gi = st.offsets[r] + aa
-            if gi not in win:
-                continue
-            l2, _, _ = st.box.states[ibox]
-            l, n = l2 / 2.0, n2 / 2.0
-            if (n2 + st.j2) % 4 == 0:  # lower member of a pair: L_E L_F
-                target = _brk(q0, l - n) * _brk(q0, l + n + 1)
-            else:
-                target = _brk(q0, l - n + 1) * _brk(q0, l + n)
-            worst = max(worst, abs(diag[gi] - target))
-            key = round(target, 9)
-            spec[key] = spec.get(key, 0) + 1
+    worst = float(abs(D2 - sparse.diags(diag)).max())
+    win = st.interior(2)
+    l2, _, n2 = st._box_labels()[:, win]
+    l, n = l2 / 2.0, n2 / 2.0
+    br = st.box._br
+    # lower member of a pair: L_E L_F; upper member: L_F L_E
+    target = np.where((n2 + j2) % 4 == 0, br(l - n) * br(l + n + 1), br(l - n + 1) * br(l + n))
+    worst = max(worst, float(np.max(np.abs(diag[win] - target), initial=0.0)))
+    spec = Counter(round(t, 9) for t in target.tolist())
     return worst, sorted(spec.items())
 
 

@@ -1,11 +1,14 @@
 """Parser/printer round trips, CLI subcommands, exit codes, output stability."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qcpn
 from qcpn.cli import main
 from qcpn.ncpoly import NCPoly, Presentation, mul, normalize
 from qcpn.parser import ParseError, parse_expr, print_expr
@@ -177,8 +180,12 @@ def test_cli_config_file(tmp_path, monkeypatch):
         ("verify", "triple", "--j", "7/2", "--L", "4"),
         ("pairing", "--q", "1.0"),
         ("tau1", "--q", "1.0"),
+        ("tau1", "--N", "3..1"),
+        ("holo-dim", "--N", "1/2"),
+        ("verify", "triple", "--j", "3/4", "--L", "12"),
     ],
-    ids=["holo-dim", "verify-triple", "pairing", "tau1"],
+    ids=["holo-dim", "verify-triple", "pairing", "tau1", "tau1-reversed-range", "holo-dim-fraction",
+         "verify-triple-quarter"],
 )
 def test_cli_input_errors_exit_2(argv):
     code, _, err = run_cli(*argv)
@@ -193,10 +200,13 @@ def test_cli_spectrum_json():
 
 
 def test_console_script_installed():
+    # the child imports qcpn from where this process found it (installed or src/)
+    path = [str(Path(qcpn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "qcpn.cli", "normalize", "1", "--n", "1"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p)),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"

@@ -19,9 +19,10 @@ Q0 = 0.5
 def test_state_constraints():
     # V^2_1: m_1 free, m_2 free; V^2_2: m_1 <= m_2; V^2_0: m_1 > m_2
     s20 = fock_states(RepSpec(2, 0, 4, Q0))
-    assert all(m[0] > m[1] for m in s20) or True  # pi_{2,0}(z_0) support handled below
+    assert all(m[0] > m[1] for m in s20)
     s22 = fock_states(RepSpec(2, 2, 4, Q0))
     assert all(m[0] <= m[1] for m in s22)
+    assert [len(fock_states(RepSpec(2, k, 4, Q0))) for k in range(3)] == [10, 25, 15]
 
 
 def test_generator_formulas():
@@ -40,6 +41,29 @@ def test_generator_formulas():
     z0 = rep.generator(0, False)
     for i, m in enumerate(rep.states):
         assert z0[i, i] == pytest.approx(1.0 if m[0] > m[1] >= 0 else 0.0)
+
+
+# (n, k): dim V^n_k at M = 4, and nnz of pi_{n,k}(z_0), .., pi_{n,k}(z_n)
+FOCK_M4 = {
+    (1, 0): (5, (5, 0)),
+    (1, 1): (5, (4, 5)),
+    (2, 0): (10, (10, 0, 0)),
+    (2, 1): (25, (20, 25, 0)),
+    (2, 2): (15, (10, 10, 15)),
+    (3, 0): (10, (10, 0, 0, 0)),
+    (3, 1): (50, (40, 50, 0, 0)),
+    (3, 2): (75, (50, 50, 75, 0)),
+    (3, 3): (35, (20, 20, 20, 35)),
+}
+
+
+@pytest.mark.parametrize("full_box", [False, True])
+def test_generator_nnz_at_box_wall(full_box):
+    """Shifts past m_i = M are dropped; in the full box the operators still vanish off V^n_k."""
+    for (n, k), (dim, nnz) in FOCK_M4.items():
+        rep = FockRep(RepSpec(n, k, 4, Q0), full_box=full_box)
+        assert rep.dimension == (5 ** n if full_box else dim)
+        assert tuple(rep.generator(i, False).nnz for i in range(n + 1)) == nnz
 
 
 @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])

@@ -92,6 +92,48 @@ def test_projection_spectral_property(box):
         assert np.abs((ppv - pv)[win]).max() < 1e-10 * max(1.0, np.abs(v).max())
 
 
+def test_assembly_at_truncation_wall():
+    """Operator nnz at L=5, and l = L shell columns against the scalar formulas."""
+    box = SUq2Box(5, Q0)
+    nnz = {"alpha": 770, "beta": 770, "alpha*": 770, "A": 1076, "B": 1010, "B*": 1010}
+    for name, count in nnz.items():
+        assert box.generator(name).nnz == count
+    for op, count in ((box.lk, 506), (box.k_left, 506), (box.theta, 506), (box.lf, 440), (box.le, 440)):
+        assert op().nnz == count
+    def br(x):
+        return _brk(Q0, x)
+
+    l = 5.0
+    for m2, n2 in [(0, 0), (4, -2), (-6, 2)]:
+        m, n = m2 / 2, n2 / 2
+        i = box.index[(10, m2, n2)]
+        # the raising terms leave the box; the lowering and level terms stay
+        alpha = box.alpha()[:, [i]].tocoo()
+        assert alpha.nnz == 1 and alpha.row[0] == box.index[(9, m2 + 1, n2 + 1)]
+        dn = Q0 ** (l + (m + n + 1) / 2) * math.sqrt(br(l - m) * br(l - n) / (br(2 * l) * br(2 * l + 1)))
+        assert alpha.data[0] == pytest.approx(dn, rel=1e-14)
+        a_col = box.a_op()[:, i]
+        assert a_col.nnz == 2
+        diag = Q0 ** (m + n - 1) * (
+            br(l - m + 1) * br(l + n + 1) / (br(2 * l + 1) * br(2 * l + 2))
+            + br(l + m) * br(l - n) / (br(2 * l) * br(2 * l + 1))
+        )
+        assert a_col[i, 0] == pytest.approx(diag, rel=1e-14)
+        mid = (
+            Q0 ** (m + n)
+            * math.sqrt(br(l + m + 1) * br(l - m))
+            / br(2 * l + 1)
+            * (Q0 ** (-l - 0.5) * br(l + n + 1) / br(2 * l + 2) - Q0 ** (l + 0.5) * br(l - n) / br(2 * l))
+        )
+        assert box.b_op()[box.index[(10, m2 + 2, n2)], i] == pytest.approx(mid, rel=1e-14)
+        assert box.lf()[box.index[(10, m2, n2 + 2)], i] == pytest.approx(
+            math.sqrt(br(l - n) * br(l + n + 1)), rel=1e-14
+        )
+    # top weight n = l: L_F vanishes, L_E does not
+    i = box.index[(10, 0, 10)]
+    assert box.lf()[:, i].nnz == 0 and box.le()[:, i].nnz == 1
+
+
 def test_laction_formulas(box):
     lk, le, lf = box.lk(), box.le(), box.lf()
     for (l2, m2, n2) in [(2, 0, 2), (3, 1, -1), (4, -2, 0)]:
