@@ -80,6 +80,14 @@ def _int_range(text: str, flag: str, scale: int = 1) -> List[int]:
     return out
 
 
+def _at_least(args, minimum: int, *names: str) -> None:
+    """Reject a size argument below minimum as a usage error, so no sweep is empty."""
+    for name in names:
+        value = getattr(args, name)
+        if value < minimum:
+            raise ValueError(f"--{name} must be at least {minimum}, got {value}")
+
+
 def _emit(report: Report, args) -> int:
     if getattr(args, "json", False):
         print(report.to_json())
@@ -108,6 +116,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_verify_projections(args) -> int:
     t0 = time.time()
+    _at_least(args, 0, "n", "Nmax")
     rep = Report("projection suite", metadata={"n": args.n, "Nmax": args.Nmax})
     P = Presentation(args.n)
     for N in range(-args.Nmax, args.Nmax + 1):
@@ -163,6 +172,8 @@ def _random_poly(P: Presentation, rng: random.Random, deg: int = 3, terms: int =
 
 def cmd_verify_relations(args) -> int:
     t0 = time.time()
+    _at_least(args, 1, "n")
+    _at_least(args, 0, "cases")
     rep = Report("rewriting suite", metadata={"nmax": args.n, "cases": args.cases, "seed": args.seed})
     for n in range(1, args.n + 1):
         P = Presentation(n)
@@ -190,6 +201,7 @@ def cmd_verify_equivariance(args) -> int:
     if args.n != 1:
         print("equivariance verification is implemented for n=1", file=sys.stderr)
         return 2
+    _at_least(args, 0, "Nmax")
     rep = Report("equivariance suite", metadata={"n": 1, "Nmax": args.Nmax})
     gens = [UqGenerator(k, 1) for k in ("E", "F", "K", "Kinv")]
     for N in range(-args.Nmax, args.Nmax + 1):
@@ -323,6 +335,7 @@ def cmd_tau1(args) -> int:
 
 def cmd_identities(args) -> int:
     t0 = time.time()
+    _at_least(args, 0, "kmax", "Nmax")
     rep = Report("closed-form identity suite", metadata={"kmax": args.kmax, "Nmax": args.Nmax})
     gap_target = (qpow(0) - qpow(-3)) * qint(2)
     bad_gap = 0
@@ -345,6 +358,7 @@ def cmd_identities(args) -> int:
 
 def cmd_chern(args) -> int:
     t0 = time.time()
+    _at_least(args, 0, "n", "Nmax")
     rep = Report("Chern character conversions", metadata={"n": args.n})
     rng = random.Random(11)
     bad = 0

@@ -7,6 +7,12 @@ evaluation happens only through :func:`evalf`.
 
 Internally a Laurent polynomial is a dict ``{exponent: coeff}`` with int
 values and no zero entries.
+
+Reduction to the canonical form tries exact division in Z[s] first: the
+quotients that arise here ([k], q-multinomials, eigenvalue differences)
+are almost all Laurent polynomials, and one integer long division finds
+them.  Only a division that leaves a remainder reaches the Fraction-based
+gcd.  The canonical form does not depend on which route produced it.
 """
 
 from __future__ import annotations
@@ -137,24 +143,28 @@ def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
     return ints
 
 
-def _poly_divexact(a: list[int], g: list[int]) -> list[int]:
-    """Divide a by g in Q[x]; result must have integer coefficients."""
-    fa = [Fraction(c) for c in a]
-    out = [Fraction(0)] * (len(a) - len(g) + 1)
-    dg, lg = len(g) - 1, g[-1]
+def _divexact(a: list[int], d: list[int]) -> list[int] | None:
+    """Quotient a/d in Z[x] of ascending coefficient lists, or None.
+
+    Long division with ``divmod`` on d's leading coefficient; None when a
+    quotient coefficient is not an integer or the remainder is nonzero.
+    """
+    dd, lead = len(d) - 1, d[-1]
+    if len(a) <= dd:
+        return None
+    r = list(a)
+    out = [0] * (len(a) - dd)
     for i in range(len(out) - 1, -1, -1):
-        f = fa[i + dg] / lg
-        out[i] = f
-        for k in range(dg + 1):
-            fa[i + k] -= f * g[k]
-    if any(fa):
-        raise ArithmeticError("inexact polynomial division")
-    res = []
-    for f in out:
-        if f.denominator != 1:
-            raise ArithmeticError("non-integer quotient in exact division")
-        res.append(f.numerator)
-    return res
+        f, m = divmod(r[i + dd], lead)
+        if m:
+            return None
+        if f:
+            out[i] = f
+            for k in range(dd):
+                r[i + k] -= f * d[k]
+    if any(r[:dd]):
+        return None
+    return out
 
 
 def _reduce(num: Laurent, den: Laurent) -> tuple[Laurent, Laurent]:
@@ -162,18 +172,28 @@ def _reduce(num: Laurent, den: Laurent) -> tuple[Laurent, Laurent]:
 
     Canonical means: gcd removed, integer content shared out, denominator
     has lowest exponent 0 and positive leading coefficient; zero is {} / {0:1}.
+
+    A multi-term denominator is first tried as an exact divisor of the
+    numerator in Z[s]; when it divides, the quotient over {0: 1} is the
+    canonical form.  Only otherwise does the Fraction-based ``_poly_gcd``
+    run.  Both routes give the same canonical form.
     """
     if not den:
         raise ZeroDivisionError("QScalar with zero denominator")
     if not num:
         return {}, dict(_ONE)
-    if len(den) > 1 and len(num) >= 1:
+    if len(den) > 1:
         nlo, ncs = _to_coeffs(num)
         dlo, dcs = _to_coeffs(den)
+        quo = _divexact(ncs, dcs)
+        if quo is not None:
+            return _from_coeffs(nlo - dlo, quo), dict(_ONE)
         g = _poly_gcd(ncs, dcs)
         if len(g) > 1:
-            ncs = _poly_divexact(ncs, g)
-            dcs = _poly_divexact(dcs, g)
+            # g is primitive, so by Gauss's lemma both cofactors are integral
+            ncs, dcs = _divexact(ncs, g), _divexact(dcs, g)
+            if ncs is None or dcs is None:
+                raise ArithmeticError("inexact polynomial division")
             num = _from_coeffs(nlo, ncs)
             den = _from_coeffs(dlo, dcs)
     # shared integer content
@@ -429,10 +449,18 @@ def eval_at(x: QScalar, p: "QPoint | float") -> float:
 
 
 def qint(x: HalfInt) -> QScalar:
-    """q-integer [x] = (q^x - q^{-x})/(q - q^{-1}); x may be half-integer."""
+    """q-integer [x] = (q^x - q^{-x})/(q - q^{-1}); x may be half-integer.
+
+    For integer x this is the Laurent polynomial sign(x) * sum_{i<|x|}
+    q^{|x|-1-2i}, written down directly; a half-integer x gives a genuine
+    rational with denominator s^2 + 1 and goes through the division.
+    """
     t = _as_twice(x)  # q^x = s^t
     if t == 0:
         return ZERO
+    if t % 2 == 0:
+        k, sign = abs(t) // 2, (1 if t > 0 else -1)
+        return QScalar({2 * k - 2 - 4 * i: sign for i in range(k)}, _canonical=True)
     num = QScalar({t: 1, -t: -1}, _canonical=True)
     den = QScalar({2: 1, -2: -1}, _canonical=True)
     return num / den

@@ -906,14 +906,12 @@ def triple_axiom_suite(j2: int, L: int, q0: float) -> Dict[str, float]:
             res[f"JbJ-rightmult[{nb}]"] = _maxabs(jb - rights[nb], win)
 
     # boundedness proxy: the operator norm of [D, a] must be stable in L
+    big = build_triple(j2, L + 3, q0)
+    Db, winb = big.dirac(), big.interior(3)
     for nm, e in elems.items():
         norms = []
-        for Luse in (L, L + 3):
-            stl = build_triple(j2, Luse, q0)
-            Dl = stl.dirac()
-            al = stl.represent(e)
+        for Dl, al, winl in ((D, reps[nm], win), (Db, big.represent(e), winb)):
             comm = (Dl @ al - al @ Dl).tocsr()
-            winl = stl.interior(3)
             norms.append(_opnorm(comm[np.ix_(winl, winl)]))
         res[f"commutator_norm_drift[{nm}]"] = abs(norms[1] - norms[0]) / max(norms[0], 1e-12)
     return res

@@ -183,9 +183,18 @@ def test_cli_config_file(tmp_path, monkeypatch):
         ("tau1", "--N", "3..1"),
         ("holo-dim", "--N", "1/2"),
         ("verify", "triple", "--j", "3/4", "--L", "12"),
+        ("identities", "--kmax", "-1", "--Nmax", "-1"),
+        ("verify", "projections", "--n", "1", "--Nmax", "-1"),
+        ("verify", "equivariance", "--Nmax", "-1"),
+        ("chern", "--n", "-1"),
+        ("chern", "--n", "4", "--Nmax", "-2"),
+        ("verify", "relations", "--n", "0"),
+        ("verify", "relations", "--cases", "-5"),
     ],
     ids=["holo-dim", "verify-triple", "pairing", "tau1", "tau1-reversed-range", "holo-dim-fraction",
-         "verify-triple-quarter"],
+         "verify-triple-quarter", "identities-negative", "projections-negative-Nmax",
+         "equivariance-negative-Nmax", "chern-negative-n", "chern-negative-Nmax", "relations-n-0",
+         "relations-negative-cases"],
 )
 def test_cli_input_errors_exit_2(argv):
     code, _, err = run_cli(*argv)

@@ -4,9 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcpn import identities, qcoeff, suq2
 from qcpn.qcoeff import (
     ONE,
     ZERO,
@@ -36,8 +37,10 @@ def test_qint_trivial_values():
 
 
 def test_qint_against_expansion_oracle():
-    for n in range(1, 12):
-        assert qint(n) == expand_qint(n)
+    for n in range(-40, 41):
+        expected = expand_qint(n) if n >= 0 else -expand_qint(-n)
+        assert qint(n) == expected
+        assert qint(n) == (qpow(n) - qpow(-n)) / (qpow(1) - qpow(-1))
 
 
 def test_qint_half_integer():
@@ -148,3 +151,79 @@ def test_canonical_equality():
     x = (qpow(2) - qpow(-2)) / (qpow(1) - qpow(-1))
     assert x == qint(2)
     assert hash(x) == hash(qint(2))
+
+
+laurent_dicts = st.dictionaries(
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-9, max_value=9).filter(lambda c: c != 0),
+    min_size=1,
+    max_size=5,
+)
+contents = st.integers(min_value=-6, max_value=6).filter(lambda c: c != 0)
+
+
+def _scaled(p, c):
+    return {e: c * v for e, v in p.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_dicts, laurent_dicts, contents)
+def test_laurent_quotient_is_exact(a, b, c):
+    # leading coefficients other than +-1, negative ones, and a shared content c
+    x = QScalar(_scaled(a, c), _canonical=True)
+    y = QScalar(_scaled(b, c), _canonical=True)
+    out = (x * y) / y
+    assert out == x
+    assert out.is_laurent()
+
+
+def _reduce_via_gcd(num, den):
+    """Canonical form of num/den by the gcd route alone, in Fraction arithmetic."""
+    if not num:
+        return {}, {0: 1}
+    nlo, ncs = qcoeff._to_coeffs(num)
+    dlo, dcs = qcoeff._to_coeffs(den)
+    g = qcoeff._poly_gcd(ncs, dcs)
+
+    def div(a):
+        rem = [Fraction(v) for v in a]
+        out = [Fraction(0)] * (len(a) - len(g) + 1)
+        for i in range(len(out) - 1, -1, -1):
+            out[i] = f = rem[i + len(g) - 1] / g[-1]
+            for k, gk in enumerate(g):
+                rem[i + k] -= f * gk
+        assert not any(rem) and all(f.denominator == 1 for f in out)
+        return [int(f) for f in out]
+
+    num, den = qcoeff._from_coeffs(nlo, div(ncs)), qcoeff._from_coeffs(dlo, div(dcs))
+    c = math.gcd(*num.values(), *den.values())
+    if den[max(den)] < 0:
+        c = -c
+    lo = min(den)
+    return {e - lo: v // c for e, v in num.items()}, {e - lo: v // c for e, v in den.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_dicts, laurent_dicts, st.booleans(), contents)
+# (1 + 3s)/(1 + 2s): the top quotient coefficient 3/2 is not an integer,
+# though the remainder below it would vanish
+@example({0: 1, 1: 3}, {0: 1, 1: 2}, False, 1)
+def test_reduce_matches_gcd_route(num, den, divisible, c):
+    if divisible:
+        num = qcoeff._lmul(num, den)
+    num, den = _scaled(num, c), _scaled(den, c)
+    assert qcoeff._reduce(num, den) == _reduce_via_gcd(num, den)
+
+
+def test_exact_quotients_skip_the_gcd(monkeypatch):
+    def no_gcd(a, b):
+        raise AssertionError("_poly_gcd reached for an exact quotient")
+
+    monkeypatch.setattr(qcoeff, "_poly_gcd", no_gcd)
+    m = qmultinomial([3, 4, 2])
+    assert m * qfactorial(3) * qfactorial(4) * qfactorial(2) == qfactorial(9)
+    gap = (qpow(0) - qpow(-3)) * qint(2)
+    for k in range(5):
+        for N in range(5):
+            assert identities.laplacian_gap(k, N) == gap * qint(N)
+    assert suq2.index_analytic(17) == 35
