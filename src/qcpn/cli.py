@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from . import identities, rep_sphere, suq2
-from .ncpoly import NCPoly, Presentation, UqGenerator, mul, normalize, star
+from .ncpoly import NCPoly, Presentation, UqGenerator, lincomb, mul, normalize, star
 from .parser import ParseError, parse_expr, print_expr
 from .projections import (
     check_equivariance,
@@ -32,7 +32,7 @@ from .projections import (
     psi_dagger_psi,
     qtrace,
 )
-from .qcoeff import qint, qpow
+from .qcoeff import ONE, qint, qpow
 from .report import PairingRecord, Report
 
 
@@ -147,27 +147,22 @@ def _relations(P: Presentation) -> List[NCPoly]:
                 rels.append(mul(zs[i], z[j], P) - mul(z[j], zs[i], P).scale(qpow(1)))
     rels.append(mul(zs[n], z[n], P) - mul(z[n], zs[n], P))
     for i in range(n):
-        acc = mul(zs[i], z[i], P) - mul(z[i], zs[i], P)
-        for j in range(i + 1, n + 1):
-            acc = acc - mul(z[j], zs[j], P).scale(qpow(0) - qpow(2))
-        rels.append(acc)
-    sphere = NCPoly.one().scale(-(qpow(0)))
-    for j in range(n + 1):
-        sphere = sphere + mul(z[j], zs[j], P)
-    rels.append(sphere)
-    qsphere = NCPoly.one().scale(-(qpow(0)))
-    for j in range(n + 1):
-        qsphere = qsphere + mul(zs[j], z[j], P).scale(qpow(2 * j))
-    rels.append(qsphere)
+        rels.append(
+            lincomb(
+                [(mul(zs[i], z[i], P), None), (mul(z[i], zs[i], P), -ONE)]
+                + [(mul(z[j], zs[j], P), qpow(2) - ONE) for j in range(i + 1, n + 1)]
+            )
+        )
+    rels.append(lincomb([(NCPoly.one(), -ONE)] + [(mul(z[j], zs[j], P), None) for j in range(n + 1)]))
+    rels.append(lincomb([(NCPoly.one(), -ONE)] + [(mul(zs[j], z[j], P), qpow(2 * j)) for j in range(n + 1)]))
     return rels
 
 
 def _random_poly(P: Presentation, rng: random.Random, deg: int = 3, terms: int = 2) -> NCPoly:
-    out = NCPoly.zero()
-    for _ in range(terms):
-        w = tuple(rng.randrange(2 * (P.n + 1)) for _ in range(rng.randint(0, deg)))
-        out = out + NCPoly.word(w, qpow(rng.randint(-2, 2)))
-    return out
+    return lincomb(
+        (NCPoly.word(rng.randrange(2 * (P.n + 1)) for _ in range(rng.randint(0, deg))), qpow(rng.randint(-2, 2)))
+        for _ in range(terms)
+    )
 
 
 def cmd_verify_relations(args) -> int:
@@ -181,7 +176,7 @@ def cmd_verify_relations(args) -> int:
         rep.add(PairingRecord("relations_to_zero", {"n": n}, bad, 0, float(bad), 0.5))
     rng = random.Random(args.seed)
     fails = 0
-    per_level = max(1, -(-args.cases // max(1, args.n)))
+    per_level = -(-args.cases // args.n)
     for n in range(1, args.n + 1):
         P = Presentation(n)
         for _ in range(per_level):

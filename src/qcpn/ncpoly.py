@@ -15,6 +15,10 @@ z_0^* z_1^* z_0 z_1 and normal forms would stop being unique.
 Rewriting is memoized per presentation: the normal form of a word is
 computed once and reused, which is what keeps the projection identity
 checks fast.
+
+Every sum of TermMaps, in this module and in its callers, goes through one
+accumulation kernel: ``add_terms`` (acc += c * terms, zero coefficients
+dropped) and ``lincomb`` on top of it.
 """
 
 from __future__ import annotations
@@ -48,6 +52,23 @@ def letter_index(g: int) -> int:
 
 def letter_starred(g: int) -> bool:
     return bool(g & 1)
+
+
+def word_str(w: Word) -> str:
+    """Text form of a word, runs of one letter as powers: z0* z1^2 (the empty word is 1)."""
+    if not w:
+        return "1"
+    parts = []
+    i = 0
+    while i < len(w):
+        g = w[i]
+        j = i
+        while j < len(w) and w[j] == g:
+            j += 1
+        name = f"z{g >> 1}" + ("*" if g & 1 else "")
+        parts.append(name if j - i == 1 else f"{name}^{j - i}")
+        i = j
+    return " ".join(parts)
 
 
 @dataclass
@@ -148,24 +169,14 @@ class Presentation:
             poly: TermMap = {rest: ONE}
             for g2 in reversed(mid):
                 poly = self._push_poly(g2, poly)
-            for w2, c2 in poly.items():
-                v = acc.get(w2, ZERO) + coeff * c2
-                if v.is_zero():
-                    acc.pop(w2, None)
-                else:
-                    acc[w2] = v
+            add_terms(acc, poly, coeff)
         self._push_cache[key] = acc
         return acc
 
     def _push_poly(self, g: int, poly: TermMap) -> TermMap:
         out: TermMap = {}
         for w, c in poly.items():
-            for w2, c2 in self._push(g, w).items():
-                v = out.get(w2, ZERO) + c * c2
-                if v.is_zero():
-                    out.pop(w2, None)
-                else:
-                    out[w2] = v
+            add_terms(out, self._push(g, w), c)
         return out
 
     def _normal_word(self, w: Word) -> TermMap:
@@ -218,14 +229,7 @@ class NCPoly:
     # -- linear structure --------------------------------------------------------
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w, ZERO) + c
-            if v.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = v
-        return NCPoly(out)
+        return NCPoly(add_terms(dict(self.terms), other.terms))
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
@@ -254,22 +258,6 @@ class NCPoly:
 
     # -- rendering ----------------------------------------------------------------
 
-    @staticmethod
-    def _word_str(w: Word) -> str:
-        if not w:
-            return "1"
-        parts = []
-        i = 0
-        while i < len(w):
-            g = w[i]
-            j = i
-            while j < len(w) and w[j] == g:
-                j += 1
-            name = f"z{g >> 1}" + ("*" if g & 1 else "")
-            parts.append(name if j - i == 1 else f"{name}^{j - i}")
-            i = j
-        return " ".join(parts)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -278,12 +266,12 @@ class NCPoly:
             c = self.terms[w]
             cs = str(c)
             if c.is_one():
-                term = self._word_str(w)
+                term = word_str(w)
             elif w == ():
                 term = cs if (c.is_monomial() or len(c.num) == 1) else f"({cs})"
             else:
                 head = cs if c.is_monomial() else f"({cs})"
-                term = f"{head} * {self._word_str(w)}"
+                term = f"{head} * {word_str(w)}"
             parts.append(term)
         return " + ".join(parts).replace("+ -", "- ")
 
@@ -292,8 +280,33 @@ class NCPoly:
 
 
 # ---------------------------------------------------------------------------
-# algebra operations
+# linear combinations and algebra operations
 # ---------------------------------------------------------------------------
+
+
+def add_terms(acc: TermMap, terms: TermMap, c: QScalar | None = None) -> TermMap:
+    """acc += c * terms in place (c None: acc += terms), dropping zero coefficients; returns acc."""
+    for w, t in terms.items():
+        v = acc.get(w, ZERO) + (t if c is None else c * t)
+        if v.is_zero():
+            acc.pop(w, None)
+        else:
+            acc[w] = v
+    return acc
+
+
+def lincomb(pairs: Iterable[Tuple[NCPoly, QScalar | None]]) -> NCPoly:
+    """sum of c * a over the (a, c) pairs (c None counts as 1).
+
+    The normal words are a basis and the sum drops zero coefficients, so a
+    linear combination of normal forms (outputs of mul, normalize, star with
+    a presentation, uq_act) is itself the normal form: it needs no further
+    normalize.
+    """
+    acc: TermMap = {}
+    for a, c in pairs:
+        add_terms(acc, a.terms, c)
+    return NCPoly(acc)
 
 
 def normalize(a: NCPoly, P: Presentation) -> NCPoly:
@@ -302,12 +315,7 @@ def normalize(a: NCPoly, P: Presentation) -> NCPoly:
     P._steps = 0  # the step budget bounds a single operation
     for w, c in a.terms.items():
         P.check_letters(w)
-        for w2, c2 in P._normal_word(w).items():
-            v = out.get(w2, ZERO) + c * c2
-            if v.is_zero():
-                out.pop(w2, None)
-            else:
-                out[w2] = v
+        add_terms(out, P._normal_word(w), c)
     return NCPoly(out)
 
 
@@ -317,13 +325,7 @@ def mul(a: NCPoly, b: NCPoly, P: Presentation) -> NCPoly:
     P._steps = 0
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
-            c = ca * cb
-            for w2, c2 in P._normal_word(wa + wb).items():
-                v = out.get(w2, ZERO) + c * c2
-                if v.is_zero():
-                    out.pop(w2, None)
-                else:
-                    out[w2] = v
+            add_terms(out, P._normal_word(wa + wb), ca * cb)
     return NCPoly(out)
 
 
@@ -410,18 +412,10 @@ def coproduct_act(
     weights to the left of the acted letter and K weights to its right.
     """
     acc: TermMap = {}
-
-    def add(w: Word, c: QScalar) -> None:
-        v = acc.get(w, ZERO) + c
-        if v.is_zero():
-            acc.pop(w, None)
-        else:
-            acc[w] = v
-
     for w, c in a.terms.items():
         ws = [weight(g) for g in w]
         if on_letter is None:
-            add(w, c * qpow(sum(ws)))
+            add_terms(acc, {w: c * qpow(sum(ws))})
             continue
         left, total = 0, sum(ws)
         for p, g in enumerate(w):
@@ -429,7 +423,7 @@ def coproduct_act(
             if hit is not None:
                 coeff, g2 = hit
                 e = total - ws[p] - 2 * left
-                add(w[:p] + (g2,) + w[p + 1:], c * coeff * qpow(e))
+                add_terms(acc, {w[:p] + (g2,) + w[p + 1:]: c * coeff * qpow(e)})
             left += ws[p]
     return normalize(NCPoly(acc), P)
 

@@ -20,7 +20,7 @@ import re
 from fractions import Fraction
 from typing import List, Tuple
 
-from .ncpoly import NCPoly, Presentation, normalize
+from .ncpoly import NCPoly, Presentation, normalize, word_str
 from .qcoeff import QScalar, qpow
 
 
@@ -173,20 +173,6 @@ def parse_expr(text: str, n: int, P: Presentation | None = None) -> NCPoly:
     return _Parser(text, P or Presentation(n)).parse()
 
 
-def _word_str(w: tuple) -> str:
-    parts = []
-    i = 0
-    while i < len(w):
-        g = w[i]
-        j = i
-        while j < len(w) and w[j] == g:
-            j += 1
-        name = f"z{g >> 1}" + ("*" if g & 1 else "")
-        parts.append(name if j - i == 1 else f"{name}^{j - i}")
-        i = j
-    return " ".join(parts)
-
-
 def _exp_str(e2: int) -> str:
     """Render q^{e2/2} within the grammar (halves as 1/2 etc.)."""
     f = Fraction(e2, 2)
@@ -229,12 +215,12 @@ def print_expr(a: NCPoly) -> str:
         if not w:
             parts.append(f"({cs})" if multi else cs)
         elif cs == "1":
-            parts.append(_word_str(w))
+            parts.append(word_str(w))
         elif cs == "-1":
-            parts.append("-" + _word_str(w))
+            parts.append("-" + word_str(w))
         else:
             head = f"({cs})" if multi else cs
-            parts.append(f"{head} * {_word_str(w)}")
+            parts.append(f"{head} * {word_str(w)}")
     out = parts[0]
     for p in parts[1:]:
         out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)

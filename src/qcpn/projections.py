@@ -23,12 +23,12 @@ from .ncpoly import (
     Presentation,
     UqGenerator,
     letter,
+    lincomb,
     mul,
-    normalize,
     star,
     uq_act,
 )
-from .qcoeff import ONE, ZERO, QScalar, qmultinomial, qpow
+from .qcoeff import ZERO, QScalar, qmultinomial, qpow
 
 MultiIndex = Tuple[int, ...]
 
@@ -80,10 +80,6 @@ class AlgebraMatrix:
         """Entry of the diagonally rescaled idempotent U * core (exact)."""
         return self.core[i][j].scale(self.weights[i])
 
-    def diagonal_entry(self, i: int) -> NCPoly:
-        """True (i,i) entry of P_N: u_i * core_ii, exact in Q(s)."""
-        return self.core[i][i].scale(self.weights[i])
-
     def to_json(self) -> str:
         """JSON form with entries in canonical text (factored: core + weights)."""
         import json
@@ -130,10 +126,7 @@ def psi(N: int, n: int, P: Presentation | None = None) -> AlgebraVector:
 def psi_dagger_psi(av: AlgebraVector) -> NCPoly:
     """Normal form of Psi_N^dag Psi_N (should be 1)."""
     P = av.presentation
-    acc = NCPoly.zero()
-    for m, u in zip(av.monomials, av.weights):
-        acc = acc + mul(star(m), m, P).scale(u)
-    return normalize(acc, P)
+    return lincomb((mul(star(m), m, P), u) for m, u in zip(av.monomials, av.weights))
 
 
 def projection(N: int, n: int, P: Presentation | None = None) -> AlgebraMatrix:
@@ -147,37 +140,30 @@ def projection(N: int, n: int, P: Presentation | None = None) -> AlgebraMatrix:
 
 
 def is_projection(M: AlgebraMatrix) -> bool:
-    """Check core * U * core == core entrywise, i.e. P_N^2 = P_N."""
+    """Check core * U * core == core entrywise, i.e. P_N^2 = P_N (core entries in normal form)."""
     P = M.presentation
     k = len(M)
     for i in range(k):
         for j in range(k):
-            acc = NCPoly.zero()
-            for l in range(k):
-                acc = acc + mul(M.core[i][l], M.core[l][j], P).scale(M.weights[l])
-            if normalize(acc - M.core[i][j], P).terms:
+            if lincomb((mul(M.core[i][l], M.core[l][j], P), M.weights[l]) for l in range(k)) != M.core[i][j]:
                 return False
     return True
 
 
 def is_selfadjoint(M: AlgebraMatrix) -> bool:
-    """Check core_IJ == star(core_JI), i.e. P_N = P_N^dag."""
+    """Check core_IJ == star(core_JI), i.e. P_N = P_N^dag (core entries in normal form)."""
     P = M.presentation
     k = len(M)
     for i in range(k):
         for j in range(k):
-            if normalize(M.core[i][j] - star(M.core[j][i], P), P).terms:
+            if M.core[i][j] != star(M.core[j][i], P):
                 return False
     return True
 
 
 def qtrace(M: AlgebraMatrix) -> NCPoly:
-    """q-trace sum_i q^{2i} M_ii with positional weights (Tr_q(P_1) = 1)."""
-    P = M.presentation
-    acc = NCPoly.zero()
-    for i in range(len(M)):
-        acc = acc + M.diagonal_entry(i).scale(qpow(2 * i))
-    return normalize(acc, P)
+    """q-trace sum_i q^{2i} u_i core_ii with positional weights (Tr_q(P_1) = 1)."""
+    return lincomb((M.core[i][i], M.weights[i] * qpow(2 * i)) for i in range(len(M)))
 
 
 def weight_matrix(N: int, n: int) -> List[QScalar]:
@@ -297,32 +283,6 @@ def gen_antipode(x: UqGenerator, inverse: bool = False) -> Tuple[QScalar, UqGene
     return QScalar.from_int(sgn) * qpow(qexp), UqGenerator(kind, x.i)
 
 
-def _poly_mat_times_scalar_mat(Mp: List[List[NCPoly]], Ms: List[List[QScalar]]) -> List[List[NCPoly]]:
-    k = len(Mp)
-    out = [[NCPoly.zero() for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for l in range(k):
-            if Mp[i][l].is_zero():
-                continue
-            for j in range(k):
-                if Ms[l][j].is_zero():
-                    continue
-                out[i][j] = out[i][j] + Mp[i][l].scale(Ms[l][j])
-    return out
-
-
-def _scalar_mat_times_poly_mat(Ms: List[List[QScalar]], Mp: List[List[NCPoly]]) -> List[List[NCPoly]]:
-    k = len(Mp)
-    out = [[NCPoly.zero() for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for l in range(k):
-            if Ms[i][l].is_zero():
-                continue
-            for j in range(k):
-                out[i][j] = out[i][j] + Mp[l][j].scale(Ms[i][l])
-    return out
-
-
 def check_equivariance(N: int, n: int, x: UqGenerator) -> List[List[NCPoly]]:
     """Residual of the covariance identity for (P'_N, sigma^N), entrywise.
 
@@ -330,47 +290,38 @@ def check_equivariance(N: int, n: int, x: UqGenerator) -> List[List[NCPoly]]:
     sigma(y)^t = rho^{-1} sigma_comp(y^*) rho, where rho is the diagonal of
     K_2rho eigenvalues; this is the normalized pair conjugated by a constant
     diagonal matrix, so the residual vanishes iff the original one does.
-    Returns the matrix of normalized residual entries (empty == equivariant).
+    Returns the matrix of normalized residual entries (empty == equivariant):
+    each entry is one linear combination of normal forms.
     """
+    if x.kind not in ("E", "F", "K", "Kinv"):
+        raise ValueError("equivariance check supports E, F, K, K^-1")
     av = psi(N, n)
     P = av.presentation
+    M = projection(N, n, P)
     rep = UqMatrixRep(av)
     rho = k2rho_eigenvalues(av)
     k = len(av)
-
-    pmat = [[avm.scale(ONE) for avm in row] for row in _core_matrix(av)]
-    for i in range(k):
-        for j in range(k):
-            pmat[i][j] = pmat[i][j].scale(av.weights[i])
+    pmat = [[M.scaled_entry(i, j) for j in range(k)] for i in range(k)]
 
     def sigma_t(y: UqGenerator) -> List[List[QScalar]]:
         return diag_conj(rho, rep.matrix(gen_star(y)), inverse=True)
 
-    def act(gen: UqGenerator, M: List[List[NCPoly]]) -> List[List[NCPoly]]:
-        return [[uq_act(gen, e, P) for e in row] for row in M]
+    def act(gen: UqGenerator) -> List[List[NCPoly]]:
+        return [[uq_act(gen, e, P) for e in row] for row in pmat]
 
-    K = UqGenerator("K", x.i)
-    Kinv = UqGenerator("Kinv", x.i)
+    # residual = sum over the coproduct of x of (x_(1) |> p) sigma_t(x_(2)), minus sigma_t(x) p
     if x.kind in ("K", "Kinv"):
-        lhs = _poly_mat_times_scalar_mat(act(x, pmat), sigma_t(x))
-    elif x.kind in ("E", "F"):
-        # Delta(x) = x (x) K + K^{-1} (x) x
-        lhs_a = _poly_mat_times_scalar_mat(act(x, pmat), sigma_t(K))
-        lhs_b = _poly_mat_times_scalar_mat(act(Kinv, pmat), sigma_t(x))
-        lhs = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(lhs_a, lhs_b)]
-    else:
-        raise ValueError("equivariance check supports E, F, K, K^-1")
-    rhs = _scalar_mat_times_poly_mat(sigma_t(x), pmat)
-    return [
-        [normalize(lhs[i][j] - rhs[i][j], P) for j in range(k)]
-        for i in range(k)
-    ]
+        lhs = [(act(x), sigma_t(x))]
+    else:  # Delta(x) = x (x) K + K^{-1} (x) x
+        lhs = [(act(x), sigma_t(UqGenerator("K", x.i))), (act(UqGenerator("Kinv", x.i)), sigma_t(x))]
+    neg_sigma = [[-c for c in row] for row in sigma_t(x)]
 
+    def residual(i: int, j: int) -> NCPoly:
+        pairs = [(A[i][l], S[l][j]) for A, S in lhs for l in range(k)]
+        pairs += [(pmat[l][j], neg_sigma[i][l]) for l in range(k)]
+        return lincomb((a, c) for a, c in pairs if not c.is_zero())
 
-def _core_matrix(av: AlgebraVector) -> List[List[NCPoly]]:
-    P = av.presentation
-    stars = [star(m) for m in av.monomials]
-    return [[mul(mi, sj, P) for sj in stars] for mi in av.monomials]
+    return [[residual(i, j) for j in range(k)] for i in range(k)]
 
 
 def check_rn_conjugation(N: int, n: int, x: UqGenerator) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -126,26 +126,26 @@ class FockRep:
 
     def poly(self, a: NCPoly) -> sparse.csr_matrix:
         """Represent a normalized NCPoly (multiplicative on each word)."""
-        dim = self.dimension
-        out = sparse.csr_matrix((dim, dim))
-        for w, c in a.terms.items():
-            mat = sparse.identity(dim, format="csr")
-            for g in w:
-                mat = mat @ self.generator(letter_index(g), letter_starred(g))
-            out = out + c.evalf_stable(self.spec.q0) * mat
-        return out
+        return word_operator(
+            a, lambda g: self.generator(letter_index(g), letter_starred(g)), self.dimension, self.spec.q0
+        )
 
     def interior_window(self, margin: int) -> np.ndarray:
         """Indices of states at distance >= margin from the truncation wall."""
         return np.flatnonzero(np.all(self.labels <= self.spec.M - margin, axis=0))
 
 
-def rep_generator(spec: RepSpec, i: int, starred: bool) -> sparse.csr_matrix:
-    return FockRep(spec).generator(i, starred)
-
-
-def rep_poly(a: NCPoly, spec: RepSpec, rep: FockRep | None = None) -> sparse.csr_matrix:
-    return (rep or FockRep(spec)).poly(a)
+def word_operator(
+    a: NCPoly, letter_matrix: Callable[[int], sparse.csr_matrix], dim: int, q0: float
+) -> sparse.csr_matrix:
+    """Operator of a at q = q0: each word is the product of its letters' dim x dim matrices."""
+    out = sparse.csr_matrix((dim, dim))
+    for w, c in a.terms.items():
+        mat = sparse.identity(dim, format="csr")
+        for g in w:
+            mat = mat @ letter_matrix(g)
+        out = out + c.evalf_stable(q0) * mat
+    return out
 
 
 def pullback(a: NCPoly, k: int, n_from: int) -> NCPoly:

@@ -16,6 +16,7 @@ the generator matrices.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -26,8 +27,9 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 from scipy import sparse
 
-from .ncpoly import NCPoly, Presentation, UqGenerator, coproduct_act, letter, mul, normalize, star, uq_act
+from .ncpoly import NCPoly, Presentation, UqGenerator, coproduct_act, letter, lincomb, mul, normalize, star, uq_act
 from .qcoeff import ONE, ZERO, QScalar, is_positive_at_q, qint, qpow
+from .rep_sphere import word_operator
 
 Lmn = Tuple[int, int, int]  # doubled (2l, 2m, 2n)
 
@@ -273,13 +275,7 @@ class SUq2Box:
 
     def represent(self, a: NCPoly) -> sparse.csr_matrix:
         """Left multiplication operator of a z-word polynomial (n = 1)."""
-        out = sparse.csr_matrix((self.dim, self.dim))
-        for w, c in a.terms.items():
-            mat = sparse.identity(self.dim, format="csr")
-            for g in w:
-                mat = mat @ self.z_letter(g)
-            out = out + c.evalf_stable(self.q0) * mat
-        return out
+        return word_operator(a, self.z_letter, self.dim, self.q0)
 
     def vector(self, a: NCPoly) -> np.ndarray:
         """The vector a|000> representing the element a."""
@@ -841,12 +837,11 @@ def tau1_pairing(N: int) -> QScalar:
     y = [[dbar(M.core[i][j], P) for j in range(k)] for i in range(k)]
     # x[i][j] = (dbar core[i][j]^*)^*, where core[i][j]^* = core[j][i] as P_N is selfadjoint
     x = [[star(y[j][i], P) for j in range(k)] for i in range(k)]
-    total = NCPoly.zero()
-    for i0 in range(k):
-        for i1 in range(k):
-            for i2 in range(k):
-                c = M.weights[i0] * M.weights[i1] * M.weights[i2] * rho_inv[i0]
-                total = total + mul(mul(M.core[i0][i1], x[i1][i2], P), y[i2][i0], P).scale(c)
+    u = M.weights
+    total = lincomb(
+        (mul(mul(M.core[i0][i1], x[i1][i2], P), y[i2][i0], P), u[i0] * u[i1] * u[i2] * rho_inv[i0])
+        for i0, i1, i2 in itertools.product(range(k), repeat=3)
+    )
     return haar_symbolic(total, P)
 
 

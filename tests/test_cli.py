@@ -133,6 +133,12 @@ def test_cli_verify_relations():
     assert code == 0
 
 
+def test_cli_verify_relations_zero_cases():
+    code, out, _ = run_cli("verify", "relations", "--n", "1", "--cases", "0", "--csv")
+    assert code == 0
+    assert "confluence_random,cases=0,0,0,0,pass" in out.splitlines()
+
+
 def test_cli_pairing_json_byte_stable():
     args = ("pairing", "--n", "2", "--N", "0..1", "--k", "0..1", "--M", "16", "--json")
     code1, out1, _ = run_cli(*args)

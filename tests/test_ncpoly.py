@@ -4,17 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcpn.ncpoly import (
     NCPoly,
     Presentation,
     UqGenerator,
+    add_terms,
+    lincomb,
     mul,
     normalize,
     star,
     uq_act,
 )
-from qcpn.qcoeff import ONE, qpow
+from qcpn.qcoeff import ONE, QScalar, qpow
 
 
 def gens(n):
@@ -150,6 +154,43 @@ def test_star_normalize_compatibility():
     for _ in range(60):
         a = _rand(P, rng)
         assert normalize(star(a), P) == star(normalize(a, P), P)
+
+
+# -- the accumulation kernel -------------------------------------------------
+
+
+def test_lincomb_cancellation_drops_zero_coefficients():
+    P = Presentation(2)
+    z, zs = gens(2)
+    a = mul(zs[1], z[2], P)  # a single normal word
+    b = mul(z[0], zs[0], P)  # several normal words
+    assert lincomb([(a, qpow(2)), (a.scale(qpow(1)), -qpow(1))]).terms == {}
+    assert lincomb([(a, None), (b, qpow(-1)), (b.scale(qpow(-1)), -ONE)]) == a
+    acc = dict(b.terms)
+    assert add_terms(acc, b.terms, -ONE) is acc and acc == {}
+    mixed = lincomb([(a, None), (b, ONE), (b, -ONE), (NCPoly.one(), qpow(3))])
+    assert mixed.terms.keys() == a.terms.keys() | {()}
+    assert not any(c.is_zero() for c in mixed.terms.values())
+
+
+def _word_pairs(n):
+    word = st.lists(st.integers(0, 2 * n + 1), max_size=3).map(tuple)
+    coeff = st.tuples(st.sampled_from([-2, -1, 1, 3]), st.integers(-3, 3))
+    return st.tuples(st.just(n), st.lists(st.tuples(word, word, coeff), min_size=1, max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(_word_pairs))
+def test_lincomb_of_normal_forms_is_normal(case):
+    # the invariant that lets is_projection, psi_dagger_psi, qtrace and
+    # check_equivariance skip a final normalize
+    n, pairs = case
+    P = Presentation(n)
+    coeffs = [QScalar.from_int(k) * qpow(e) for _, _, (k, e) in pairs]
+    total = lincomb((mul(NCPoly.word(u), NCPoly.word(v), P), c) for (u, v, _), c in zip(pairs, coeffs))
+    assert normalize(total, P) == total
+    raw = lincomb((NCPoly.word(u + v), c) for (u, v, _), c in zip(pairs, coeffs))
+    assert normalize(raw, P) == total
 
 
 # -- U_q(su(n+1)) action -----------------------------------------------------

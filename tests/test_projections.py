@@ -57,6 +57,16 @@ def test_projection_identities(n, N):
     assert len(M) == _binom(abs(N) + n, n)
 
 
+def test_projection_checks_reject_perturbed_core():
+    M = projection(1, 1)
+    M.weights[0] = M.weights[0] + M.weights[0]
+    assert not is_projection(M)
+    M = projection(1, 1)
+    M.core[0][1] = M.core[0][1].scale(qpow(1))
+    assert not is_selfadjoint(M)
+    assert is_projection(projection(1, 1))
+
+
 def _binom(a, b):
     import math
 
