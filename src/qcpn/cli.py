@@ -485,8 +485,26 @@ def build_parser(cfg: Dict[str, str]) -> argparse.ArgumentParser:
     return ap
 
 
+def _expression_last(argv: List[str]) -> List[str]:
+    """Move a normalize expression that starts with '-' behind '--'.
+
+    argparse reads '-1/3' or '-z0' as an unknown option; after '--' it is the
+    positional.  An expression never starts with '-h' or '-n' after its minus
+    signs, so the subcommand's own options and the value of --n stay put.
+    """
+    i = 2 if argv[:1] == ["--config"] else 0
+    if argv[i: i + 1] == ["normalize"]:
+        for k in range(i + 1, len(argv)):
+            arg = argv[k]
+            if arg == "--":
+                break
+            if arg[:1] == "-" and arg.lstrip("-")[:1] not in ("h", "n") and argv[k - 1] != "--n":
+                return argv[:k] + argv[k + 1:] + ["--", arg]
+    return argv
+
+
 def main(argv: List[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _expression_last(list(sys.argv[1:] if argv is None else argv))
     cfg_path = None
     if "--config" in argv:
         i = argv.index("--config")

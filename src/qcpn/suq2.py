@@ -470,11 +470,8 @@ class GammaModule:
 
     def decomposition_multiplicities(self) -> Dict[int, int]:
         """Multiplicity of each V_{2l} (keyed by 2l); all should be 1."""
-        per_l: Dict[int, int] = {}
-        for i in self.basis:
-            l2 = self.box.states[i][0]
-            per_l[l2] = per_l.get(l2, 0) + 1
-        return {l2: count // (l2 + 1) for l2, count in per_l.items()}
+        l2s, counts = np.unique(self.box.lmn[0][self.basis], return_counts=True)
+        return {l2: count // (l2 + 1) for l2, count in zip(l2s.tolist(), counts.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -582,74 +579,64 @@ def poincare_pairing(c1: Tuple[int, int], c2: Tuple[int, int], j2: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _SectorBasis:
-    """v/w eigenbasis of the projection inside one integer (l, m) sector."""
-
-    def __init__(self, box: SUq2Box, l2s: int, m2s: int):
-        self.box = box
-        self.l2s = l2s  # 2*l, even
-        self.m2s = m2s
-
-    def _state_vec(self, l2: int, m2: int, n2: int, spinor: int, amp: float, out: np.ndarray):
-        if abs(m2) <= l2 and abs(n2) <= l2 and l2 <= 2 * self.box.L and amp != 0.0:
-            out[self.box.index[(l2, m2, n2)], spinor] += amp
-
-    def v_up(self, n2: int) -> np.ndarray | None:
-        q0, l2s, m2s = self.box.q0, self.l2s, self.m2s
-        if l2s < abs(n2) + 1:
-            return None
-        l, m = l2s / 2.0, m2s / 2.0
-        out = np.zeros((self.box.dim, 2))
-        norm = math.sqrt(_brk(q0, 2 * l))
-        a1 = math.sqrt(max(q0 ** (-l + m) * _brk(q0, l + m), 0.0)) / norm
-        a2 = math.sqrt(max(q0 ** (l + m) * _brk(q0, l - m), 0.0)) / norm
-        self._state_vec(l2s - 1, m2s - 1, n2, 0, a1, out)
-        self._state_vec(l2s - 1, m2s + 1, n2, 1, a2, out)
-        return out
-
-    def v_down(self, n2: int) -> np.ndarray | None:
-        q0, l2s, m2s = self.box.q0, self.l2s, self.m2s
-        if l2s < abs(n2) - 1 or l2s + 1 > 2 * self.box.L:
-            return None
-        l, m = l2s / 2.0, m2s / 2.0
-        out = np.zeros((self.box.dim, 2))
-        norm = math.sqrt(_brk(q0, 2 * l + 2))
-        a1 = math.sqrt(max(q0 ** (l + m + 1) * _brk(q0, l - m + 1), 0.0)) / norm
-        a2 = -math.sqrt(max(q0 ** (-l + m - 1) * _brk(q0, l + m + 1), 0.0)) / norm
-        self._state_vec(l2s + 1, m2s - 1, n2, 0, a1, out)
-        self._state_vec(l2s + 1, m2s + 1, n2, 1, a2, out)
-        return out
-
-    def p_coeffs(self, n2: int) -> Tuple[float, float, float]:
-        q0 = self.box.q0
-        l, n = self.l2s / 2.0, n2 / 2.0
-        pref = q0 ** n / _brk(q0, 2 * l + 1)
-        p11 = pref * q0 ** (-l - 0.5) * _brk(q0, l + n + 0.5)
-        p22 = pref * q0 ** (l + 0.5) * _brk(q0, l - n + 0.5)
-        p12 = pref * math.sqrt(max(_brk(q0, l + n + 0.5) * _brk(q0, l - n + 0.5), 0.0))
-        return p11, p12, p22
-
-    def w_par(self, n2: int) -> np.ndarray | None:
-        """w^{n,||}: the p-eigenvector with eigenvalue 1 (l >= |n|+1/2)."""
-        if self.l2s < abs(n2) + 1:
-            return None
-        vu, vd = self.v_up(n2), self.v_down(n2)
-        if vu is None or vd is None:
-            return None
-        p11, p12, _ = self.p_coeffs(n2)
-        return math.sqrt(p11) * vu + (p12 / math.sqrt(p11)) * vd
-
-
-def _apply_p(box: SUq2Box, vec: np.ndarray) -> np.ndarray:
-    """Defining projection p = ((1-q^2 A, B^*), (B, A)) on box (x) C^2."""
+def _p_operator(box: SUq2Box) -> sparse.csr_matrix:
+    """Defining projection p = ((1 - q^2 A, B^*), (B, A)) on box (x) C^2, spinor 0 first."""
     A = box.a_op()
-    B = box.b_op()
-    Bs = box.generator("B*")
-    q2 = box.q0 ** 2
-    out = np.zeros_like(vec)
-    out[:, 0] = vec[:, 0] - q2 * (A @ vec[:, 0]) + Bs @ vec[:, 1]
-    out[:, 1] = B @ vec[:, 0] + A @ vec[:, 1]
-    return out
+    eye = sparse.identity(box.dim, format="csr")
+    return sparse.bmat([[eye - box.q0 ** 2 * A, box.generator("B*")], [box.b_op(), A]], format="csr")
+
+
+def _sector_labels(top2: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Doubled labels (2l, 2m) of the integer sectors with 2l <= top2, ordered by l, then m."""
+    l2 = np.repeat(np.arange(0, top2 + 1, 2), np.arange(1, top2 + 2, 2))
+    return l2, 2 * (np.arange(len(l2)) - (l2 // 2) ** 2) - l2
+
+
+def _sector_columns(box: SUq2Box, sec_l: np.ndarray, sec_m: np.ndarray, slots: List[int]):
+    """The sector vectors of p(H (x) C^2) for the slots n, as columns of a sparse (2 dim, k) matrix.
+
+    Sector by sector, then slot by slot: w^{n,||} = sqrt(P11) v^{n,up} + P12/sqrt(P11) v^{n,down}
+    when l >= |n| + 1/2, and the boundary v^{n,down} when n < 0 and l = |n| - 1/2.  v^{n,up} lives
+    on the box shell l - 1/2 and v^{n,down} on l + 1/2, each at m - 1/2 in spinor 0 and m + 1/2 in
+    spinor 1, so a column has at most 4 nonzero entries.  Returns the matrix and each column's sector.
+    """
+    sec = np.repeat(np.arange(len(sec_l)), len(slots))
+    n2 = np.tile(slots, len(sec_l))
+    l2s, m2s = sec_l[sec], sec_m[sec]
+    w = l2s >= np.abs(n2) + 1
+    keep = (w | ((n2 < 0) & (l2s == np.abs(n2) - 1))) & (l2s + 1 <= 2 * box.L)
+    sec, n2, l2s, m2s, w = sec[keep], n2[keep], l2s[keep], m2s[keep], w[keep]
+    l, m, n = l2s / 2.0, m2s / 2.0, n2 / 2.0
+    q, br = box._q, box._br
+    with np.errstate(divide="ignore", invalid="ignore"):  # P11 = 0 and [2l] = 0 only off w
+        pref = q(n) / br(2 * l + 1)
+        p11 = pref * q(-l - 0.5) * br(l + n + 0.5)
+        p12 = pref * np.sqrt(np.maximum(br(l + n + 0.5) * br(l - n + 0.5), 0.0))
+        cu = np.sqrt(p11)
+        cd = np.where(w, p12 / cu, 1.0)
+        up, dn = np.sqrt(br(2 * l)), np.sqrt(br(2 * l + 2))
+        terms = [  # (doubled shell shift, doubled m shift, spinor, amplitude)
+            (-1, -1, 0, np.where(w, cu * (np.sqrt(np.maximum(q(-l + m) * br(l + m), 0.0)) / up), 0.0)),
+            (-1, 1, 1, np.where(w, cu * (np.sqrt(np.maximum(q(l + m) * br(l - m), 0.0)) / up), 0.0)),
+            (1, -1, 0, cd * (np.sqrt(np.maximum(q(l + m + 1) * br(l - m + 1), 0.0)) / dn)),
+            (1, 1, 1, cd * (-np.sqrt(np.maximum(q(-l + m - 1) * br(l + m + 1), 0.0)) / dn)),
+        ]
+    rows, cols, vals = [], [], []
+    for dl2, dm2, spinor, amp in terms:
+        tgt = box._locate(l2s + dl2, m2s + dm2, n2)
+        ok = (tgt >= 0) & (amp != 0.0)
+        rows.append(spinor * box.dim + tgt[ok])
+        cols.append(np.flatnonzero(ok))
+        vals.append(amp[ok])
+    mat = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(2 * box.dim, len(sec))
+    )
+    return mat, sec
+
+
+def _column_sq(mat: sparse.spmatrix) -> np.ndarray:
+    """Squared Euclidean norm of each column."""
+    return np.asarray(mat.multiply(mat).sum(axis=0)).ravel()
 
 
 @dataclass
@@ -663,11 +650,34 @@ class IndexReport:
 def index_numeric(j2: int, L: int, q0: float, tol: float = 1e-8, lmax2: int | None = None) -> IndexReport:
     """dim ker - dim coker of pD_j^+p, sector by sector in (l, m).
 
-    Each integer (l, m) sector of p(H_j^+ (x) C^2) -> p(H_j^- (x) C^2) is a
-    finite exact matrix (the operators preserve the sector), so there is no
-    truncation error; ranks are decided at tolerance tol and near-ambiguous
-    singular values are flagged.  Sectors with l > j + 1/2 are verified to
-    contribute zero.
+    pD_j^+p maps p(H_j^+ (x) C^2) to p(H_j^- (x) C^2) and preserves every
+    integer (l, m) sector, so each sector is a finite exact matrix T with no
+    truncation error.  The sector bases are the p-eigenvectors w^{n,||}
+    (l >= |n| + 1/2) and the boundary vectors v^{n,down} (n < 0,
+    l = |n| - 1/2) of the slots of H_j^+ (domain) and of H_j^- (codomain).
+    Each is written from its <= 4 nonzero box entries as a column of a sparse
+    matrix, D for the domain and C for the codomain, over all sectors with
+    2l <= lmax2 (default 2j + 5).  One product G = C^T p (L_E (+) L_E) D
+    holds every T: a sector's T is the block of G on its own rows and
+    columns.
+
+    Three checks make the sector bases assertions; each raises
+    ArithmeticError:
+      - leak: every entry of G between two different sectors is at most
+        1e-12 max|G|;
+      - orthonormal codomain: max|C^T C - I| <= 1e-12;
+      - completeness: every column of p L_E D lies in span(C),
+        ||(I - C C^T) p L_E D|| <= 1e-12 ||p L_E D|| column by column, so
+        reading off T drops no part of an image.
+
+    Ranks are decided at ``tol``: singular values within a factor 10 of
+    ``tol`` set ``unstable``, and ``min_sv_gap`` is the smallest kept one.
+    A sector contributes (dim dom - rank) - (dim cod - rank), so ``value``
+    and ``sectors`` depend on neither ``tol`` nor ``q0``; ``q0`` enters the
+    entries of T and thereby ``unstable`` and ``min_sv_gap`` only.  ``L``
+    must hold every sector vector and its image (L >= j + 3) and changes
+    nothing beyond that.  Sectors with l > j + 1/2 must contribute zero;
+    one that does not raises ArithmeticError.
 
     For the operators as built this evaluates to -(j + 1/2), independent of
     q0: beyond j = 1/2 it disagrees with the closed-form branch count of
@@ -680,61 +690,56 @@ def index_numeric(j2: int, L: int, q0: float, tol: float = 1e-8, lmax2: int | No
     if 2 * L < j2 + 6:
         raise ValueError("need L >= j + 3")
     box = SUq2Box(L, q0)
+    sec_l, sec_m = _sector_labels(lmax2 if lmax2 is not None else j2 + 5)
+    D, dsec = _sector_columns(box, sec_l, sec_m, _hplus_slots(j2))
+    C, csec = _sector_columns(box, sec_l, sec_m, _hminus_slots(j2))
     le = box.le()
-    plus, minus = _hplus_slots(j2), _hminus_slots(j2)
+    img = _p_operator(box) @ (sparse.block_diag([le, le], format="csr") @ D)
+    G = (C.T @ img).tocsr()
+    Gc = G.tocoo()
+    own = csec[Gc.row] == dsec[Gc.col]
+    leak = np.abs(Gc.data[~own]).max(initial=0.0)
+    if leak > 1e-12 * np.abs(Gc.data).max(initial=0.0):
+        raise ArithmeticError(f"p L_E leaks {leak:.3g} across (l, m) sectors")
+    ortho = np.abs((C.T @ C - sparse.identity(C.shape[1])).tocoo().data).max(initial=0.0)
+    if ortho > 1e-12:
+        raise ArithmeticError(f"codomain sector vectors are not orthonormal: max|C^T C - I| = {ortho:.3g}")
+    rest = img - C @ G
+    if np.any(_column_sq(rest) > 1e-24 * _column_sq(img)):  # column norms, squared
+        raise ArithmeticError("p L_E D leaves the span of the codomain sector vectors")
+
+    n_dom = np.bincount(dsec, minlength=len(sec_l))
+    n_cod = np.bincount(csec, minlength=len(sec_l))
+    # in-sector entries of G, grouped by sector, at positions local to the sector's T
+    s = dsec[Gc.col[own]]
+    order = np.argsort(s, kind="stable")
+    rows = (Gc.row[own] - np.searchsorted(csec, s))[order]
+    cols = (Gc.col[own] - np.searchsorted(dsec, s))[order]
+    vals = Gc.data[own][order]
+    bounds = np.searchsorted(s[order], np.arange(len(sec_l) + 1))
     total = 0
     sectors: Dict[Tuple[int, int], int] = {}
     min_gap = float("inf")
     unstable = False
-    top2 = (lmax2 if lmax2 is not None else j2 + 5)  # doubled l bound, verify zero tail
-    for l2s in range(0, top2 + 1, 2):
-        for m2s in range(-l2s, l2s + 1, 2):
-            sec = _SectorBasis(box, l2s, m2s)
-            dom: List[np.ndarray] = []
-            cod: List[np.ndarray] = []
-            for n2 in plus:
-                w = sec.w_par(n2)
-                if w is not None:
-                    dom.append(w)
-                if n2 < 0 and l2s == abs(n2) - 1:
-                    v = sec.v_down(n2)
-                    if v is not None:
-                        dom.append(v)
-            for n2 in minus:
-                w = sec.w_par(n2)
-                if w is not None:
-                    cod.append(w)
-                if n2 < 0 and l2s == abs(n2) - 1:
-                    v = sec.v_down(n2)
-                    if v is not None:
-                        cod.append(v)
-            if not dom and not cod:
-                continue
-            # matrix of p (D^+ (x) 1) p  from the domain basis to the codomain basis
-            T = np.zeros((len(cod), len(dom)))
-            for col, v in enumerate(dom):
-                img = np.column_stack([le @ v[:, 0], le @ v[:, 1]])
-                img = _apply_p(box, img)
-                for row, u in enumerate(cod):
-                    T[row, col] = float(np.sum(u * img))
-            if T.size:
-                sv = np.linalg.svd(T, compute_uv=False)
-                rank = int(np.sum(sv > tol))
-                near = [s for s in sv if tol / 10 < s < tol * 10]
-                if near:
-                    unstable = True
-                if len(sv):
-                    gaps = [s for s in sv if s > tol]
-                    if gaps:
-                        min_gap = min(min_gap, min(gaps))
-            else:
-                rank = 0
-            contrib = (len(dom) - rank) - (len(cod) - rank)
-            if contrib:
-                sectors[(l2s, m2s)] = contrib
-            if l2s > j2 + 1 and contrib:
-                raise ArithmeticError(f"sector l2={l2s} beyond j+1/2 contributed {contrib}")
-            total += contrib
+    for k, (l2s, m2s) in enumerate(zip(sec_l.tolist(), sec_m.tolist())):
+        nd, nc = int(n_dom[k]), int(n_cod[k])
+        if not nd and not nc:
+            continue
+        rank = 0
+        if nd and nc:
+            T = np.zeros((nc, nd))
+            blk = slice(bounds[k], bounds[k + 1])
+            T[rows[blk], cols[blk]] = vals[blk]
+            sv = np.linalg.svd(T, compute_uv=False)
+            rank = int(np.sum(sv > tol))
+            unstable = unstable or bool(np.any((tol / 10 < sv) & (sv < tol * 10)))
+            min_gap = min(min_gap, float(sv[sv > tol].min(initial=float("inf"))))
+        contrib = (nd - rank) - (nc - rank)
+        if contrib:
+            sectors[(l2s, m2s)] = contrib
+        if l2s > j2 + 1 and contrib:
+            raise ArithmeticError(f"sector l2={l2s} beyond j+1/2 contributed {contrib}")
+        total += contrib
     return IndexReport(total, sectors, min_gap, unstable)
 
 
@@ -983,15 +988,10 @@ def casimir_block_check(N: int, L: int, q0: float) -> float:
     le, lf = box.le(), box.lf()
     pref = 1.0 / (q0 - 1.0 / q0)
     kterm = (math.sqrt(q0) * lk - (1.0 / math.sqrt(q0)) * sparse.diags(1.0 / lk.diagonal())) * pref
-    cas = kterm @ kterm + lf @ le  # L_{FE} = L_F L_E
-    worst = 0.0
-    for i in sl:
-        l2 = box.states[i][0]
-        if l2 > 2 * L - 2:
-            continue
-        target = _brk(q0, l2 / 2.0 + 0.5) ** 2
-        worst = max(worst, abs(cas[i, i] - target))
-        row = cas[i].toarray().ravel()
-        row[i] = 0.0
-        worst = max(worst, float(np.abs(row).max()))
-    return worst
+    cas = (kterm @ kterm + lf @ le).tocoo()  # L_{FE} = L_F L_E
+    rows = np.zeros(box.dim, dtype=bool)
+    rows[sl[box.lmn[0][sl] <= 2 * L - 2]] = True
+    target = box._br(box.lmn[0] / 2.0 + 0.5) ** 2
+    diag = np.abs(cas.diagonal() - target)[rows]
+    off = np.abs(cas.data[rows[cas.row] & (cas.row != cas.col)])
+    return float(max(diag.max(initial=0.0), off.max(initial=0.0)))

@@ -116,6 +116,27 @@ def test_cli_normalize():
     assert out.strip() == "0"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "-1/3", "--n", "1"],
+        ["normalize", "-z0 z0*", "--n", "1"],
+        ["normalize", "-z0", "--n", "2", "--no-sphere"],
+        ["normalize", "--n", "1", "-1/3"],
+    ],
+)
+def test_cli_normalize_leading_minus(argv):
+    """An expression that starts with '-' is the positional, not an unknown option."""
+    expr = next(a for a in argv[1:] if a.startswith("-") and not a.startswith("--"))
+    n = int(argv[argv.index("--n") + 1])
+    P = Presentation(n, sphere_reduction="--no-sphere" not in argv)
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert out == print_expr(parse_expr(expr, n, P)) + "\n"
+    if expr == "-1/3":
+        assert out == "-1/3\n"
+
+
 def test_cli_normalize_parse_error_exit_2():
     code, _, err = run_cli("normalize", "z0 +", "--n", "1")
     assert code == 2

@@ -79,17 +79,22 @@ def test_p1_block_formula(box):
 
 def test_projection_spectral_property(box):
     """p^2 = p = p^* for the 2x2 operator projection on the interior window."""
-    from qcpn.suq2 import _apply_p
+    from qcpn.suq2 import _p_operator
 
+    p = _p_operator(box)  # on box (x) C^2, spinor 0 first
+    assert p.shape == (2 * box.dim, 2 * box.dim)
     rng = np.random.default_rng(5)
     win = box.interior(3)
+    win2 = np.concatenate([win, box.dim + win])
     for _ in range(4):
-        v = np.zeros((box.dim, 2))
-        v[win, 0] = rng.standard_normal(len(win))
-        v[win, 1] = rng.standard_normal(len(win))
-        pv = _apply_p(box, v)
-        ppv = _apply_p(box, pv)
-        assert np.abs((ppv - pv)[win]).max() < 1e-10 * max(1.0, np.abs(v).max())
+        v = np.zeros(2 * box.dim)
+        v[win] = rng.standard_normal(len(win))
+        v[box.dim + win] = rng.standard_normal(len(win))
+        pv = p @ v
+        ppv = p @ pv
+        assert np.abs((ppv - pv)[win2]).max() < 1e-10 * max(1.0, np.abs(v).max())
+    # p is real, so p^* = p^T; this holds on the whole box, wall included
+    assert abs(p - p.T).max() < 1e-14
 
 
 def test_assembly_at_truncation_wall():
@@ -322,6 +327,104 @@ def test_index_regularized_trace_cross_check():
     for j2 in (1, 3, 5):
         tr = index_regularized_trace(j2, 13, Q0)
         assert tr == pytest.approx(index_numeric(j2, 9, Q0).value, abs=1e-4)
+
+
+def _reference_sector_vectors(box, l2s, m2s, slots):
+    """Sector vectors of one (l, m) sector from the scalar formulas, as {(spinor, l2, m2, n2): amp}."""
+    q0, l, m = box.q0, l2s / 2.0, m2s / 2.0
+    out = []
+    for n2 in slots:
+        is_w = l2s >= abs(n2) + 1
+        if not (is_w or (n2 < 0 and l2s == abs(n2) - 1)) or l2s + 1 > 2 * box.L:
+            continue
+        dn = math.sqrt(_brk(q0, 2 * l + 2))
+        vec = {
+            (0, l2s + 1, m2s - 1): math.sqrt(max(q0 ** (l + m + 1) * _brk(q0, l - m + 1), 0.0)) / dn,
+            (1, l2s + 1, m2s + 1): -math.sqrt(max(q0 ** (-l + m - 1) * _brk(q0, l + m + 1), 0.0)) / dn,
+        }
+        if is_w:  # w^{n,||} = sqrt(P11) v_up + P12 / sqrt(P11) v_down
+            n = n2 / 2.0
+            pref = q0 ** n / _brk(q0, 2 * l + 1)
+            p11 = pref * q0 ** (-l - 0.5) * _brk(q0, l + n + 0.5)
+            p12 = pref * math.sqrt(max(_brk(q0, l + n + 0.5) * _brk(q0, l - n + 0.5), 0.0))
+            up = math.sqrt(_brk(q0, 2 * l))
+            a1 = math.sqrt(max(q0 ** (-l + m) * _brk(q0, l + m), 0.0)) / up
+            a2 = math.sqrt(max(q0 ** (l + m) * _brk(q0, l - m), 0.0)) / up
+            vec = {key: (p12 / math.sqrt(p11)) * a for key, a in vec.items()}
+            vec[(0, l2s - 1, m2s - 1)] = math.sqrt(p11) * a1
+            vec[(1, l2s - 1, m2s + 1)] = math.sqrt(p11) * a2
+        out.append({(s, l2, m2, n2): a for (s, l2, m2), a in vec.items() if a and abs(m2) <= l2 and abs(n2) <= l2})
+    return out
+
+
+@pytest.mark.parametrize("q0", [0.3, 0.8])
+def test_sector_columns_match_scalar_formulas(q0):
+    """The vectorised sector columns equal the per-vector scalar construction bit for bit."""
+    from qcpn.suq2 import _hminus_slots, _hplus_slots, _sector_columns, _sector_labels
+
+    box = SUq2Box(6, q0)
+    sec_l, sec_m = _sector_labels(2 * box.L)  # reaches the wall, where v^{n,down} is cut
+    for j2 in (1, 3, 5):
+        for slots in (_hplus_slots(j2), _hminus_slots(j2)):
+            mat, sec = _sector_columns(box, sec_l, sec_m, slots)
+            mat = mat.tocsc()
+            got = []
+            for c in range(mat.shape[1]):
+                rows = mat.indices[mat.indptr[c]: mat.indptr[c + 1]]
+                vals = mat.data[mat.indptr[c]: mat.indptr[c + 1]]
+                labels = box.lmn[:, rows % box.dim].T
+                got.append({(int(r // box.dim), *map(int, lab)): v for r, lab, v in zip(rows, labels, vals)})
+            want = []
+            for k, (l2s, m2s) in enumerate(zip(sec_l.tolist(), sec_m.tolist())):
+                ref = _reference_sector_vectors(box, l2s, m2s, slots)
+                want += ref
+                assert np.count_nonzero(sec == k) == len(ref)
+            assert got == want
+
+
+def test_index_numeric_sectors_q0_independent():
+    """Sector contributions, not only their sum, agree at three q0, with kept singular values > 1."""
+    for j2 in (1, 3, 5, 7, 9):
+        reps = [index_numeric(j2, 9, q0) for q0 in (0.3, 0.5, 0.8)]
+        assert reps[0].sectors == reps[1].sectors == reps[2].sectors
+        assert sum(reps[0].sectors.values()) == -(j2 + 1) // 2
+        assert all(r.min_sv_gap > 1 for r in reps)
+    assert index_numeric(17, 14, 0.5).value == -9
+
+
+def test_index_numeric_rejects_cross_sector_leak(monkeypatch):
+    """An L_E entry that moves a state into another (l, m) sector trips the leak check."""
+    le = SUq2Box.le
+
+    def leaky(self):
+        mat = le(self).tolil()
+        mat[self.index[(3, 1, -1)], self.index[(1, 1, 1)]] = 1.0  # l 1/2 -> 3/2
+        return mat.tocsr()
+
+    monkeypatch.setattr(SUq2Box, "le", leaky)
+    with pytest.raises(ArithmeticError, match="leaks"):
+        index_numeric(1, 8, Q0)
+
+
+@pytest.mark.parametrize("damage, match", [("scale", "orthonormal"), ("drop", "span")])
+def test_index_numeric_rejects_bad_codomain_basis(monkeypatch, damage, match):
+    """A codomain basis that is not orthonormal, or misses a sector's vectors, is refused."""
+    from qcpn import suq2
+
+    build = suq2._sector_columns
+
+    def damaged(box, sec_l, sec_m, slots):
+        mat, sec = build(box, sec_l, sec_m, slots)
+        if slots != suq2._hminus_slots(3):
+            return mat, sec
+        if damage == "scale":
+            return mat * 1.001, sec
+        keep = np.flatnonzero(sec != 2)  # the codomain vectors of sector (l, m) = (1, 0)
+        return mat.tocsc()[:, keep], sec[keep]
+
+    monkeypatch.setattr(suq2, "_sector_columns", damaged)
+    with pytest.raises(ArithmeticError, match=match):
+        index_numeric(3, 8, Q0)
 
 
 def test_index_numeric_sector_pattern():
