@@ -5,9 +5,12 @@ pairing, index, spectrum, holo-dim, tau1, identities, chern.  Output is a
 human table by default, or --json / --csv.  Exit codes: 0 all checks pass,
 1 check failure, 2 usage error, 3 numerical instability.
 
-A config file (simple key=value lines; --config PATH, default ./qcpn.cfg)
-may set default q0, M, L, tol; flags override.  tau1 checks its pairings
-and modular residuals exactly in Q(s) and prints their values at --q.
+Every report command returns a Report; main times it, prints it and maps
+its exit code.  A config file (key = value lines, # comments; --config PATH
+or --config=PATH, default ./qcpn.cfg) may set the defaults q0, M and L;
+flags override.  An unknown key or a bad value is a usage error (exit 2).
+tau1 checks its pairings and modular residuals exactly in Q(s) and prints
+their values at --q.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from . import identities, rep_sphere, suq2
 from .ncpoly import NCPoly, Presentation, UqGenerator, lincomb, mul, normalize, star
@@ -36,16 +39,26 @@ from .qcoeff import ONE, qint, qpow
 from .report import PairingRecord, Report
 
 
-def _load_config(path: str | None) -> Dict[str, str]:
-    cfg: Dict[str, str] = {}
+_CONFIG_KEYS = {"q0": float, "M": int, "L": int}
+
+
+def _load_config(path: str | None) -> Dict[str, float]:
+    """Typed defaults from key = value lines; an unknown key or a bad value is a usage error."""
+    cfg: Dict[str, float] = {}
     p = Path(path) if path else Path("qcpn.cfg")
     if p.is_file():
         for line in p.read_text().splitlines():
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
-            k, v = line.split("=", 1)
-            cfg[k.strip()] = v.strip()
+            k, eq, v = (part.strip() for part in line.partition("="))
+            if not eq or k not in _CONFIG_KEYS:
+                raise ValueError(f"config {p}: expected a line 'key = value' with key q0, M or L, got {line!r}")
+            try:
+                cfg[k] = _CONFIG_KEYS[k](v)
+            except ValueError:
+                kind = "a number" if k == "q0" else "an integer"
+                raise ValueError(f"config {p}: {k} must be {kind}, got {v!r}") from None
     return cfg
 
 
@@ -88,10 +101,21 @@ def _at_least(args, minimum: int, *names: str) -> None:
             raise ValueError(f"--{name} must be at least {minimum}, got {value}")
 
 
+def _exact(name: str, params: Dict[str, object], ok: bool, value=None, target=None) -> PairingRecord:
+    """An exactly decided check: residual 0 if ok else 1 at tol 0.5; value and target default to int(ok) and 1."""
+    return PairingRecord(name, params, int(ok) if value is None else value, 1 if target is None else target,
+                         0.0 if ok else 1.0, 0.5)
+
+
+def _tally(name: str, params: Dict[str, object], count: int, target: int = 0) -> PairingRecord:
+    """An integer (by default a count of failures) against its exact target: residual |count - target| at tol 0.5."""
+    return PairingRecord(name, params, count, target, float(abs(count - target)), 0.5)
+
+
 def _emit(report: Report, args) -> int:
-    if getattr(args, "json", False):
+    if args.json:
         print(report.to_json())
-    elif getattr(args, "csv", False):
+    elif args.csv:
         print(report.to_csv(), end="")
     else:
         print(report.human())
@@ -114,23 +138,17 @@ def cmd_normalize(args) -> int:
     return 0
 
 
-def cmd_verify_projections(args) -> int:
-    t0 = time.time()
+def cmd_verify_projections(args) -> Report:
     _at_least(args, 0, "n", "Nmax")
     rep = Report("projection suite", metadata={"n": args.n, "Nmax": args.Nmax})
     P = Presentation(args.n)
     for N in range(-args.Nmax, args.Nmax + 1):
-        unit = psi_dagger_psi(psi(N, args.n, P)) == NCPoly.one()
-        rep.add(PairingRecord("psi_dag_psi", {"N": N}, int(unit), 1, 0.0 if unit else 1.0, 0.5))
+        rep.add(_exact("psi_dag_psi", {"N": N}, psi_dagger_psi(psi(N, args.n, P)) == NCPoly.one()))
         M = projection(N, args.n, P)
-        ok2 = is_projection(M)
-        rep.add(PairingRecord("P^2=P", {"N": N}, int(ok2), 1, 0.0 if ok2 else 1.0, 0.5))
-        oka = is_selfadjoint(M)
-        rep.add(PairingRecord("P=P^dag", {"N": N}, int(oka), 1, 0.0 if oka else 1.0, 0.5))
-    tr = qtrace(projection(1, args.n, P)) == NCPoly.one()
-    rep.add(PairingRecord("qtrace_P1", {"n": args.n}, int(tr), 1, 0.0 if tr else 1.0, 0.5))
-    rep.wall_time = time.time() - t0
-    return _emit(rep, args)
+        rep.add(_exact("P^2=P", {"N": N}, is_projection(M)))
+        rep.add(_exact("P=P^dag", {"N": N}, is_selfadjoint(M)))
+    rep.add(_exact("qtrace_P1", {"n": args.n}, qtrace(projection(1, args.n, P)) == NCPoly.one()))
+    return rep
 
 
 def _relations(P: Presentation) -> List[NCPoly]:
@@ -165,15 +183,14 @@ def _random_poly(P: Presentation, rng: random.Random, deg: int = 3, terms: int =
     )
 
 
-def cmd_verify_relations(args) -> int:
-    t0 = time.time()
+def cmd_verify_relations(args) -> Report:
     _at_least(args, 1, "n")
     _at_least(args, 0, "cases")
     rep = Report("rewriting suite", metadata={"nmax": args.n, "cases": args.cases, "seed": args.seed})
     for n in range(1, args.n + 1):
         P = Presentation(n)
         bad = sum(1 for r in _relations(P) if normalize(r, P).terms)
-        rep.add(PairingRecord("relations_to_zero", {"n": n}, bad, 0, float(bad), 0.5))
+        rep.add(_tally("relations_to_zero", {"n": n}, bad))
     rng = random.Random(args.seed)
     fails = 0
     per_level = -(-args.cases // args.n)
@@ -186,13 +203,11 @@ def cmd_verify_relations(args) -> int:
             x = _random_poly(P, rng)
             if normalize(star(x), P) != star(normalize(x, P), P):
                 fails += 1
-    rep.add(PairingRecord("confluence_random", {"cases": per_level * args.n}, fails, 0, float(fails), 0.5))
-    rep.wall_time = time.time() - t0
-    return _emit(rep, args)
+    rep.add(_tally("confluence_random", {"cases": per_level * args.n}, fails))
+    return rep
 
 
-def cmd_verify_equivariance(args) -> int:
-    t0 = time.time()
+def cmd_verify_equivariance(args) -> Report | int:
     if args.n != 1:
         print("equivariance verification is implemented for n=1", file=sys.stderr)
         return 2
@@ -203,25 +218,21 @@ def cmd_verify_equivariance(args) -> int:
         for g in gens:
             res = check_equivariance(N, 1, g)
             nz = sum(1 for row in res for e in row if not e.is_zero())
-            rep.add(PairingRecord("covariance_residual", {"N": N, "x": str(g)}, nz, 0, float(nz), 0.5))
-    rep.wall_time = time.time() - t0
-    return _emit(rep, args)
+            rep.add(_tally("covariance_residual", {"N": N, "x": str(g)}, nz))
+    return rep
 
 
-def cmd_verify_triple(args) -> int:
-    t0 = time.time()
+def cmd_verify_triple(args) -> Report:
     rep = Report("spectral triple axioms", metadata={"L": args.L, "q0": args.q})
     for j2 in _int_range(args.j, "--j", 2):
         res = suq2.triple_axiom_suite(j2, args.L, args.q)
         for name, val in sorted(res.items()):
             tol = 1e-3 if "drift" in name else args.tol  # drift is a stability proxy
             rep.add(PairingRecord(name, {"j": f"{j2}/2"}, val, 0.0, val, tol))
-    rep.wall_time = time.time() - t0
-    return _emit(rep, args)
+    return rep
 
 
-def cmd_pairing(args) -> int:
-    t0 = time.time()
+def cmd_pairing(args) -> Report:
     rep = Report(
         "Fredholm pairings <[F_k],[P_-N]>",
         metadata={"n": args.n, "q0": args.q, "M": args.M},
@@ -235,34 +246,21 @@ def cmd_pairing(args) -> int:
             if r.tail_estimate > args.tol:
                 unstable = True
     rep.unstable = unstable
-    rep.wall_time = time.time() - t0
-    return _emit(rep, args)
+    return rep
 
 
-def cmd_index(args) -> int:
-    t0 = time.time()
+def cmd_index(args) -> Report:
     rep = Report("index of pD_j^+ p", metadata={"q0": args.q, "L": args.L})
     unstable = False
     for j2 in _int_range(args.j, "--j", 2):
         ia = suq2.index_analytic(j2)
-        branch = _index_branch_formula(j2)
-        rep.add(PairingRecord("index_analytic", {"j": f"{j2}/2"}, ia, branch, float(abs(ia - branch)), 0.5))
+        rep.add(_tally("index_analytic", {"j": f"{j2}/2"}, ia, _index_branch_formula(j2)))
         L = max(args.L, (j2 + 7) // 2 + 2)
         rn = suq2.index_numeric(j2, L, args.q, tol=args.tol)
-        rep.add(
-            PairingRecord(
-                "index_numeric",
-                {"j": f"{j2}/2", "q0": args.q},
-                rn.value,
-                ia,
-                float(abs(rn.value - ia)),
-                0.5,
-            )
-        )
+        rep.add(_tally("index_numeric", {"j": f"{j2}/2", "q0": args.q}, rn.value, ia))
         unstable = unstable or rn.unstable
     rep.unstable = unstable
-    rep.wall_time = time.time() - t0
-    return _emit(rep, args)
+    return rep
 
 
 def _index_branch_formula(j2: int) -> int:
@@ -275,61 +273,47 @@ def _index_branch_formula(j2: int) -> int:
     return int(val)
 
 
-def cmd_spectrum(args) -> int:
-    t0 = time.time()
+def cmd_spectrum(args) -> Report:
     rep = Report("Dirac spectrum vs q-integer products", metadata={"L": args.L, "q0": args.q})
     for j2 in _int_range(args.j, "--j", 2):
         worst, spec = suq2.dirac_spectrum_check(j2, args.L, args.q)
         rep.add(PairingRecord("spectrum_residual", {"j": f"{j2}/2"}, worst, 0.0, worst, args.tol))
         for ev, mult in spec:
             rep.add(PairingRecord("eigenvalue", {"j": f"{j2}/2", "D2": ev}, mult))
-    rep.wall_time = time.time() - t0
-    return _emit(rep, args)
+    return rep
 
 
-def cmd_holo_dim(args) -> int:
-    t0 = time.time()
+def cmd_holo_dim(args) -> Report:
     rep = Report("holomorphic section dimensions", metadata={"L": args.L, "q0": args.q})
     unstable = False
     for N in _int_range(args.N, "--N"):
         r = suq2.holo_dim(N, args.L, args.q)
-        target = abs(N) + 1 if N <= 0 else 0
-        rep.add(PairingRecord("holo_dim", {"N": N}, r.dimension, target, float(abs(r.dimension - target)), 0.5))
+        rep.add(_tally("holo_dim", {"N": N}, r.dimension, abs(N) + 1 if N <= 0 else 0))
         if not r.boundary_safe:
             unstable = True
     rep.unstable = unstable
-    rep.wall_time = time.time() - t0
-    return _emit(rep, args)
+    return rep
 
 
-def cmd_tau1(args) -> int:
-    t0 = time.time()
+def cmd_tau1(args) -> Report:
     if not 0.0 < args.q < 1.0:
         raise ValueError("q0 must lie in (0,1)")
     rep = Report("twisted Hochschild pairing tau_1", metadata={"q0": args.q})
     P1 = Presentation(1)
     for N in _int_range(args.N, "--N"):
         val, target = suq2.tau1_pairing(N), qpow(-4) * qint(N)
-        ok = val == target
-        rep.add(
-            PairingRecord(
-                "tau1", {"N": N}, val.evalf_stable(args.q), target.evalf_stable(args.q), 0.0 if ok else 1.0, 0.5
-            )
-        )
+        rep.add(_exact("tau1", {"N": N}, val == target, val.evalf_stable(args.q), target.evalf_stable(args.q)))
     z0, z1 = NCPoly.gen(0), NCPoly.gen(1)
     z1s = NCPoly.gen(1, True)
     A = mul(z1s, z1, P1)
     B = mul(z1s, z0, P1)
     for a, b, nm in ((A, A, "A,A"), (B, star(B, P1), "B,B*"), (A, B, "A,B")):
         res = suq2.modular_check(a, b)
-        ok = res.is_zero()
-        rep.add(PairingRecord("modular_residual", {"pair": nm}, res.evalf_stable(args.q), 0.0, 0.0 if ok else 1.0, 0.5))
-    rep.wall_time = time.time() - t0
-    return _emit(rep, args)
+        rep.add(_exact("modular_residual", {"pair": nm}, res.is_zero(), res.evalf_stable(args.q), 0.0))
+    return rep
 
 
-def cmd_identities(args) -> int:
-    t0 = time.time()
+def cmd_identities(args) -> Report:
     _at_least(args, 0, "kmax", "Nmax")
     rep = Report("closed-form identity suite", metadata={"kmax": args.kmax, "Nmax": args.Nmax})
     gap_target = (qpow(0) - qpow(-3)) * qint(2)
@@ -342,17 +326,15 @@ def cmd_identities(args) -> int:
             lim = identities.laplacian_eig(k, N).limit_q1()
             if lim != 2 * (k * k + k * N + 2 * k + N):
                 bad_limit += 1
-    rep.add(PairingRecord("gap_identity", {"kmax": args.kmax, "Nmax": args.Nmax}, bad_gap, 0, float(bad_gap), 0.5))
-    rep.add(PairingRecord("classical_limit", {}, bad_limit, 0, float(bad_limit), 0.5))
+    rep.add(_tally("gap_identity", {"kmax": args.kmax, "Nmax": args.Nmax}, bad_gap))
+    rep.add(_tally("classical_limit", {}, bad_limit))
     for N in range(0, args.Nmax + 1):
-        cur = identities.monopole_curvature(N)
-        rep.add(PairingRecord("monopole_curvature_limit", {"N": N}, str(cur.limit_q1()), str(N), float(cur.limit_q1() != N), 0.5))
-    rep.wall_time = time.time() - t0
-    return _emit(rep, args)
+        lim = identities.monopole_curvature(N).limit_q1()
+        rep.add(_exact("monopole_curvature_limit", {"N": N}, lim == N, str(lim), str(N)))
+    return rep
 
 
-def cmd_chern(args) -> int:
-    t0 = time.time()
+def cmd_chern(args) -> Report:
     _at_least(args, 0, "n", "Nmax")
     rep = Report("Chern character conversions", metadata={"n": args.n})
     rng = random.Random(11)
@@ -361,7 +343,7 @@ def cmd_chern(args) -> int:
         v = identities.ChernVector([Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(args.n + 1)], "phi")
         if identities.phi_from_chern(identities.chern_from_phi(v)) != v:
             bad += 1
-    rep.add(PairingRecord("round_trip", {"cases": 50}, bad, 0, float(bad), 0.5))
+    rep.add(_tally("round_trip", {"cases": 50}, bad))
     nonint = 0
     for row in identities.pairing_table(args.n, args.Nmax):
         ch = identities.chern_from_phi(identities.ChernVector(row[: args.n + 1], "phi"))
@@ -369,9 +351,8 @@ def cmd_chern(args) -> int:
             phi2 = ch.components[2] - Fraction(1, 2) * ch.components[1]
             if phi2.denominator != 1:
                 nonint += 1
-    rep.add(PairingRecord("phi2_integrality", {"rows": args.Nmax + 1}, nonint, 0, float(nonint), 0.5))
-    rep.wall_time = time.time() - t0
-    return _emit(rep, args)
+    rep.add(_tally("phi2_integrality", {"rows": args.Nmax + 1}, nonint))
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -379,21 +360,21 @@ def cmd_chern(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser(cfg: Dict[str, str]) -> argparse.ArgumentParser:
-    q0 = float(cfg.get("q0", 0.5))
-    M = int(cfg.get("M", 40))
-    L = int(cfg.get("L", 12))
-    tol = float(cfg.get("tol", 1e-9))
+def build_parser(cfg: Dict[str, float]) -> argparse.ArgumentParser:
+    q0, M, L = cfg.get("q0", 0.5), cfg.get("M", 40), cfg.get("L", 12)
 
     ap = argparse.ArgumentParser(prog="qcpn", description=__doc__)
     ap.add_argument("--config", help="key=value config file (default ./qcpn.cfg)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, with_fmt=True):
-        if with_fmt:
-            g = p.add_mutually_exclusive_group()
-            g.add_argument("--json", action="store_true")
-            g.add_argument("--csv", action="store_true")
+    def report(parent, name, fn, **kw):
+        """A subcommand whose handler returns a Report: a table, or --json / --csv."""
+        p = parent.add_parser(name, **kw)
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", action="store_true")
+        fmt.add_argument("--csv", action="store_true")
+        p.set_defaults(fn=fn)
+        return p
 
     p = sub.add_parser("normalize", help="normal form of an expression")
     p.add_argument("expr")
@@ -404,97 +385,89 @@ def build_parser(cfg: Dict[str, str]) -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="symbolic verification suites")
     vsub = pv.add_subparsers(dest="what", required=True)
 
-    p = vsub.add_parser("projections")
+    p = report(vsub, "projections", cmd_verify_projections)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--Nmax", type=int, default=3)
-    common(p)
-    p.set_defaults(fn=cmd_verify_projections)
 
-    p = vsub.add_parser("relations")
+    p = report(vsub, "relations", cmd_verify_relations)
     p.add_argument("--n", type=int, default=3, help="verify levels 1..n")
     p.add_argument("--cases", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(fn=cmd_verify_relations)
 
-    p = vsub.add_parser("equivariance")
+    p = report(vsub, "equivariance", cmd_verify_equivariance)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--Nmax", type=int, default=3)
-    common(p)
-    p.set_defaults(fn=cmd_verify_equivariance)
 
-    p = vsub.add_parser("triple")
+    p = report(vsub, "triple", cmd_verify_triple)
     p.add_argument("--j", default="1/2,3/2")
     p.add_argument("--L", type=int, default=L)
     p.add_argument("--q", type=float, default=q0)
     p.add_argument("--tol", type=float, default=1e-9)
-    common(p)
-    p.set_defaults(fn=cmd_verify_triple)
 
-    p = sub.add_parser("pairing", help="Fredholm index pairings")
+    p = report(sub, "pairing", cmd_pairing, help="Fredholm index pairings")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--N", default="0..4")
     p.add_argument("--k", default="0..2")
     p.add_argument("--q", type=float, default=q0)
     p.add_argument("--M", type=int, default=M)
     p.add_argument("--tol", type=float, default=1e-8)
-    common(p)
-    p.set_defaults(fn=cmd_pairing)
 
-    p = sub.add_parser("index", help="spectral-triple index pairings")
+    p = report(sub, "index", cmd_index, help="spectral-triple index pairings")
     p.add_argument("--j", default="1/2..9/2")
     p.add_argument("--q", type=float, default=q0)
     p.add_argument("--L", type=int, default=L)
     p.add_argument("--tol", type=float, default=1e-8)
-    common(p)
-    p.set_defaults(fn=cmd_index)
 
-    p = sub.add_parser("spectrum", help="Dirac spectrum dump and check")
+    p = report(sub, "spectrum", cmd_spectrum, help="Dirac spectrum dump and check")
     p.add_argument("--j", default="1/2")
     p.add_argument("--L", type=int, default=L)
     p.add_argument("--q", type=float, default=q0)
     p.add_argument("--tol", type=float, default=1e-10)
-    common(p)
-    p.set_defaults(fn=cmd_spectrum)
 
-    p = sub.add_parser("holo-dim", help="holomorphic section dimensions")
+    p = report(sub, "holo-dim", cmd_holo_dim, help="holomorphic section dimensions")
     p.add_argument("--N", default="-4..2")
     p.add_argument("--L", type=int, default=8)
     p.add_argument("--q", type=float, default=q0)
-    common(p)
-    p.set_defaults(fn=cmd_holo_dim)
 
-    p = sub.add_parser("tau1", help="twisted Hochschild pairing")
+    p = report(sub, "tau1", cmd_tau1, help="twisted Hochschild pairing")
     p.add_argument("--N", default="0..2")
     p.add_argument("--q", type=float, default=q0)
-    common(p)
-    p.set_defaults(fn=cmd_tau1)
 
-    p = sub.add_parser("identities", help="closed-form q-identities")
+    p = report(sub, "identities", cmd_identities, help="closed-form q-identities")
     p.add_argument("--kmax", type=int, default=10)
     p.add_argument("--Nmax", type=int, default=10)
-    common(p)
-    p.set_defaults(fn=cmd_identities)
 
-    p = sub.add_parser("chern", help="Chern character conversions")
+    p = report(sub, "chern", cmd_chern, help="Chern character conversions")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--Nmax", type=int, default=6)
-    common(p)
-    p.set_defaults(fn=cmd_chern)
 
     return ap
 
 
-def _expression_last(argv: List[str]) -> List[str]:
+def _config_arg(argv: List[str]) -> Tuple[str | None, int]:
+    """The --config path ahead of the subcommand and the number of arguments that carry it.
+
+    Reads every spelling argparse accepts: '--config PATH', '--config=PATH'
+    and their abbreviations such as '--conf PATH'.
+    """
+    opt, eq, value = (argv[0] if argv else "").partition("=")
+    if len(opt) < 3 or not "--config".startswith(opt):
+        return None, 0
+    if eq:
+        return value, 1
+    return (argv[1] if len(argv) > 1 else None), 2
+
+
+def _expression_last(argv: List[str], start: int) -> List[str]:
     """Move a normalize expression that starts with '-' behind '--'.
 
     argparse reads '-1/3' or '-z0' as an unknown option; after '--' it is the
     positional.  An expression never starts with '-h' or '-n' after its minus
     signs, so the subcommand's own options and the value of --n stay put.
+    ``start`` is the position of the subcommand.
     """
-    i = 2 if argv[:1] == ["--config"] else 0
-    if argv[i: i + 1] == ["normalize"]:
-        for k in range(i + 1, len(argv)):
+    if argv[start: start + 1] == ["normalize"]:
+        for k in range(start + 1, len(argv)):
             arg = argv[k]
             if arg == "--":
                 break
@@ -504,17 +477,17 @@ def _expression_last(argv: List[str]) -> List[str]:
 
 
 def main(argv: List[str] | None = None) -> int:
-    argv = _expression_last(list(sys.argv[1:] if argv is None else argv))
-    cfg_path = None
-    if "--config" in argv:
-        i = argv.index("--config")
-        if i + 1 < len(argv):
-            cfg_path = argv[i + 1]
-    cfg = _load_config(cfg_path)
-    ap = build_parser(cfg)
-    args = ap.parse_args(argv)
+    """Parse, run the subcommand, time it and emit its Report; returns the exit code."""
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        return args.fn(args)
+        cfg_path, start = _config_arg(argv)
+        args = build_parser(_load_config(cfg_path)).parse_args(_expression_last(argv, start))
+        t0 = time.time()
+        rep = args.fn(args)
+        if isinstance(rep, int):  # normalize, or a handler that printed its own usage error
+            return rep
+        rep.wall_time = time.time() - t0
+        return _emit(rep, args)
     except ValueError as exc:  # input checks
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -488,12 +488,6 @@ def qmultinomial(js: list[int] | tuple[int, ...]) -> QScalar:
     return out
 
 
-def qbinomial(n: int, k: int) -> QScalar:
-    if k < 0 or k > n:
-        return ZERO
-    return qmultinomial([k, n - k])
-
-
 def is_positive_at_q(x: QScalar) -> bool:
     """Exact sign test on 0 < q < 1: True iff x > 0 on the whole interval.
 

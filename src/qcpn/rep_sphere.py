@@ -185,14 +185,7 @@ class PairingResult:
         return abs(self.value - self.target)
 
 
-def fredholm_pairing(
-    N: int,
-    k: int,
-    n: int,
-    M: int,
-    q0: float,
-    P: Presentation | None = None,
-) -> PairingResult:
+def fredholm_pairing(N: int, k: int, n: int, M: int, q0: float) -> PairingResult:
     """Pairing <[F_k], [P_{-N}]> = Tr((pi_+^{(k)} - pi_-^{(k)})(Tr P_{-N})).
 
     N >= 0 indexes the line-bundle projection P_{-N}; the target value is the

@@ -292,12 +292,8 @@ class SUq2Box:
         """Vacuum expectation <000| op |000> (the Haar state on elements)."""
         return float(op[self.vac, self.vac])
 
-    def interior(self, margin_l: int, max_n2: int | None = None) -> np.ndarray:
-        l2, _, n2 = self.lmn
-        keep = l2 <= 2 * self.L - 2 * margin_l
-        if max_n2 is not None:
-            keep &= np.abs(n2) <= max_n2
-        return np.flatnonzero(keep)
+    def interior(self, margin_l: int) -> np.ndarray:
+        return np.flatnonzero(self.lmn[0] <= 2 * self.L - 2 * margin_l)
 
     def gamma_slice(self, N: int) -> np.ndarray:
         """Basis indices of (truncated) Gamma_N: states with n = -N/2, ascending."""
@@ -344,20 +340,30 @@ def dbar(a: NCPoly, P: Presentation, N: int = 0) -> NCPoly:
 # ---------------------------------------------------------------------------
 
 
+def _hplus(j2, n2):
+    """Whether slot 2n = n2 of H_j lies in H_j^+ (gamma = +1): j + n odd.  Works elementwise on arrays.
+
+    The slots pair up as (n, n + 1) from n = -j; the lower member of each pair is in H_j^-.
+    """
+    return ((j2 + n2) // 2) % 2 == 1
+
+
 @dataclass
 class SpectralTriple:
     """(A(CP^1_q), H_j, D_j, gamma_j, J_j) on the truncated box.
 
-    H_j = (+)_{n=-j..j} W_n; a global index enumerates (slot, box state).
+    H_j = (+)_{n=-j..j} W_n.  Its basis is the box states of slot n = -j,
+    then of n = -j + 1, ..., up to n = j, each slot in box order (l, then m):
+    position k of H_j is box state ``sel[k]``, with doubled labels
+    ``labels[:, k]``.  Slot n lies in H_j^+ or H_j^- as ``_hplus`` says.
     J is stored as a real matrix to be applied together with complex
     conjugation (all our data is real).
     """
 
     j2: int  # 2j, odd
     box: SUq2Box
-    slots: List[int] = field(init=False)  # doubled n
-    slot_states: List[np.ndarray] = field(init=False)
-    offsets: List[int] = field(init=False)
+    sel: np.ndarray = field(init=False)  # box index of each basis vector of H_j
+    labels: np.ndarray = field(init=False)  # (3, dim) doubled (l, m, n)
     dim: int = field(init=False)
 
     def __post_init__(self):
@@ -365,80 +371,46 @@ class SpectralTriple:
             raise ValueError("j must be a positive half-integer")
         if 2 * self.box.L < self.j2 + 4:
             raise ValueError("truncation L too small for this j")
-        self.slots = list(range(-self.j2, self.j2 + 1, 2))
-        self.slot_states = [self.box.gamma_slice(-n2) for n2 in self.slots]
-        self.offsets = []
-        off = 0
-        for sl in self.slot_states:
-            self.offsets.append(off)
-            off += len(sl)
-        self.dim = off
-
-    def slot_of(self, n2: int) -> int:
-        return self.slots.index(n2)
-
-    def embed(self, slot: int, vec_box: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim)
-        sl = self.slot_states[slot]
-        out[self.offsets[slot]: self.offsets[slot] + len(sl)] = vec_box[sl]
-        return out
-
-    def _block(self, mat: sparse.csr_matrix, dst_slot: int, src_slot: int) -> sparse.csr_matrix:
-        rows = self.slot_states[dst_slot]
-        cols = self.slot_states[src_slot]
-        return mat[np.ix_(rows, cols)]
-
-    def _box_labels(self) -> np.ndarray:
-        """Doubled box labels (3, dim) of the global basis, slot by slot."""
-        return self.box.lmn[:, np.concatenate(self.slot_states)]
+        self.sel = np.concatenate([self.box.gamma_slice(-n2) for n2 in range(-self.j2, self.j2 + 1, 2)])
+        self.labels = self.box.lmn[:, self.sel]
+        self.dim = len(self.sel)
 
     def dirac(self) -> sparse.csr_matrix:
-        """D_j: L_E into even-offset slots, L_F into their partners."""
-        le, lf = self.box.le(), self.box.lf()
-        blocks: List[List[sparse.csr_matrix | None]] = [[None] * len(self.slots) for _ in self.slots]
-        for r, n2 in enumerate(self.slots):
-            if (n2 + self.j2) % 4 == 0:  # paired slot (n, n+1): this is n
-                blocks[r][r + 1] = self._block(le, r, r + 1)
-            else:
-                blocks[r][r - 1] = self._block(lf, r, r - 1)
-        return sparse.bmat(blocks, format="csr")
+        """D_j: the rows of H_j^- from L_E (slot n + 1 to n), the rows of H_j^+ from L_F (n - 1 to n)."""
+        rows = self.sel + self.box.dim * _hplus(self.j2, self.labels[2])
+        return sparse.vstack([self.box.le(), self.box.lf()], format="csr")[np.ix_(rows, self.sel)]
 
     def grading(self) -> sparse.csr_matrix:
-        diag = np.zeros(self.dim)
-        for r, n2 in enumerate(self.slots):
-            sgn = 1.0 if ((self.j2 + n2) // 2) % 2 == 1 else -1.0
-            diag[self.offsets[r]: self.offsets[r] + len(self.slot_states[r])] = sgn
-        return sparse.diags(diag).tocsr()
+        return sparse.diags(np.where(_hplus(self.j2, self.labels[2]), 1.0, -1.0)).tocsr()
 
     def real_structure(self) -> sparse.csr_matrix:
         """J_j as a real matrix (antilinear: conjugate, then apply)."""
-        rows, cols, vals = [], [], []
-        for r, n2 in enumerate(self.slots):
-            rp = self.slot_of(-n2)
-            l2, m2, _ = self.box.lmn[:, self.slot_states[r]]
-            # |l,m,n> -> |l,-m,-n>, located inside slot rp (its box indices ascend)
-            tgt = np.searchsorted(self.slot_states[rp], self.box._locate(l2, -m2, np.full_like(l2, -n2)))
-            # (J a)_{-n} = (-1)^{j+m-2n} |l,-m,-n>
-            expo = (self.j2 + m2) // 2 - n2
-            rows.append(self.offsets[rp] + tgt)
-            cols.append(self.offsets[r] + np.arange(len(l2)))
-            vals.append(np.where(expo % 2, -1.0, 1.0))
+        l2, m2, n2 = self.labels
+        pos = np.full(self.box.dim, -1)  # box index -> position in H_j
+        pos[self.sel] = np.arange(self.dim)
+        # |l,m,n> -> (-1)^{j+m-2n} |l,-m,-n>
+        expo = (self.j2 + m2) // 2 - n2
         return sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(self.dim, self.dim)
+            (np.where(expo % 2, -1.0, 1.0), (pos[self.box._locate(l2, -m2, -n2)], np.arange(self.dim))),
+            shape=(self.dim, self.dim),
         )
 
-    def _diagonal_blocks(self, mat: sparse.csr_matrix) -> sparse.csr_matrix:
-        return sparse.block_diag([self._block(mat, r, r) for r in range(len(self.slots))], format="csr")
+    def _same_slot(self, mat: sparse.spmatrix) -> sparse.csr_matrix:
+        """A box operator on H_j, keeping only the entries between states of one slot."""
+        sub = mat.tocsr()[np.ix_(self.sel, self.sel)].tocoo()
+        n2 = self.labels[2]
+        keep = n2[sub.row] == n2[sub.col]
+        return sparse.csr_matrix((sub.data[keep], (sub.row[keep], sub.col[keep])), shape=sub.shape)
 
     def represent(self, a: NCPoly) -> sparse.csr_matrix:
-        """Block-diagonal left multiplication by a in A(CP^1_q)."""
-        return self._diagonal_blocks(self.box.represent(a))
+        """Block-diagonal (slot by slot) left multiplication by a in A(CP^1_q)."""
+        return self._same_slot(self.box.represent(a))
 
     def right_represent(self, a: NCPoly) -> sparse.csr_matrix:
-        return self._diagonal_blocks(self.box.right_mult(a))
+        return self._same_slot(self.box.right_mult(a))
 
     def interior(self, margin_l: int) -> np.ndarray:
-        return np.flatnonzero(self._box_labels()[0] <= 2 * self.box.L - 2 * margin_l)
+        return np.flatnonzero(self.labels[0] <= 2 * self.box.L - 2 * margin_l)
 
 
 def build_triple(j2: int, L: int, q0: float) -> SpectralTriple:
@@ -480,11 +452,11 @@ class GammaModule:
 
 
 def _hplus_slots(j2: int) -> List[int]:
-    return [n2 for n2 in range(-j2, j2 + 1, 2) if ((j2 + n2) // 2) % 2 == 1]
+    return [n2 for n2 in range(-j2, j2 + 1, 2) if _hplus(j2, n2)]
 
 
 def _hminus_slots(j2: int) -> List[int]:
-    return [n2 for n2 in range(-j2, j2 + 1, 2) if ((j2 + n2) // 2) % 2 == 0]
+    return [n2 for n2 in range(-j2, j2 + 1, 2) if not _hplus(j2, n2)]
 
 
 @dataclass(frozen=True)
@@ -647,7 +619,7 @@ class IndexReport:
     unstable: bool
 
 
-def index_numeric(j2: int, L: int, q0: float, tol: float = 1e-8, lmax2: int | None = None) -> IndexReport:
+def index_numeric(j2: int, L: int, q0: float, tol: float = 1e-8) -> IndexReport:
     """dim ker - dim coker of pD_j^+p, sector by sector in (l, m).
 
     pD_j^+p maps p(H_j^+ (x) C^2) to p(H_j^- (x) C^2) and preserves every
@@ -657,7 +629,7 @@ def index_numeric(j2: int, L: int, q0: float, tol: float = 1e-8, lmax2: int | No
     l = |n| - 1/2) of the slots of H_j^+ (domain) and of H_j^- (codomain).
     Each is written from its <= 4 nonzero box entries as a column of a sparse
     matrix, D for the domain and C for the codomain, over all sectors with
-    2l <= lmax2 (default 2j + 5).  One product G = C^T p (L_E (+) L_E) D
+    2l <= 2j + 5.  One product G = C^T p (L_E (+) L_E) D
     holds every T: a sector's T is the block of G on its own rows and
     columns.
 
@@ -690,7 +662,7 @@ def index_numeric(j2: int, L: int, q0: float, tol: float = 1e-8, lmax2: int | No
     if 2 * L < j2 + 6:
         raise ValueError("need L >= j + 3")
     box = SUq2Box(L, q0)
-    sec_l, sec_m = _sector_labels(lmax2 if lmax2 is not None else j2 + 5)
+    sec_l, sec_m = _sector_labels(j2 + 5)
     D, dsec = _sector_columns(box, sec_l, sec_m, _hplus_slots(j2))
     C, csec = _sector_columns(box, sec_l, sec_m, _hminus_slots(j2))
     le = box.le()
@@ -790,13 +762,14 @@ class HoloReport:
     largest_dropped: float
 
 
-def holo_dim(N: int, L: int, q0: float, tol: float = 1e-9) -> HoloReport:
+def holo_dim(N: int, L: int, q0: float) -> HoloReport:
     """Numeric kernel dimension of the holomorphic connection on Gamma_N.
 
     The connection is q^{N/2-1} (.) <| F, realized as -q^{N/2-2} L_F on the
     slice n = -N/2; kernel vectors are checked to sit at l = |N|/2, safely
-    away from the truncation wall.
+    away from the truncation wall.  Ranks are decided at 1e-9.
     """
+    tol = 1e-9
     if 2 * L < abs(N) + 6:
         raise ValueError("truncation too small")
     box = SUq2Box(L, q0)
@@ -856,8 +829,9 @@ def tau1_pairing(N: int) -> QScalar:
 
 
 def _maxabs(mat: sparse.spmatrix, keep: np.ndarray) -> float:
+    """max |entry| on the window keep x keep (implicit zeros count, as in the dense matrix)."""
     sub = mat.tocsr()[np.ix_(keep, keep)]
-    return float(np.abs(sub.toarray()).max()) if sub.shape[0] else 0.0
+    return float(abs(sub).max()) if sub.shape[0] else 0.0
 
 
 def triple_axiom_suite(j2: int, L: int, q0: float) -> Dict[str, float]:
@@ -897,13 +871,14 @@ def triple_axiom_suite(j2: int, L: int, q0: float) -> Dict[str, float]:
         w0 = next(iter(e.terms))
         wt = kb.terms[w0] / e.terms[w0]
         rights[nm] = (wt ** -1).evalf_stable(q0) * st.right_represent(star(e, P1))
+    jbs = {nb: J @ mb @ J.transpose() for nb, mb in reps.items()}  # J^{-1} = J^t (real orthogonal here)
+    for nb, jb in jbs.items():
+        res[f"JbJ-rightmult[{nb}]"] = _maxabs(jb - rights[nb], win)
     for na, ma in reps.items():
-        for nb, e in elems.items():
-            jb = J @ reps[nb] @ J.transpose()  # J^{-1} = J^t (real orthogonal here)
+        da = D @ ma - ma @ D
+        for nb, jb in jbs.items():
             res[f"order0[{na},{nb}]"] = _maxabs(ma @ jb - jb @ ma, win)
-            da = D @ ma - ma @ D
             res[f"order1[{na},{nb}]"] = _maxabs(da @ jb - jb @ da, win)
-            res[f"JbJ-rightmult[{nb}]"] = _maxabs(jb - rights[nb], win)
 
     # boundedness proxy: the operator norm of [D, a] must be stable in L
     big = build_triple(j2, L + 3, q0)
@@ -917,38 +892,38 @@ def triple_axiom_suite(j2: int, L: int, q0: float) -> Dict[str, float]:
     return res
 
 
-def index_regularized_trace(j2: int, L: int, q0: float, cutoff2: int | None = None) -> float:
+def index_regularized_trace(j2: int, L: int, q0: float) -> float:
     """Basis-free cross-check of the numeric index.
 
     For the sector-exact operator pD_j^+p the index equals the regularized
     dimension difference of its domain and codomain,
     Tr(p|_{H_j^+ (x) C^2}) - Tr(p|_{H_j^- (x) C^2}) with an l-cutoff, which
     uses nothing but the generator matrices A and the grading parity (no
-    eigenbasis constructions).  Converges geometrically to -(j + 1/2).
+    eigenbasis constructions).  The cutoff is l <= L - 2.  Converges
+    geometrically to -(j + 1/2).
     """
     box = SUq2Box(L, q0)
-    cutoff2 = cutoff2 if cutoff2 is not None else 2 * L - 4
     eye = sparse.identity(box.dim, format="csr")
     p11 = (eye - q0 ** 2 * box.a_op()).diagonal()
     p22 = box.a_op().diagonal()
     total = 0.0
     for n2 in range(-j2, j2 + 1, 2):
         sl = box.gamma_slice(-n2)
-        sl = sl[box.lmn[0][sl] <= cutoff2]
+        sl = sl[box.lmn[0][sl] <= 2 * L - 4]
         tr = float(np.sum(p11[sl]) + np.sum(p22[sl]))
-        total += tr if ((j2 + n2) // 2) % 2 == 1 else -tr
+        total += tr if _hplus(j2, n2) else -tr
     return total
 
 
-def _opnorm(mat: sparse.spmatrix, iters: int = 400) -> float:
-    """Largest singular value by deterministic power iteration."""
+def _opnorm(mat: sparse.spmatrix) -> float:
+    """Largest singular value by deterministic power iteration (400 steps)."""
     if mat.shape[0] == 0:
         return 0.0
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(mat.shape[1])
     v /= np.linalg.norm(v)
     mt = mat.transpose().tocsr()
-    for _ in range(iters):
+    for _ in range(400):
         w = mt @ (mat @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
@@ -957,7 +932,7 @@ def _opnorm(mat: sparse.spmatrix, iters: int = 400) -> float:
     return float(np.linalg.norm(mat @ v))
 
 
-def dirac_spectrum_check(j2: int, L: int, q0: float, tol: float = 1e-10) -> Tuple[float, List[Tuple[float, int]]]:
+def dirac_spectrum_check(j2: int, L: int, q0: float) -> Tuple[float, List[Tuple[float, int]]]:
     """Compare D_j^2 diagonal against the q-integer products, sector-wise.
 
     Returns (max residual, spectrum as (eigenvalue, multiplicity) list over
@@ -970,11 +945,11 @@ def dirac_spectrum_check(j2: int, L: int, q0: float, tol: float = 1e-10) -> Tupl
     diag = D2.diagonal()
     worst = float(abs(D2 - sparse.diags(diag)).max())
     win = st.interior(2)
-    l2, _, n2 = st._box_labels()[:, win]
+    l2, _, n2 = st.labels[:, win]
     l, n = l2 / 2.0, n2 / 2.0
     br = st.box._br
-    # lower member of a pair: L_E L_F; upper member: L_F L_E
-    target = np.where((n2 + j2) % 4 == 0, br(l - n) * br(l + n + 1), br(l - n + 1) * br(l + n))
+    # upper member of a pair (H_j^+): L_F L_E; lower member (H_j^-): L_E L_F
+    target = np.where(_hplus(j2, n2), br(l - n + 1) * br(l + n), br(l - n) * br(l + n + 1))
     worst = max(worst, float(np.max(np.abs(diag[win] - target), initial=0.0)))
     spec = Counter(round(t, 9) for t in target.tolist())
     return worst, sorted(spec.items())

@@ -200,6 +200,38 @@ def test_cli_config_file(tmp_path, monkeypatch):
     assert json.loads(out)["metadata"]["M"] == "12"
 
 
+PAIRING_M = ("pairing", "--n", "2", "--N", "0..0", "--k", "0..0", "--json")
+
+
+@pytest.mark.parametrize(
+    "argv, text, want",
+    [
+        (("--config=my.cfg",) + PAIRING_M, "M = 12\n", '"M": "12"'),
+        (("--config", "my.cfg") + PAIRING_M, "# comment\nM = 12\n", '"M": "12"'),
+        (("--conf=my.cfg",) + PAIRING_M, "M=12\n", '"M": "12"'),
+        (("--config=my.cfg", "normalize", "-1/3", "--n", "1"), "L = 9\n", "-1/3\n"),
+        (("--config=my.cfg",) + PAIRING_M, "tol = 1e-3\n", 2),
+        (("--config=my.cfg",) + PAIRING_M, "L = notanint\n", 2),
+        (("--config=my.cfg",) + PAIRING_M, "q0 = half\n", 2),
+        (("--config=my.cfg",) + PAIRING_M, "M 12\n", 2),
+        (PAIRING_M, "L = notanint\n", 2),  # the default ./qcpn.cfg
+    ],
+    ids=["equals-spelling", "separate-spelling", "abbreviated", "normalize-after-config", "tol-key-unknown",
+         "L-not-int", "q0-not-number", "no-equals-sign", "default-file-bad-L"],
+)
+def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want):
+    """--config is read in every spelling; an unknown key or a bad value is a usage error (exit 2)."""
+    (tmp_path / ("my.cfg" if any("my.cfg" in arg for arg in argv) else "qcpn.cfg")).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(*argv)
+    if want == 2:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config ") and err.count("\n") == 1
+    else:
+        assert (code, err) == (0, "")
+        assert want in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

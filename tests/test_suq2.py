@@ -12,6 +12,9 @@ from qcpn.qcoeff import qint, qpow
 from qcpn.suq2 import (
     SUq2Box,
     _brk,
+    _hplus,
+    _hplus_slots,
+    _maxabs,
     build_triple,
     casimir_block_check,
     chain_b_vanishes,
@@ -235,10 +238,38 @@ def test_triple_axioms(j2):
 def test_grading_eigenvalues():
     st = build_triple(3, 8, Q0)
     G = st.grading()
-    for r, n2 in enumerate(st.slots):
-        i = st.offsets[r]
-        expected = 1.0 if ((st.j2 + n2) // 2 + 1) % 2 == 0 else -1.0
-        assert G[i, i] == expected
+    expected = [1.0 if ((st.j2 + n2) // 2 + 1) % 2 == 0 else -1.0 for n2 in st.labels[2].tolist()]
+    assert G.nnz == st.dim
+    assert G.diagonal().tolist() == expected
+
+
+@pytest.mark.parametrize("j2, L", [(1, 5), (3, 8), (7, 12)])
+def test_triple_basis_layout(j2, L):
+    """H_j is the slots n = -j..j in turn, each in box order; _hplus is the H_j^+ parity rule."""
+    st = build_triple(j2, L, Q0)
+    slices = [st.box.gamma_slice(-n2) for n2 in range(-j2, j2 + 1, 2)]
+    assert st.sel.tolist() == np.concatenate(slices).tolist()
+    assert np.array_equal(st.labels, np.concatenate([st.box.lmn[:, sl] for sl in slices], axis=1))
+    assert st.dim == st.labels.shape[1] == sum(len(sl) for sl in slices)
+    for odd_j2 in range(1, 18, 2):
+        n2s = np.arange(-odd_j2, odd_j2 + 1, 2)
+        old = [((odd_j2 + n2) // 2) % 2 == 1 for n2 in n2s.tolist()]
+        assert [_hplus(odd_j2, n2) for n2 in n2s.tolist()] == old
+        assert _hplus(odd_j2, n2s).tolist() == old
+        assert _hplus_slots(odd_j2) == [n2 for n2, up in zip(n2s.tolist(), old) if up]
+    # represent is block diagonal: z0 z1 moves n by 1 (between slots), A keeps n
+    z0z1 = mul(Z0, Z1, P1)
+    assert st.box.represent(z0z1)[np.ix_(st.sel, st.sel)].nnz > 0
+    assert st.represent(z0z1).nnz == 0
+    assert (st.represent(A_EL) != st.box.represent(A_EL)[np.ix_(st.sel, st.sel)]).nnz == 0
+
+
+def test_maxabs_matches_dense():
+    rng = np.random.default_rng(5)
+    dense = np.where(rng.random((9, 9)) < 0.3, -1.0 - rng.random((9, 9)), 0.0)
+    keep = np.array([0, 2, 3, 7])
+    assert _maxabs(sparse.csr_matrix(dense), keep) == np.abs(dense[np.ix_(keep, keep)]).max() > 1.0
+    assert _maxabs(sparse.csr_matrix((9, 9)), keep) == 0.0
 
 
 def test_j_isometry():
