@@ -8,7 +8,8 @@ human table by default, or --json / --csv.  Exit codes: 0 all checks pass,
 Every report command returns a Report; main times it, prints it and maps
 its exit code.  A config file (key = value lines, # comments; --config PATH
 or --config=PATH, default ./qcpn.cfg) may set the defaults q0, M and L;
-flags override.  An unknown key or a bad value is a usage error (exit 2).
+flags override.  An unknown key, a bad value or an explicit --config path
+that is not a file is a usage error (exit 2); a missing ./qcpn.cfg is not.
 tau1 checks its pairings and modular residuals exactly in Q(s) and prints
 their values at --q.
 """
@@ -43,22 +44,25 @@ _CONFIG_KEYS = {"q0": float, "M": int, "L": int}
 
 
 def _load_config(path: str | None) -> Dict[str, float]:
-    """Typed defaults from key = value lines; an unknown key or a bad value is a usage error."""
+    """Typed defaults from key = value lines; an unknown key, a bad value or a missing named file is a usage error."""
+    p = Path("qcpn.cfg" if path is None else path)
+    if not p.is_file():
+        if path is None:  # no ./qcpn.cfg: built-in defaults
+            return {}
+        raise ValueError(f"config {p}: not a file")
     cfg: Dict[str, float] = {}
-    p = Path(path) if path else Path("qcpn.cfg")
-    if p.is_file():
-        for line in p.read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            k, eq, v = (part.strip() for part in line.partition("="))
-            if not eq or k not in _CONFIG_KEYS:
-                raise ValueError(f"config {p}: expected a line 'key = value' with key q0, M or L, got {line!r}")
-            try:
-                cfg[k] = _CONFIG_KEYS[k](v)
-            except ValueError:
-                kind = "a number" if k == "q0" else "an integer"
-                raise ValueError(f"config {p}: {k} must be {kind}, got {v!r}") from None
+    for line in p.read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        k, eq, v = (part.strip() for part in line.partition("="))
+        if not eq or k not in _CONFIG_KEYS:
+            raise ValueError(f"config {p}: expected a line 'key = value' with key q0, M or L, got {line!r}")
+        try:
+            cfg[k] = _CONFIG_KEYS[k](v)
+        except ValueError:
+            kind = "a number" if k == "q0" else "an integer"
+            raise ValueError(f"config {p}: {k} must be {kind}, got {v!r}") from None
     return cfg
 
 
@@ -207,10 +211,9 @@ def cmd_verify_relations(args) -> Report:
     return rep
 
 
-def cmd_verify_equivariance(args) -> Report | int:
+def cmd_verify_equivariance(args) -> Report:
     if args.n != 1:
-        print("equivariance verification is implemented for n=1", file=sys.stderr)
-        return 2
+        raise ValueError("equivariance verification is implemented for n=1")
     _at_least(args, 0, "Nmax")
     rep = Report("equivariance suite", metadata={"n": 1, "Nmax": args.Nmax})
     gens = [UqGenerator(k, 1) for k in ("E", "F", "K", "Kinv")]
@@ -484,7 +487,7 @@ def main(argv: List[str] | None = None) -> int:
         args = build_parser(_load_config(cfg_path)).parse_args(_expression_last(argv, start))
         t0 = time.time()
         rep = args.fn(args)
-        if isinstance(rep, int):  # normalize, or a handler that printed its own usage error
+        if isinstance(rep, int):  # normalize prints its own result
             return rep
         rep.wall_time = time.time() - t0
         return _emit(rep, args)

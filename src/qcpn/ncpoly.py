@@ -16,6 +16,18 @@ Rewriting is memoized per presentation: the normal form of a word is
 computed once and reused, which is what keeps the projection identity
 checks fast.
 
+Rewriting runs on integers.  Every rewrite-rule coefficient is a Laurent
+polynomial in s with integer coefficients (``Presentation._pair`` converts
+each one once and raises ArithmeticError if one is not), so every normal form
+of a word is too.  Inside ``Presentation`` a normal form is an immutable
+tuple of ``(word, ((e, k), ...))`` entries, sum of k * s^e * word, and sums
+are accumulated in ``{word: {e: k}}`` maps.  QScalars are built only at the
+NCPoly boundary, in ``normalize`` and ``mul``: one sum per distinct
+denominator of the input coefficients, then one canonical QScalar per output
+word.  Normal forms are unique, so the coefficient storage changes no output.
+When the input coefficients share one denominator (every Laurent input does),
+the words also come out in the order of a term-by-term add_terms sum.
+
 Every sum of TermMaps, in this module and in its callers, goes through one
 accumulation kernel: ``add_terms`` (acc += c * terms, zero coefficients
 dropped) and ``lincomb`` on top of it.
@@ -33,11 +45,15 @@ from .qcoeff import ONE, ZERO, QScalar, qpow
 Word = Tuple[int, ...]
 TermMap = Dict[Word, QScalar]
 LetterMap = Callable[[int], Optional[Tuple[QScalar, int]]]
+LaurentItems = Tuple[Tuple[int, int], ...]  # ((e, k), ...): sum of k * s^e, no zero k
+IntForm = Tuple[Tuple[Word, LaurentItems], ...]  # a normal form with Laurent coefficients
+IntAcc = Dict[Word, Dict[int, int]]  # the same, while it is being summed
 
 _Q = qpow(1)
 _QINV = qpow(-1)
 _ONE_MINUS_Q2 = ONE - qpow(2)
 _MISS = object()
+_UNIT: LaurentItems = ((0, 1),)
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
@@ -78,8 +94,8 @@ class Presentation:
     n: int
     sphere_reduction: bool = True
     max_steps: int = 50_000_000
-    _nf_cache: Dict[Word, TermMap] = field(default_factory=dict, repr=False)
-    _push_cache: Dict[Tuple[int, Word], TermMap] = field(default_factory=dict, repr=False)
+    _nf_cache: Dict[Word, IntForm] = field(default_factory=dict, repr=False)
+    _push_cache: Dict[Tuple[int, Word], IntForm] = field(default_factory=dict, repr=False)
     _pair_cache: Dict[Tuple[int, int], object] = field(default_factory=dict, repr=False)
     _steps: int = field(default=0, repr=False)
 
@@ -132,11 +148,17 @@ class Presentation:
         return None
 
     def _pair(self, a: int, b: int):
+        """The rule for (a, b) as (Laurent coefficient, word) pairs, or None; cached."""
         key = (a, b)
         hit = self._pair_cache.get(key, _MISS)
         if hit is _MISS:
-            hit = self._rewrite_pair(a, b)
-            self._pair_cache[key] = hit
+            rule = self._rewrite_pair(a, b)
+            if rule is not None:
+                for coeff, _ in rule:
+                    if not coeff.is_laurent():
+                        raise ArithmeticError(f"rewrite coefficient {coeff} for {(a, b)} is not a Laurent polynomial")
+                rule = tuple((tuple(coeff.num.items()), mid) for coeff, mid in rule)
+            hit = self._pair_cache[key] = rule
         return hit
 
     # -- word normal form ------------------------------------------------------
@@ -146,44 +168,42 @@ class Presentation:
     # needed.  Memoizing on (letter, normal word) gives far more cache reuse
     # than memoizing whole unnormalized words.
 
-    def _push(self, g: int, w: Word) -> TermMap:
+    def _push(self, g: int, w: Word) -> IntForm:
         key = (g, w)
         cached = self._push_cache.get(key)
         if cached is not None:
             return cached
-        if not w:
-            res: TermMap = {(g,): ONE}
-            self._push_cache[key] = res
-            return res
-        repl = self._pair(g, w[0])
+        repl = self._pair(g, w[0]) if w else None
         if repl is None:
-            res = {(g,) + w: ONE}
-            self._push_cache[key] = res
-            return res
-        self._steps += 1
-        if self._steps > self.max_steps:
-            raise RuntimeError("rewrite step budget exceeded (rule system bug?)")
-        acc: TermMap = {}
-        rest = w[1:]
-        for coeff, mid in repl:
-            poly: TermMap = {rest: ONE}
-            for g2 in reversed(mid):
-                poly = self._push_poly(g2, poly)
-            add_terms(acc, poly, coeff)
-        self._push_cache[key] = acc
-        return acc
+            res: IntForm = (((g,) + w, _UNIT),)
+        else:
+            self._steps += 1
+            if self._steps > self.max_steps:
+                raise RuntimeError("rewrite step budget exceeded (rule system bug?)")
+            acc: IntAcc = {}
+            rest: IntForm = ((w[1:], _UNIT),)
+            for coeff, mid in repl:
+                poly = rest
+                for g2 in reversed(mid):
+                    poly = self._push_poly(g2, poly)
+                _add_int(acc, poly, coeff)
+            res = _freeze(acc)
+        self._push_cache[key] = res
+        return res
 
-    def _push_poly(self, g: int, poly: TermMap) -> TermMap:
-        out: TermMap = {}
-        for w, c in poly.items():
-            add_terms(out, self._push(g, w), c)
-        return out
+    def _push_poly(self, g: int, poly: IntForm) -> IntForm:
+        if len(poly) == 1 and poly[0][1] == _UNIT:  # one word times 1: the cached push itself
+            return self._push(g, poly[0][0])
+        acc: IntAcc = {}
+        for w, c in poly:
+            _add_int(acc, self._push(g, w), c)
+        return _freeze(acc)
 
-    def _normal_word(self, w: Word) -> TermMap:
+    def _normal_word(self, w: Word) -> IntForm:
         cached = self._nf_cache.get(w)
         if cached is not None:
             return cached
-        poly: TermMap = {(): ONE}
+        poly: IntForm = (((), _UNIT),)
         for g in reversed(w):
             poly = self._push_poly(g, poly)
         self._nf_cache[w] = poly
@@ -309,24 +329,64 @@ def lincomb(pairs: Iterable[Tuple[NCPoly, QScalar | None]]) -> NCPoly:
     return NCPoly(acc)
 
 
+def _add_int(acc: IntAcc, form: IntForm, c: LaurentItems) -> None:
+    """acc += c * form in place, dropping a word whose coefficient cancels.
+
+    A word keeps its place while its coefficient stays nonzero and is
+    appended when it is new, as in add_terms.
+    """
+    for w, lau in form:
+        d = acc.setdefault(w, {})
+        for e, k in lau:
+            for ce, ck in c:
+                v = d.get(e + ce, 0) + k * ck
+                if v:
+                    d[e + ce] = v
+                else:
+                    del d[e + ce]
+        if not d:
+            del acc[w]
+
+
+def _freeze(acc: IntAcc) -> IntForm:
+    return tuple((w, tuple(d.items())) for w, d in acc.items())
+
+
+def _collect(items: Iterable[Tuple[Word, QScalar]], P: Presentation) -> NCPoly:
+    """sum of c * (normal form of w) over the (w, c) items.
+
+    Coefficients with one denominator are summed on integers, in one
+    {word: {e: k}} map per denominator, and each output word gets one
+    canonical QScalar; sums across denominators go through add_terms.
+    """
+    P._steps = 0  # the step budget bounds a single operation
+    groups: Dict[LaurentItems, IntAcc] = {}  # denominator -> sum
+    for w, c in items:
+        if c.num:
+            acc = groups.setdefault(tuple(sorted(c.den.items())), {})
+            _add_int(acc, P._normal_word(w), tuple(c.num.items()))
+    out: TermMap = {}
+    for den, acc in groups.items():
+        if den == _UNIT:
+            terms = {w: QScalar(d, _canonical=True) for w, d in acc.items()}
+        else:
+            terms = {w: QScalar(d, dict(den)) for w, d in acc.items()}
+        if len(groups) == 1:
+            return NCPoly(terms)
+        add_terms(out, terms)
+    return NCPoly(out)
+
+
 def normalize(a: NCPoly, P: Presentation) -> NCPoly:
     """Unique normal form of a modulo the sphere relations (idempotent)."""
-    out: TermMap = {}
-    P._steps = 0  # the step budget bounds a single operation
-    for w, c in a.terms.items():
+    for w in a.terms:
         P.check_letters(w)
-        add_terms(out, P._normal_word(w), c)
-    return NCPoly(out)
+    return _collect(a.terms.items(), P)
 
 
 def mul(a: NCPoly, b: NCPoly, P: Presentation) -> NCPoly:
     """Normalized product."""
-    out: TermMap = {}
-    P._steps = 0
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            add_terms(out, P._normal_word(wa + wb), ca * cb)
-    return NCPoly(out)
+    return _collect(((wa + wb, ca * cb) for wa, ca in a.terms.items() for wb, cb in b.terms.items()), P)
 
 
 def star(a: NCPoly, P: Presentation | None = None) -> NCPoly:

@@ -215,9 +215,12 @@ PAIRING_M = ("pairing", "--n", "2", "--N", "0..0", "--k", "0..0", "--json")
         (("--config=my.cfg",) + PAIRING_M, "q0 = half\n", 2),
         (("--config=my.cfg",) + PAIRING_M, "M 12\n", 2),
         (PAIRING_M, "L = notanint\n", 2),  # the default ./qcpn.cfg
+        (("--config", "nope.cfg") + PAIRING_M, "M = 12\n", 2),  # ./qcpn.cfg is there but not named
+        (("--config=.",) + PAIRING_M, "M = 12\n", 2),  # a directory
     ],
     ids=["equals-spelling", "separate-spelling", "abbreviated", "normalize-after-config", "tol-key-unknown",
-         "L-not-int", "q0-not-number", "no-equals-sign", "default-file-bad-L"],
+         "L-not-int", "q0-not-number", "no-equals-sign", "default-file-bad-L", "explicit-path-missing",
+         "explicit-path-directory"],
 )
 def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want):
     """--config is read in every spelling; an unknown key or a bad value is a usage error (exit 2)."""
@@ -249,11 +252,12 @@ def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want
         ("chern", "--n", "4", "--Nmax", "-2"),
         ("verify", "relations", "--n", "0"),
         ("verify", "relations", "--cases", "-5"),
+        ("verify", "equivariance", "--n", "2"),
     ],
     ids=["holo-dim", "verify-triple", "pairing", "tau1", "tau1-reversed-range", "holo-dim-fraction",
          "verify-triple-quarter", "identities-negative", "projections-negative-Nmax",
          "equivariance-negative-Nmax", "chern-negative-n", "chern-negative-Nmax", "relations-n-0",
-         "relations-negative-cases"],
+         "relations-negative-cases", "equivariance-n-2"],
 )
 def test_cli_input_errors_exit_2(argv):
     code, _, err = run_cli(*argv)

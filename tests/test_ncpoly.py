@@ -18,7 +18,7 @@ from qcpn.ncpoly import (
     star,
     uq_act,
 )
-from qcpn.qcoeff import ONE, QScalar, qpow
+from qcpn.qcoeff import ONE, QScalar, qint, qpow
 
 
 def gens(n):
@@ -191,6 +191,100 @@ def test_lincomb_of_normal_forms_is_normal(case):
     assert normalize(total, P) == total
     raw = lincomb((NCPoly.word(u + v), c) for (u, v, _), c in zip(pairs, coeffs))
     assert normalize(raw, P) == total
+
+
+# -- the integer kernel against the QScalar letter engine ---------------------
+
+
+class LetterEngine:
+    """Normal forms by pushing letters with QScalar coefficients throughout.
+
+    This is the engine the integer kernel replaced, kept as an oracle: the
+    same rules (Presentation._rewrite_pair) and the same memoized
+    insertion-sort pushes, with every sum an add_terms over QScalars.
+    """
+
+    def __init__(self, P):
+        self.P = P
+        self.cache = {}
+
+    def push(self, g, w):
+        key = (g, w)
+        if key not in self.cache:
+            repl = self.P._rewrite_pair(g, w[0]) if w else None
+            if repl is None:
+                res = {(g,) + w: ONE}
+            else:
+                res = {}
+                for coeff, mid in repl:
+                    poly = {w[1:]: ONE}
+                    for g2 in reversed(mid):
+                        poly = self.push_poly(g2, poly)
+                    add_terms(res, poly, coeff)
+            self.cache[key] = res
+        return self.cache[key]
+
+    def push_poly(self, g, poly):
+        out = {}
+        for w, c in poly.items():
+            add_terms(out, self.push(g, w), c)
+        return out
+
+    def combine(self, items):
+        """sum of c * (normal form of w) over (w, c), term by term."""
+        out = {}
+        for w, c in items:
+            poly = {(): ONE}
+            for g in reversed(w):
+                poly = self.push_poly(g, poly)
+            add_terms(out, poly, c)
+        return out
+
+
+# Laurent (integer, q^{1/2}-power, multi-term), rational and genuinely rational coefficients
+COEFFS = [ONE, -ONE, qpow(Fraction(1, 2)), -qpow(Fraction(-3, 2)) * QScalar.from_int(2), ONE - qpow(2),
+          QScalar.from_fraction(Fraction(1, 3)), QScalar.from_fraction(Fraction(-2, 3)) * qpow(1), qint(Fraction(1, 2))]
+
+
+def _oracle_cases(n):
+    word = st.lists(st.integers(0, 2 * n + 1), max_size=6).map(tuple)
+    terms = st.lists(st.tuples(word, st.sampled_from(COEFFS)), min_size=1, max_size=4)
+    return st.tuples(st.just(n), st.booleans(), terms, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(_oracle_cases))
+def test_integer_kernel_matches_letter_engine(case):
+    n, sphere, ta, tb = case
+    P = Presentation(n, sphere_reduction=sphere)
+    oracle = LetterEngine(P)
+    a, b = NCPoly(dict(ta)), NCPoly(dict(tb))
+    for got, items in (
+        (normalize(a, P), a.terms.items()),
+        (mul(a, b, P), [(wa + wb, ca * cb) for wa, ca in a.terms.items() for wb, cb in b.terms.items()]),
+    ):
+        want = oracle.combine(items)
+        assert got.terms == want
+        if len({tuple(sorted(c.den.items())) for _, c in items}) == 1:
+            assert list(got.terms) == list(want)  # one denominator: the same word order too
+
+
+def test_mixed_denominators_cancel():
+    # 1/3 w + 2/3 w - w with w = z0 z1 (n = 1): z1 z0 = q z0 z1 and z0 z1 (z0 z0* + z1 z1*) = z0 z1
+    P = Presentation(1)
+    third, two_thirds = QScalar.from_fraction(Fraction(1, 3)), QScalar.from_fraction(Fraction(2, 3))
+    a = NCPoly({(0, 2): third, (2, 0): two_thirds * qpow(-1), (0, 2, 0, 1): -ONE, (0, 2, 2, 3): -ONE})
+    assert normalize(a, P).terms == {}
+    assert mul(NCPoly.one(), a, P).terms == {}
+    assert mul(a, NCPoly.gen(1, True), P).terms == {}
+    assert normalize(NCPoly({(0, 2): third, (2, 0): two_thirds * qpow(-1)}), P) == NCPoly.word((0, 2))
+
+
+def test_non_laurent_rule_coefficient_raises(monkeypatch):
+    P = Presentation(1)
+    monkeypatch.setattr(P, "_rewrite_pair", lambda a, b: [(QScalar.from_fraction(Fraction(1, 2)), (b, a))])
+    with pytest.raises(ArithmeticError, match="not a Laurent polynomial"):
+        normalize(NCPoly.word((2, 0)), P)
 
 
 # -- U_q(su(n+1)) action -----------------------------------------------------
