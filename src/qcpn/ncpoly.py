@@ -28,23 +28,24 @@ word.  Normal forms are unique, so the coefficient storage changes no output.
 When the input coefficients share one denominator (every Laurent input does),
 the words also come out in the order of a term-by-term add_terms sum.
 
-Every sum of TermMaps, in this module and in its callers, goes through one
-accumulation kernel: ``add_terms`` (acc += c * terms, zero coefficients
-dropped) and ``lincomb`` on top of it.
+Two kernels do all the summing.  ``_add_int`` sums normal forms on integers
+inside ``_collect``, which serves ``normalize``, ``mul`` and the U_q actions:
+``coproduct_act`` streams its (word, coefficient) items straight into it.
+``add_terms`` (acc += c * terms, zero coefficients dropped) sums QScalar
+TermMaps: NCPoly addition, ``lincomb`` on top of it (every sum of normal
+forms in the callers), and ``_collect``'s sum across denominators.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .qcoeff import ONE, ZERO, QScalar, qpow
 
 Word = Tuple[int, ...]
 TermMap = Dict[Word, QScalar]
-LetterMap = Callable[[int], Optional[Tuple[QScalar, int]]]
 LaurentItems = Tuple[Tuple[int, int], ...]  # ((e, k), ...): sum of k * s^e, no zero k
 IntForm = Tuple[Tuple[Word, LaurentItems], ...]  # a normal form with Laurent coefficients
 IntAcc = Dict[Word, Dict[int, int]]  # the same, while it is being summed
@@ -54,6 +55,7 @@ _QINV = qpow(-1)
 _ONE_MINUS_Q2 = ONE - qpow(2)
 _MISS = object()
 _UNIT: LaurentItems = ((0, 1),)
+_MAX_STEPS = 50_000_000  # rewrite steps allowed in one _collect (a rule-system bug tripwire)
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
@@ -93,7 +95,6 @@ class Presentation:
 
     n: int
     sphere_reduction: bool = True
-    max_steps: int = 50_000_000
     _nf_cache: Dict[Word, IntForm] = field(default_factory=dict, repr=False)
     _push_cache: Dict[Tuple[int, Word], IntForm] = field(default_factory=dict, repr=False)
     _pair_cache: Dict[Tuple[int, int], object] = field(default_factory=dict, repr=False)
@@ -178,8 +179,8 @@ class Presentation:
             res: IntForm = (((g,) + w, _UNIT),)
         else:
             self._steps += 1
-            if self._steps > self.max_steps:
-                raise RuntimeError("rewrite step budget exceeded (rule system bug?)")
+            if self._steps > _MAX_STEPS:
+                raise ArithmeticError("rewrite step budget exceeded (rule system bug?)")
             acc: IntAcc = {}
             rest: IntForm = ((w[1:], _UNIT),)
             for coeff, mid in repl:
@@ -418,74 +419,46 @@ class UqGenerator:
         return f"{suffix}_{self.i}"
 
 
-def _k_weight(i: int, g: int, n: int) -> Fraction:
-    """Exponent w with K_i |> g = q^w g for a single letter g."""
-    t, starred = g >> 1, g & 1
-    w = Fraction(0)
-    if t == n - i:
-        w += Fraction(1, 2)
-    if t == n + 1 - i:
-        w -= Fraction(1, 2)
-    return -w if starred else w
-
-
-def _k2rho_weight(g: int, n: int) -> int:
-    """Exponent c with K_2rho |> g = q^c g."""
-    acc = Fraction(0)
-    for i in range(1, n + 1):
-        acc += 2 * i * (n + 1 - i) * _k_weight(i, g, n)
-    assert acc.denominator == 1
-    return int(acc)
-
-
-def _e_on_letter(i: int, g: int, n: int) -> Tuple[QScalar, int] | None:
-    """E_i |> letter, or None if killed."""
-    t, starred = g >> 1, g & 1
-    if not starred:
-        if t == n + 1 - i:  # E_i |> z_t = z_{t-1}
-            return ONE, letter(t - 1, False)
-        return None
-    if t == n - i:  # E_i |> z_t^* = -q z_{t+1}^*
-        return -_Q, letter(t + 1, True)
-    return None
-
-
-def _f_on_letter(i: int, g: int, n: int) -> Tuple[QScalar, int] | None:
-    t, starred = g >> 1, g & 1
-    if not starred:
-        if t == n - i:  # F_i |> z_t = z_{t+1}
-            return ONE, letter(t + 1, False)
-        return None
-    if t == n + 1 - i:  # F_i |> z_t^* = -q^{-1} z_{t-1}^*
-        return -_QINV, letter(t - 1, True)
-    return None
+def _k_weight(i: int, n: int) -> List[int]:
+    """Exponent w with K_i |> g = s^w g (s = q^{1/2}), for every letter g."""
+    weight = [0] * (2 * n + 2)
+    for t, w in ((n - i, 1), (n + 1 - i, -1)):  # K_i |> z_t = q^{w/2} z_t, K_i |> z_t^* = q^{-w/2} z_t^*
+        weight[2 * t], weight[2 * t + 1] = w, -w
+    return weight
 
 
 def coproduct_act(
-    a: NCPoly, P: Presentation, weight: Callable[[int], Fraction | int], on_letter: LetterMap | None = None
+    a: NCPoly, P: Presentation, weight: Sequence[int], image: Dict[int, Tuple[QScalar, int]] | None = None
 ) -> NCPoly:
     """Action on a of a grouplike K, or of an X with coproduct X (x) K + K^{-1} (x) X.
 
-    weight(g) is the exponent w with K |> g = q^w g.  Without on_letter the
-    result is K |> a; otherwise on_letter(g) gives X |> g as (coeff, letter),
-    or None if X kills g, and X acts on a word letter by letter with K^{-1}
-    weights to the left of the acted letter and K weights to its right.
+    weight[g] is the exponent w with K |> g = s^w g.  Without image the
+    result is K |> a; otherwise image[g] = (coeff, g2) means X |> g = coeff g2,
+    X kills the letters missing from image, and X acts on a word letter by
+    letter with K^{-1} weights to the left of the acted letter and K weights
+    to its right.  The (word, coefficient) items stream into ``_collect``, so
+    the words come out in the order of a term-by-term sum of their normal
+    forms, as in ``mul``.
     """
-    acc: TermMap = {}
-    for w, c in a.terms.items():
-        ws = [weight(g) for g in w]
-        if on_letter is None:
-            add_terms(acc, {w: c * qpow(sum(ws))})
-            continue
-        left, total = 0, sum(ws)
-        for p, g in enumerate(w):
-            hit = on_letter(g)
-            if hit is not None:
-                coeff, g2 = hit
-                e = total - ws[p] - 2 * left
-                add_terms(acc, {w[:p] + (g2,) + w[p + 1:]: c * coeff * qpow(e)})
-            left += ws[p]
-    return normalize(NCPoly(acc), P)
+    for w in a.terms:
+        P.check_letters(w)
+
+    def items() -> Iterator[Tuple[Word, QScalar]]:
+        for w, c in a.terms.items():
+            ws = [weight[g] for g in w]
+            total = sum(ws)
+            if image is None:
+                yield w, c * QScalar.s_pow(total)
+                continue
+            left = 0
+            for p, g in enumerate(w):
+                hit = image.get(g)
+                if hit is not None:
+                    coeff, g2 = hit
+                    yield w[:p] + (g2,) + w[p + 1:], c * coeff * QScalar.s_pow(total - ws[p] - 2 * left)
+                left += ws[p]
+
+    return _collect(items(), P)
 
 
 def uq_act(x: UqGenerator, a: NCPoly, P: Presentation) -> NCPoly:
@@ -496,19 +469,24 @@ def uq_act(x: UqGenerator, a: NCPoly, P: Presentation) -> NCPoly:
     letters transform via x |> a^* = (S(x)^* |> a)^*.
     """
     n, i = P.n, x.i
-    if x.kind in ("K", "E", "F"):
-        weight = lambda g: _k_weight(i, g, n)
-    elif x.kind == "Kinv":
-        weight = lambda g: -_k_weight(i, g, n)
-    elif x.kind in ("K2rho", "K2rhoInv"):
+    if x.kind in ("K2rho", "K2rhoInv"):
         sign = -1 if x.kind == "K2rhoInv" else 1
-        weight = lambda g: sign * _k2rho_weight(g, n)
-    else:
+        tables = [(2 * j * (n + 1 - j), _k_weight(j, n)) for j in range(1, n + 1)]
+        return coproduct_act(a, P, [sign * sum(c * t[g] for c, t in tables) for g in range(2 * n + 2)])
+    if x.kind not in ("K", "Kinv", "E", "F"):
         raise ValueError(f"unknown generator kind {x.kind}")
-    if x.kind not in ("E", "F"):
+    if not 1 <= i <= n:
+        raise ValueError(f"U_q generator index {i} out of range 1..{n}")
+    weight = _k_weight(i, n)
+    if x.kind == "K":
         return coproduct_act(a, P, weight)
-    on_letter = _e_on_letter if x.kind == "E" else _f_on_letter
-    return coproduct_act(a, P, weight, lambda g: on_letter(i, g, n))
+    if x.kind == "Kinv":
+        return coproduct_act(a, P, [-w for w in weight])
+    lo, hi = letter(n - i, False), letter(n + 1 - i, False)  # z_{n-i} and z_{n+1-i}
+    if x.kind == "E":  # E_i |> z_{n+1-i} = z_{n-i},  E_i |> z_{n-i}^* = -q z_{n+1-i}^*
+        return coproduct_act(a, P, weight, {hi: (ONE, lo), lo + 1: (-_Q, hi + 1)})
+    # F_i |> z_{n-i} = z_{n+1-i},  F_i |> z_{n+1-i}^* = -q^{-1} z_{n-i}^*
+    return coproduct_act(a, P, weight, {lo: (ONE, hi), hi + 1: (-_QINV, lo + 1)})
 
 
 def counit(x: UqGenerator) -> QScalar:

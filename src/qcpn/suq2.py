@@ -20,7 +20,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
@@ -50,8 +49,8 @@ class SUq2Box:
     """Truncated left-regular representation of A(SU_q(2)) with l <= L.
 
     The basis is ordered by l, then m, then n.  ``lmn`` holds its doubled
-    labels as a (3, dim) integer array; ``states`` and ``index`` give the
-    same labels as tuples.
+    labels as a (3, dim) integer array; ``_locate`` maps labels back to
+    basis indices.
     """
 
     def __init__(self, L: int, q0: float):
@@ -73,14 +72,6 @@ class SUq2Box:
         self._qpow = np.array([q0 ** x for x in xs])
         self._qbrk = np.array([_brk(q0, x) for x in xs])
         self._ops: Dict[str, sparse.csr_matrix] = {}
-
-    @cached_property
-    def states(self) -> List[Lmn]:
-        return list(zip(*self.lmn.tolist()))
-
-    @cached_property
-    def index(self) -> Dict[Lmn, int]:
-        return {s: i for i, s in enumerate(self.states)}
 
     def _q(self, x: np.ndarray) -> np.ndarray:
         """q0 ** x at a half-integer array x."""
@@ -309,10 +300,7 @@ _Z0S, _Z1S = letter(0, True), letter(1, True)
 
 _LE_TABLE = {_Z0: (-ONE, _Z1S), _Z1: (qpow(-1), _Z0S)}
 _LF_TABLE = {_Z0S: (qpow(1), _Z1), _Z1S: (-ONE, _Z0)}
-
-
-def _lk_weight(g: int) -> Fraction:
-    return Fraction(1, 2) if (g & 1) else Fraction(-1, 2)
+_LK_WEIGHT = (-1, 1, -1, 1)  # L_K |> g = s^w g: q^{-1/2} on z_i, q^{1/2} on z_i^*
 
 
 def l_act(kind: str, a: NCPoly, P: Presentation) -> NCPoly:
@@ -325,14 +313,14 @@ def l_act(kind: str, a: NCPoly, P: Presentation) -> NCPoly:
     if P.n != 1:
         raise ValueError("symbolic L action implemented for n = 1 only")
     if kind == "K":
-        return coproduct_act(a, P, _lk_weight)
+        return coproduct_act(a, P, _LK_WEIGHT)
     table = {"E": _LE_TABLE, "F": _LF_TABLE}[kind]
-    return coproduct_act(a, P, lambda g: -_lk_weight(g), table.get)
+    return coproduct_act(a, P, [-w for w in _LK_WEIGHT], table)
 
 
-def dbar(a: NCPoly, P: Presentation, N: int = 0) -> NCPoly:
-    """Holomorphic-connection component: q^{N/2-1} a <| F = -q^{N/2-2} L_F a."""
-    return l_act("F", a, P).scale(-qpow(Fraction(N, 2) - 2))
+def dbar(a: NCPoly, P: Presentation) -> NCPoly:
+    """Holomorphic-connection component on Gamma_0: q^{-1} a <| F = -q^{-2} L_F a."""
+    return l_act("F", a, P).scale(-qpow(-2))
 
 
 # ---------------------------------------------------------------------------

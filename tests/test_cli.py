@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qcpn
+from qcpn import ncpoly
 from qcpn.cli import main
 from qcpn.ncpoly import NCPoly, Presentation, mul, normalize
 from qcpn.parser import ParseError, parse_expr, print_expr
@@ -141,6 +142,14 @@ def test_cli_normalize_parse_error_exit_2():
     code, _, err = run_cli("normalize", "z0 +", "--n", "1")
     assert code == 2
     assert "parse error" in err
+
+
+def test_cli_step_budget_exit_3(monkeypatch):
+    """The rewrite step budget is a tripwire: exceeding it exits 3, not with a traceback."""
+    monkeypatch.setattr(ncpoly, "_MAX_STEPS", 0)
+    code, out, err = run_cli("normalize", "z0 z0*", "--n", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: rewrite step budget exceeded (rule system bug?)\n"
 
 
 def test_cli_identities_pass():

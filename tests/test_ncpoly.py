@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcpn import ncpoly, suq2
 from qcpn.ncpoly import (
     NCPoly,
     Presentation,
@@ -19,6 +20,7 @@ from qcpn.ncpoly import (
     uq_act,
 )
 from qcpn.qcoeff import ONE, QScalar, qint, qpow
+from qcpn.suq2 import dbar, l_act
 
 
 def gens(n):
@@ -366,8 +368,162 @@ def test_uq_su2_relations_on_elements():
         assert lhs == uq_act(E, a, P).scale(qpow(1))
 
 
-def test_step_budget_guard():
-    P = Presentation(1, max_steps=0)
+def test_step_budget_guard(monkeypatch):
+    monkeypatch.setattr(ncpoly, "_MAX_STEPS", 0)
+    P = Presentation(1)
     z, zs = gens(1)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ArithmeticError, match="step budget exceeded"):
         mul(z[0], zs[0], P)
+
+
+KINDS = ("E", "F", "K", "Kinv", "K2rho", "K2rhoInv")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_action_rejects_letters_outside_the_presentation(kind):
+    P = Presentation(1)
+    for a in (NCPoly.gen(3), NCPoly.gen(2, True), NCPoly.word((0, 1, 9)), NCPoly.word((-1,))):
+        with pytest.raises(ValueError, match="generator index -?[0-9]+ out of range"):
+            uq_act(UqGenerator(kind, 1), a, P)
+    if kind in ("E", "F", "K"):
+        with pytest.raises(ValueError, match="generator index 2 out of range"):
+            l_act(kind, NCPoly.word((0, 4)), P)
+
+
+@pytest.mark.parametrize("kind", ("E", "F", "K", "Kinv"))
+def test_action_rejects_generator_index_outside_1_to_n(kind):
+    P = Presentation(2)
+    for i in (0, 3, -1):
+        with pytest.raises(ValueError, match=f"U_q generator index {i} out of range 1..2"):
+            uq_act(UqGenerator(kind, i), NCPoly.gen(0), P)
+
+
+# -- the table action against the engine it replaced ---------------------------
+
+
+class ParentAction:
+    """The U_q action before its letter tables, kept as an oracle.
+
+    Fraction K-weights recomputed per letter, E/F images from if-chains
+    behind callbacks, and a TermMap filled by single-entry add_terms calls
+    and normalized at the end.  ``items`` records the (word, coefficient)
+    items in the order they were produced.
+    """
+
+    def __init__(self, P):
+        self.P, self.n = P, P.n
+        self.items = []
+
+    def k_weight(self, i, g):
+        t, starred = g >> 1, g & 1
+        w = Fraction(0)
+        if t == self.n - i:
+            w += Fraction(1, 2)
+        if t == self.n + 1 - i:
+            w -= Fraction(1, 2)
+        return -w if starred else w
+
+    def k2rho_weight(self, g):
+        n = self.n
+        return int(sum(2 * i * (n + 1 - i) * self.k_weight(i, g) for i in range(1, n + 1)))
+
+    def e_on_letter(self, i, g):
+        t, starred = g >> 1, g & 1
+        if not starred:
+            return (ONE, 2 * (t - 1)) if t == self.n + 1 - i else None
+        return (-qpow(1), 2 * (t + 1) + 1) if t == self.n - i else None
+
+    def f_on_letter(self, i, g):
+        t, starred = g >> 1, g & 1
+        if not starred:
+            return (ONE, 2 * (t + 1)) if t == self.n - i else None
+        return (-qpow(-1), 2 * (t - 1) + 1) if t == self.n + 1 - i else None
+
+    def coproduct(self, a, weight, on_letter=None):
+        acc = {}
+        self.items = []
+        for w, c in a.terms.items():
+            ws = [weight(g) for g in w]
+            if on_letter is None:
+                self.items.append((w, c * qpow(sum(ws))))
+                add_terms(acc, {w: self.items[-1][1]})
+                continue
+            left, total = 0, sum(ws)
+            for p, g in enumerate(w):
+                hit = on_letter(g)
+                if hit is not None:
+                    coeff, g2 = hit
+                    self.items.append((w[:p] + (g2,) + w[p + 1:], c * coeff * qpow(total - ws[p] - 2 * left)))
+                    add_terms(acc, {self.items[-1][0]: self.items[-1][1]})
+                left += ws[p]
+        return normalize(NCPoly(acc), self.P)
+
+    def uq_act(self, x, a):
+        i = x.i
+        if x.kind in ("K", "E", "F"):
+            weight = lambda g: self.k_weight(i, g)
+        elif x.kind == "Kinv":
+            weight = lambda g: -self.k_weight(i, g)
+        else:
+            sign = -1 if x.kind == "K2rhoInv" else 1
+            weight = lambda g: sign * self.k2rho_weight(g)
+        if x.kind not in ("E", "F"):
+            return self.coproduct(a, weight)
+        on_letter = self.e_on_letter if x.kind == "E" else self.f_on_letter
+        return self.coproduct(a, weight, lambda g: on_letter(i, g))
+
+    def l_act(self, kind, a):
+        lk = lambda g: Fraction(1, 2) if (g & 1) else Fraction(-1, 2)
+        if kind == "K":
+            return self.coproduct(a, lk)
+        table = {"E": suq2._LE_TABLE, "F": suq2._LF_TABLE}[kind]
+        return self.coproduct(a, lambda g: -lk(g), table.get)
+
+    def streamed(self):
+        """sum of c * (normal form of w) over the recorded items, term by term."""
+        return lincomb((normalize(NCPoly.word(w), self.P), c) for w, c in self.items)
+
+
+def _assert_same_action(got, oracle, want):
+    assert got.terms == want.terms
+    if len({tuple(sorted(c.den.items())) for _, c in oracle.items}) <= 1:
+        assert list(got.terms) == list(oracle.streamed().terms)  # one denominator: the same word order too
+
+
+def _action_cases(n):
+    word = st.lists(st.integers(0, 2 * n + 1), max_size=5).map(tuple)
+    terms = st.lists(st.tuples(word, st.sampled_from(COEFFS)), min_size=1, max_size=4)
+    return st.tuples(st.just(n), st.booleans(), st.booleans(), terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(_action_cases))
+def test_table_action_matches_parent_engine(case):
+    n, sphere, normal_input, terms = case
+    P = Presentation(n, sphere_reduction=sphere)
+    oracle = ParentAction(P)
+    a = NCPoly(dict(terms))
+    if normal_input:
+        a = normalize(a, P)
+    for kind in KINDS:
+        for i in range(1, n + 1):
+            x = UqGenerator(kind, i)
+            _assert_same_action(uq_act(x, a, P), oracle, oracle.uq_act(x, a))
+    if n == 1:
+        for kind in ("E", "F", "K"):
+            _assert_same_action(l_act(kind, a, P), oracle, oracle.l_act(kind, a))
+        assert dbar(a, P) == oracle.l_act("F", a).scale(-qpow(-2))
+
+
+def test_streamed_word_order_when_a_partial_sum_cancels():
+    # E_1 at n = 1 without sphere reduction: two items share an output word, and
+    # the normal forms of the items between them cancel a word that both reach.
+    # The terms equal the TermMap-then-normalize engine's; the words come out in
+    # the order of the term-by-term sum of the items, as in mul.
+    P = Presentation(1, sphere_reduction=False)
+    a = NCPoly({(1, 2, 3): ONE, (1, 0): -qpow(1), (3, 0, 2): qpow(-2), (3,): qpow(-1), (3, 2, 1): -ONE})
+    oracle = ParentAction(P)
+    want = oracle.uq_act(UqGenerator("E", 1), a)
+    got = uq_act(UqGenerator("E", 1), a, P)
+    assert got.terms == want.terms
+    assert list(got.terms) == list(oracle.streamed().terms) != list(want.terms)

@@ -39,6 +39,13 @@ A_EL = mul(Z1S, Z1, P1)
 B_EL = mul(Z1S, Z0, P1)
 
 
+def _at(box, l2, m2, n2):
+    """Basis index of the doubled label (l2, m2, n2), which must lie in the box."""
+    i = int(box._locate(np.array(l2), np.array(m2), np.array(n2)))
+    assert i >= 0, (l2, m2, n2)
+    return i
+
+
 @pytest.fixture(scope="module")
 def box():
     return SUq2Box(9, Q0)
@@ -114,10 +121,10 @@ def test_assembly_at_truncation_wall():
     l = 5.0
     for m2, n2 in [(0, 0), (4, -2), (-6, 2)]:
         m, n = m2 / 2, n2 / 2
-        i = box.index[(10, m2, n2)]
+        i = _at(box, 10, m2, n2)
         # the raising terms leave the box; the lowering and level terms stay
         alpha = box.alpha()[:, [i]].tocoo()
-        assert alpha.nnz == 1 and alpha.row[0] == box.index[(9, m2 + 1, n2 + 1)]
+        assert alpha.nnz == 1 and alpha.row[0] == _at(box, 9, m2 + 1, n2 + 1)
         dn = Q0 ** (l + (m + n + 1) / 2) * math.sqrt(br(l - m) * br(l - n) / (br(2 * l) * br(2 * l + 1)))
         assert alpha.data[0] == pytest.approx(dn, rel=1e-14)
         a_col = box.a_op()[:, i]
@@ -133,30 +140,30 @@ def test_assembly_at_truncation_wall():
             / br(2 * l + 1)
             * (Q0 ** (-l - 0.5) * br(l + n + 1) / br(2 * l + 2) - Q0 ** (l + 0.5) * br(l - n) / br(2 * l))
         )
-        assert box.b_op()[box.index[(10, m2 + 2, n2)], i] == pytest.approx(mid, rel=1e-14)
-        assert box.lf()[box.index[(10, m2, n2 + 2)], i] == pytest.approx(
+        assert box.b_op()[_at(box, 10, m2 + 2, n2), i] == pytest.approx(mid, rel=1e-14)
+        assert box.lf()[_at(box, 10, m2, n2 + 2), i] == pytest.approx(
             math.sqrt(br(l - n) * br(l + n + 1)), rel=1e-14
         )
     # top weight n = l: L_F vanishes, L_E does not
-    i = box.index[(10, 0, 10)]
+    i = _at(box, 10, 0, 10)
     assert box.lf()[:, i].nnz == 0 and box.le()[:, i].nnz == 1
 
 
 def test_laction_formulas(box):
     lk, le, lf = box.lk(), box.le(), box.lf()
     for (l2, m2, n2) in [(2, 0, 2), (3, 1, -1), (4, -2, 0)]:
-        i = box.index[(l2, m2, n2)]
+        i = _at(box, l2, m2, n2)
         assert lk[i, i] == pytest.approx(Q0 ** (-n2 / 2))
         # L_F amplitude sqrt([l-n][l+n+1])
         if abs(n2 + 2) <= l2:
-            j = box.index[(l2, m2, n2 + 2)]
+            j = _at(box, l2, m2, n2 + 2)
             assert lf[j, i] == pytest.approx(
                 math.sqrt(_brk(Q0, (l2 - n2) / 2) * _brk(Q0, (l2 + n2) / 2 + 1))
             )
     # L_E on the highest n: |l,m,l> has L_F = 0 and L_E coeff sqrt([1][2l])
-    i = box.index[(1, 1, 1)]
+    i = _at(box, 1, 1, 1)
     assert lf[:, i].nnz == 0
-    j = box.index[(1, 1, -1)]
+    j = _at(box, 1, 1, -1)
     assert le[j, i] == pytest.approx(math.sqrt(_brk(Q0, 1.0) * _brk(Q0, 1.0)))
 
 
@@ -180,7 +187,7 @@ def test_commutator_is_multiplication_operator(box):
         X_lea = box.represent(l_act("E", a, P1))
         comm = le @ Xa - Xa @ le
         for n2 in (-1, 1, 3):
-            sl = [i for i in box.gamma_slice(-n2) if box.states[i][0] <= 2 * box.L - 4]
+            sl = [i for i in box.gamma_slice(-n2) if box.lmn[0][i] <= 2 * box.L - 4]
             for i in sl[:: max(1, len(sl) // 7)]:
                 v = np.zeros(box.dim)
                 v[i] = 1.0
@@ -211,7 +218,7 @@ def test_gamma_module_decomposition(box):
         sl = box.gamma_slice(N)
         per_l = {}
         for i in sl:
-            l2 = box.states[i][0]
+            l2 = int(box.lmn[0][i])
             per_l[l2] = per_l.get(l2, 0) + 1
         for l2, count in per_l.items():
             assert l2 >= abs(N) and (l2 - abs(N)) % 2 == 0
@@ -429,7 +436,7 @@ def test_index_numeric_rejects_cross_sector_leak(monkeypatch):
 
     def leaky(self):
         mat = le(self).tolil()
-        mat[self.index[(3, 1, -1)], self.index[(1, 1, 1)]] = 1.0  # l 1/2 -> 3/2
+        mat[_at(self, 3, 1, -1), _at(self, 1, 1, 1)] = 1.0  # l 1/2 -> 3/2
         return mat.tocsr()
 
     monkeypatch.setattr(SUq2Box, "le", leaky)
