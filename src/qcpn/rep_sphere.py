@@ -202,6 +202,8 @@ def fredholm_pairing(N: int, k: int, n: int, M: int, q0: float) -> PairingResult
     """
     if N < 0:
         raise ValueError("pairing is stated for P_{-N} with N >= 0")
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n for F_k, got k={k} with n={n}")
     from .projections import psi
 
     av = psi(-N, n)

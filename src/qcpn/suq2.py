@@ -599,6 +599,21 @@ def _column_sq(mat: sparse.spmatrix) -> np.ndarray:
     return np.asarray(mat.multiply(mat).sum(axis=0)).ravel()
 
 
+def _matching_values(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Absolute values of the COO entries of a partial matching, in input order.
+
+    A matrix with at most one nonzero per row and per column is, up to
+    permutations and signs, diagonal, so its nonzero singular values are its
+    absolute entries.  Two nonzero entries in one row or one column raise
+    ArithmeticError.
+    """
+    nz = vals != 0
+    for idx, what in ((rows, "row"), (cols, "column")):
+        if np.bincount(idx[nz]).max(initial=0) > 1:
+            raise ArithmeticError(f"operator is not a partial matching: two nonzero entries share a {what}")
+    return np.abs(vals)
+
+
 @dataclass
 class IndexReport:
     value: int
@@ -630,9 +645,12 @@ def index_numeric(j2: int, L: int, q0: float, tol: float = 1e-8) -> IndexReport:
         ||(I - C C^T) p L_E D|| <= 1e-12 ||p L_E D|| column by column, so
         reading off T drops no part of an image.
 
-    Ranks are decided at ``tol``: singular values within a factor 10 of
-    ``tol`` set ``unstable``, and ``min_sv_gap`` is the smallest kept one.
-    A sector contributes (dim dom - rank) - (dim cod - rank), so ``value``
+    Every T is a partial matching, asserted (ArithmeticError otherwise): L_E
+    takes a sector vector at slot n to one vector at slot n - 1, so the
+    singular values of T are its absolute entries.  Ranks are decided at
+    ``tol``: values within a factor 10 of ``tol`` set ``unstable``, and
+    ``min_sv_gap`` is the smallest kept one.  A sector contributes
+    (dim dom - rank) - (dim cod - rank) = dim dom - dim cod, so ``value``
     and ``sectors`` depend on neither ``tol`` nor ``q0``; ``q0`` enters the
     entries of T and thereby ``unstable`` and ``min_sv_gap`` only.  ``L``
     must hold every sector vector and its image (L >= j + 3) and changes
@@ -668,39 +686,16 @@ def index_numeric(j2: int, L: int, q0: float, tol: float = 1e-8) -> IndexReport:
     if np.any(_column_sq(rest) > 1e-24 * _column_sq(img)):  # column norms, squared
         raise ArithmeticError("p L_E D leaves the span of the codomain sector vectors")
 
-    n_dom = np.bincount(dsec, minlength=len(sec_l))
-    n_cod = np.bincount(csec, minlength=len(sec_l))
-    # in-sector entries of G, grouped by sector, at positions local to the sector's T
-    s = dsec[Gc.col[own]]
-    order = np.argsort(s, kind="stable")
-    rows = (Gc.row[own] - np.searchsorted(csec, s))[order]
-    cols = (Gc.col[own] - np.searchsorted(dsec, s))[order]
-    vals = Gc.data[own][order]
-    bounds = np.searchsorted(s[order], np.arange(len(sec_l) + 1))
-    total = 0
-    sectors: Dict[Tuple[int, int], int] = {}
-    min_gap = float("inf")
-    unstable = False
-    for k, (l2s, m2s) in enumerate(zip(sec_l.tolist(), sec_m.tolist())):
-        nd, nc = int(n_dom[k]), int(n_cod[k])
-        if not nd and not nc:
-            continue
-        rank = 0
-        if nd and nc:
-            T = np.zeros((nc, nd))
-            blk = slice(bounds[k], bounds[k + 1])
-            T[rows[blk], cols[blk]] = vals[blk]
-            sv = np.linalg.svd(T, compute_uv=False)
-            rank = int(np.sum(sv > tol))
-            unstable = unstable or bool(np.any((tol / 10 < sv) & (sv < tol * 10)))
-            min_gap = min(min_gap, float(sv[sv > tol].min(initial=float("inf"))))
-        contrib = (nd - rank) - (nc - rank)
-        if contrib:
-            sectors[(l2s, m2s)] = contrib
-        if l2s > j2 + 1 and contrib:
-            raise ArithmeticError(f"sector l2={l2s} beyond j+1/2 contributed {contrib}")
-        total += contrib
-    return IndexReport(total, sectors, min_gap, unstable)
+    sv = _matching_values(Gc.row[own], Gc.col[own], Gc.data[own])
+    unstable = bool(np.any((tol / 10 < sv) & (sv < tol * 10)))
+    min_gap = float(sv[sv > tol].min(initial=float("inf")))
+    contrib = np.bincount(dsec, minlength=len(sec_l)) - np.bincount(csec, minlength=len(sec_l))
+    beyond = np.flatnonzero((sec_l > j2 + 1) & (contrib != 0))
+    if len(beyond):
+        k = beyond[0]
+        raise ArithmeticError(f"sector l2={sec_l[k]} beyond j+1/2 contributed {contrib[k]}")
+    sectors = {(l2s, m2s): c for l2s, m2s, c in zip(sec_l.tolist(), sec_m.tolist(), contrib.tolist()) if c}
+    return IndexReport(int(contrib.sum()), sectors, min_gap, unstable)
 
 
 # ---------------------------------------------------------------------------
@@ -754,34 +749,25 @@ def holo_dim(N: int, L: int, q0: float) -> HoloReport:
     """Numeric kernel dimension of the holomorphic connection on Gamma_N.
 
     The connection is q^{N/2-1} (.) <| F, realized as -q^{N/2-2} L_F on the
-    slice n = -N/2; kernel vectors are checked to sit at l = |N|/2, safely
-    away from the truncation wall.  Ranks are decided at 1e-9.
+    slice n = -N/2.  L_F maps that slice to n = -N/2 + 1 as a partial
+    matching, each state to at most one state and no two to the same one,
+    asserted (ArithmeticError otherwise), so its singular values are its
+    absolute entries.  Ranks are decided at 1e-9: the kernel is spanned by
+    the states with no kept entry, which must sit at l = |N|/2, safely away
+    from the truncation wall.
     """
     tol = 1e-9
     if 2 * L < abs(N) + 6:
         raise ValueError("truncation too small")
     box = SUq2Box(L, q0)
     sl = box.gamma_slice(N)
-    if len(sl) == 0:
-        return HoloReport(0, True, float("inf"), 0.0)
-    lf = box.lf()
-    tgt = box.gamma_slice(N - 2)  # L_F raises n by one
-    mat = lf[np.ix_(tgt, sl)].toarray() if len(tgt) else np.zeros((0, len(sl)))
-    if mat.shape[0] == 0:
-        sv = np.zeros(0)
-        rank = 0
-        null_vecs = np.eye(len(sl))
-    else:
-        _, sv, vt = np.linalg.svd(mat)  # vt is (cols x cols): full null basis
-        rank = int(np.sum(sv > tol))
-        null_vecs = vt[rank:].T
-    null_dim = len(sl) - rank
-    smallest_kept = float(min((s for s in sv if s > tol), default=float("inf")))
-    largest_dropped = float(max((s for s in sv if s <= tol), default=0.0))
-    # boundary safety: kernel basis vectors supported at l2 = |N| only
-    off_shell = box.lmn[0][sl] != abs(N)
-    safe = not np.any(np.abs(null_vecs[off_shell]) > 1e-7)
-    return HoloReport(null_dim, safe, smallest_kept, largest_dropped)
+    mat = box.lf()[np.ix_(box.gamma_slice(N - 2), sl)].tocoo()  # L_F raises n by one
+    sv = _matching_values(mat.row, mat.col, mat.data)
+    kept = sv > tol
+    kernel = np.setdiff1d(np.arange(len(sl)), mat.col[kept])
+    safe = bool(np.all(box.lmn[0][sl[kernel]] == abs(N)))
+    smallest_kept, largest_dropped = sv[kept].min(initial=float("inf")), sv[~kept].max(initial=0.0)
+    return HoloReport(len(sl) - int(kept.sum()), safe, float(smallest_kept), float(largest_dropped))
 
 
 def tau1_pairing(N: int) -> QScalar:

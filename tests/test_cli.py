@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -262,11 +263,12 @@ def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want
         ("verify", "relations", "--n", "0"),
         ("verify", "relations", "--cases", "-5"),
         ("verify", "equivariance", "--n", "2"),
+        ("pairing", "--n", "2", "--N", "3", "--k", "3", "--csv"),
     ],
     ids=["holo-dim", "verify-triple", "pairing", "tau1", "tau1-reversed-range", "holo-dim-fraction",
          "verify-triple-quarter", "identities-negative", "projections-negative-Nmax",
          "equivariance-negative-Nmax", "chern-negative-n", "chern-negative-Nmax", "relations-n-0",
-         "relations-negative-cases", "equivariance-n-2"],
+         "relations-negative-cases", "equivariance-n-2", "pairing-k-above-n"],
 )
 def test_cli_input_errors_exit_2(argv):
     code, _, err = run_cli(*argv)
@@ -291,3 +293,26 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+def _readme_cli_lines():
+    """The `qcpn ...` lines of the README's CLI code block, split as a shell would, comments dropped."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("qcpn ")]
+
+
+def test_readme_cli_examples_parse():
+    """Every README CLI example names a real subcommand and real flags; nothing is run."""
+    from qcpn import cli
+
+    lines = _readme_cli_lines()
+    assert len(lines) >= 12
+    for words in lines:
+        argv = words[1:]
+        _, start = cli._config_arg(argv)
+        try:
+            args = cli.build_parser({}).parse_args(cli._expression_last(argv, start))
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {' '.join(words)}")
+        assert callable(args.fn)

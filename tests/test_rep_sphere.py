@@ -137,6 +137,13 @@ def test_pairing_examples_from_statement():
     assert fredholm_pairing(0, 1, 2, 40, Q0).value == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [3, -1])
+def test_pairing_rejects_k_outside_0_to_n(k):
+    """F_k exists only for 0 <= k <= n; any other k is an input error, not a number."""
+    with pytest.raises(ValueError, match="0 <= k <= n"):
+        fredholm_pairing(3, k, 2, 40, Q0)
+
+
 def test_geometric_convergence_in_M():
     # at q0 = 0.8 the tail is visible; differences shrink geometrically
     vals = {M: fredholm_pairing(3, 1, 2, M, 0.8).value for M in (10, 20, 30)}

@@ -476,6 +476,113 @@ def test_index_numeric_sector_pattern():
     assert rep.sectors == expect
 
 
+def _svd_index(j2, L, q0, tol=1e-8):
+    """Reference index: each sector's T as a dense block, its rank from np.linalg.svd.
+
+    Returns the report fields and every sector's singular values.
+    """
+    from qcpn.suq2 import _hminus_slots, _p_operator, _sector_columns, _sector_labels
+
+    box = SUq2Box(L, q0)
+    sec_l, sec_m = _sector_labels(j2 + 5)
+    D, dsec = _sector_columns(box, sec_l, sec_m, _hplus_slots(j2))
+    C, csec = _sector_columns(box, sec_l, sec_m, _hminus_slots(j2))
+    le = box.le()
+    img = _p_operator(box) @ (sparse.block_diag([le, le], format="csr") @ D)
+    Gc = (C.T @ img).tocsr().tocoo()
+    own = csec[Gc.row] == dsec[Gc.col]
+    total, sectors, min_gap, unstable, svs = 0, {}, float("inf"), False, []
+    for k, (l2s, m2s) in enumerate(zip(sec_l.tolist(), sec_m.tolist())):
+        dom, cod = np.flatnonzero(dsec == k), np.flatnonzero(csec == k)
+        rank = 0
+        if len(dom) and len(cod):
+            T = np.zeros((len(cod), len(dom)))
+            mine = own & (dsec[Gc.col] == k)
+            T[np.searchsorted(cod, Gc.row[mine]), np.searchsorted(dom, Gc.col[mine])] = Gc.data[mine]
+            sv = np.linalg.svd(T, compute_uv=False)
+            svs.append(sv)
+            rank = int(np.sum(sv > tol))
+            unstable = unstable or bool(np.any((tol / 10 < sv) & (sv < tol * 10)))
+            min_gap = min(min_gap, float(sv[sv > tol].min(initial=float("inf"))))
+        contrib = (len(dom) - rank) - (len(cod) - rank)
+        if contrib:
+            sectors[(l2s, m2s)] = contrib
+        total += contrib
+    return (total, sectors, min_gap, unstable), np.concatenate(svs)
+
+
+def _svd_holo(N, L, q0):
+    """Reference holo_dim: a dense SVD of the L_F slice, and boundary safety read off its null-vector basis."""
+    tol = 1e-9
+    box = SUq2Box(L, q0)
+    sl = box.gamma_slice(N)
+    mat = box.lf()[np.ix_(box.gamma_slice(N - 2), sl)].toarray()
+    _, sv, vt = np.linalg.svd(mat)
+    rank = int(np.sum(sv > tol))
+    null_vecs = vt[rank:].T
+    smallest_kept = float(min((s for s in sv if s > tol), default=float("inf")))
+    largest_dropped = float(max((s for s in sv if s <= tol), default=0.0))
+    safe = not np.any(np.abs(null_vecs[box.lmn[0][sl] != abs(N)]) > 1e-7)
+    return len(sl) - rank, safe, smallest_kept, largest_dropped
+
+
+ORACLE_Q0 = (0.3, 0.5, 0.8)
+
+
+def _assert_index_matches(rep, ref):
+    value, sectors, min_gap, unstable = ref
+    assert (rep.value, rep.sectors, rep.unstable) == (value, sectors, unstable)
+    assert rep.min_sv_gap == pytest.approx(min_gap, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("q0", ORACLE_Q0)
+def test_index_numeric_matches_dense_svd(q0):
+    """Ranks read off the matching give the dense-SVD reports, at the default tol and at one among kept values."""
+    for j2 in range(1, 18, 2):
+        L = (j2 + 7) // 2
+        ref, sv = _svd_index(j2, L, q0)
+        _assert_index_matches(index_numeric(j2, L, q0), ref)
+        kept = np.unique(np.round(sv[sv > 1e-8], 9))  # rounded, so that values one ulp apart are one
+        tol = float(np.sqrt(kept[0] * kept[1]))  # between the two smallest kept values
+        ref, _ = _svd_index(j2, L, q0, tol)
+        assert ref[2] == pytest.approx(kept[1], rel=1e-9) and ref[3] == (kept[1] < 10 * tol)
+        _assert_index_matches(index_numeric(j2, L, q0, tol), ref)
+
+
+@pytest.mark.parametrize("q0", ORACLE_Q0)
+def test_holo_dim_matches_dense_svd(q0):
+    for N in range(-10, 4):
+        L = (abs(N) + 7) // 2
+        dimension, safe, smallest_kept, largest_dropped = _svd_holo(N, L, q0)
+        rep = holo_dim(N, L, q0)
+        assert (rep.dimension, rep.boundary_safe, rep.largest_dropped) == (dimension, safe, largest_dropped)
+        assert rep.smallest_kept == pytest.approx(smallest_kept, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("q0", ORACLE_Q0)
+def test_index_and_holo_reports_do_not_depend_on_L(q0):
+    """Beyond its guard, L changes no field of either report, not even in the last bit."""
+    for j2 in range(1, 18, 2):
+        guard = (j2 + 7) // 2
+        reps = [index_numeric(j2, L, q0) for L in range(guard, guard + 5)]
+        assert all(r == reps[0] for r in reps), j2
+    for N in range(-10, 4):
+        guard = (abs(N) + 7) // 2
+        reps = [holo_dim(N, L, q0) for L in range(guard, guard + 5)]
+        assert all(r == reps[0] for r in reps), N
+
+
+@pytest.mark.parametrize("rows, cols", [([0, 0], [0, 1]), ([0, 1], [2, 2])], ids=["row", "column"])
+def test_matching_values_rejects_two_entries_in_a_line(rows, cols):
+    from qcpn.suq2 import _matching_values
+
+    with pytest.raises(ArithmeticError, match="partial matching"):
+        _matching_values(np.array(rows), np.array(cols), np.array([1.0, -2.0]))
+    # an explicit zero shares its row and column with nothing
+    got = _matching_values(np.array(rows), np.array(cols), np.array([0.0, -2.0]))
+    assert got.tolist() == [0.0, 2.0]
+
+
 def test_poincare_pairing():
     assert poincare_pairing((1, 1), (1, 0), 3) == 1 * index_analytic(3)
     for c in ((0, 1), (2, 3)):
