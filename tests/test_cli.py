@@ -262,18 +262,86 @@ def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want
         ("chern", "--n", "4", "--Nmax", "-2"),
         ("verify", "relations", "--n", "0"),
         ("verify", "relations", "--cases", "-5"),
-        ("verify", "equivariance", "--n", "2"),
+        ("verify", "equivariance", "--n", "0"),
         ("pairing", "--n", "2", "--N", "3", "--k", "3", "--csv"),
+        ("tau1", "--N", "-1", "--csv"),
     ],
     ids=["holo-dim", "verify-triple", "pairing", "tau1", "tau1-reversed-range", "holo-dim-fraction",
          "verify-triple-quarter", "identities-negative", "projections-negative-Nmax",
          "equivariance-negative-Nmax", "chern-negative-n", "chern-negative-Nmax", "relations-n-0",
-         "relations-negative-cases", "equivariance-n-2", "pairing-k-above-n"],
+         "relations-negative-cases", "equivariance-n-0", "pairing-k-above-n", "tau1-negative-N"],
 )
 def test_cli_input_errors_exit_2(argv):
     code, _, err = run_cli(*argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_cli_verify_equivariance_n3():
+    """Every E_i, F_i, K_i and K_i^-1 of U_q(su(4)) at |N| <= 1: 3 x 3 x 4 records, all exactly 0."""
+    code, out, err = run_cli("verify", "equivariance", "--n", "3", "--Nmax", "1", "--json")
+    assert (code, err) == (0, "")
+    records = json.loads(out)["records"]
+    assert len(records) == 36
+    assert {r["params"]["x"] for r in records} == {f"{g}_{i}" for g in ("E", "F", "K", "K^-1") for i in (1, 2, 3)}
+    assert all(r["value"] == "0" and r["pass"] for r in records)
+
+
+# -- one parser per config, reused across in-process calls ----------------------
+
+
+def test_cli_each_config_gets_its_own_defaults(tmp_path, monkeypatch):
+    """In one process, a call under each of two ./qcpn.cfg files reports that file's q0 and L."""
+    for name, text in (("a", "q0 = 0.25\nL = 9\n"), ("b", "q0 = 0.75\nL = 10\n"), ("a", None)):
+        (tmp_path / name).mkdir(exist_ok=True)
+        if text is not None:
+            (tmp_path / name / "qcpn.cfg").write_text(text)
+        monkeypatch.chdir(tmp_path / name)
+        code, out, err = run_cli("index", "--j", "1/2", "--json")
+        assert (code, err) == (0, "")
+        want = {"a": {"L": "9", "q0": "0.25"}, "b": {"L": "10", "q0": "0.75"}}[name]
+        assert json.loads(out)["metadata"] == want
+
+
+def test_cli_errors_leave_the_parser_reusable(capsys):
+    """A usage error, a good call, two argparse errors and a good call in one process: each its own result."""
+    golden = (Path(__file__).parent / "golden" / "tau1.csv").read_text()
+    code, out, err = run_cli("tau1", "--N", "-1", "--csv")
+    assert (code, out, err) == (2, "", "error: --N must be at least 0, got -1\n")
+    assert run_cli("tau1", "--N", "0..2", "--csv") == (0, golden, "")
+    for bad, message in ((("tau1", "--json", "--csv"), "not allowed with argument"),
+                         (("tau1", "--bogus"), "unrecognized arguments: --bogus")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(list(bad))
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("usage: qcpn") and message in err
+    assert run_cli("tau1", "--N", "0..2", "--csv") == (0, golden, "")
+
+
+@pytest.mark.parametrize("text", ["q0 = 0.25\nL = 9\n", "q0 = nan\n"], ids=["q0-L", "q0-nan"])
+def test_cli_builds_one_parser_per_config(tmp_path, monkeypatch, text):
+    """Repeated calls under one config build the parser once; another config builds its own."""
+    from qcpn import cli
+
+    built, original = [], cli.build_parser
+
+    def counting(cfg):
+        built.append(dict(cfg))
+        return original(cfg)
+
+    monkeypatch.setattr(cli, "_PARSERS", {})  # an empty cache, restored afterwards
+    monkeypatch.setattr(cli, "build_parser", counting)
+    (tmp_path / "qcpn.cfg").write_text(text)
+    (tmp_path / "other.cfg").write_text("M = 7\n")
+    monkeypatch.chdir(tmp_path)
+    for _ in range(3):
+        assert run_cli("normalize", "z0* z1 - q z1 z0*", "--n", "1") == (0, "0\n", "")
+    assert len(built) == 1
+    assert run_cli("--config=other.cfg", "normalize", "1", "--n", "1") == (0, "1\n", "")
+    assert run_cli("normalize", "1", "--n", "2") == (0, "1\n", "")
+    assert built[1:] == [{"M": 7}]
 
 
 def test_cli_spectrum_json():
