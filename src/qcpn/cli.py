@@ -29,10 +29,10 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 from . import identities, rep_sphere, suq2
-from .ncpoly import NCPoly, Presentation, UqGenerator, lincomb, mul, normalize, star
+from .ncpoly import NCPoly, Presentation, UqGenerator, lincomb, mul, mul_sum, normalize, star
 from .parser import ParseError, parse_expr, print_expr
 from .projections import (
-    check_equivariance,
+    equivariance_residuals,
     is_projection,
     is_selfadjoint,
     projection,
@@ -166,25 +166,24 @@ def _relations(P: Presentation) -> List[NCPoly]:
     n = P.n
     z = [NCPoly.gen(i) for i in range(n + 1)]
     zs = [NCPoly.gen(i, True) for i in range(n + 1)]
-    rels = []
+    one = NCPoly.one()
+    sums = []  # each relation as (a, b, c) triples: sum of c * a * b
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
-            rels.append(mul(z[i], z[j], P) - mul(z[j], z[i], P).scale(qpow(-1)))
+            sums.append([(z[i], z[j], None), (z[j], z[i], -qpow(-1))])
     for i in range(n + 1):
         for j in range(n + 1):
             if i != j:
-                rels.append(mul(zs[i], z[j], P) - mul(z[j], zs[i], P).scale(qpow(1)))
-    rels.append(mul(zs[n], z[n], P) - mul(z[n], zs[n], P))
+                sums.append([(zs[i], z[j], None), (z[j], zs[i], -qpow(1))])
+    sums.append([(zs[n], z[n], None), (z[n], zs[n], -ONE)])
     for i in range(n):
-        rels.append(
-            lincomb(
-                [(mul(zs[i], z[i], P), None), (mul(z[i], zs[i], P), -ONE)]
-                + [(mul(z[j], zs[j], P), qpow(2) - ONE) for j in range(i + 1, n + 1)]
-            )
+        sums.append(
+            [(zs[i], z[i], None), (z[i], zs[i], -ONE)]
+            + [(z[j], zs[j], qpow(2) - ONE) for j in range(i + 1, n + 1)]
         )
-    rels.append(lincomb([(NCPoly.one(), -ONE)] + [(mul(z[j], zs[j], P), None) for j in range(n + 1)]))
-    rels.append(lincomb([(NCPoly.one(), -ONE)] + [(mul(zs[j], z[j], P), qpow(2 * j)) for j in range(n + 1)]))
-    return rels
+    sums.append([(one, one, -ONE)] + [(z[j], zs[j], None) for j in range(n + 1)])
+    sums.append([(one, one, -ONE)] + [(zs[j], z[j], qpow(2 * j)) for j in range(n + 1)])
+    return [mul_sum(t, P) for t in sums]
 
 
 def _random_poly(P: Presentation, rng: random.Random, deg: int = 3, terms: int = 2) -> NCPoly:
@@ -224,8 +223,7 @@ def cmd_verify_equivariance(args) -> Report:
     rep = Report("equivariance suite", metadata={"n": args.n, "Nmax": args.Nmax})
     gens = [UqGenerator(k, i) for i in range(1, args.n + 1) for k in ("E", "F", "K", "Kinv")]
     for N in range(-args.Nmax, args.Nmax + 1):
-        for g in gens:
-            res = check_equivariance(N, args.n, g)
+        for g, res in equivariance_residuals(N, args.n, gens).items():
             nz = sum(1 for row in res for e in row if not e.is_zero())
             rep.add(_tally("covariance_residual", {"N": N, "x": str(g)}, nz))
     return rep

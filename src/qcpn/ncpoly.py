@@ -22,18 +22,20 @@ each one once and raises ArithmeticError if one is not), so every normal form
 of a word is too.  Inside ``Presentation`` a normal form is an immutable
 tuple of ``(word, ((e, k), ...))`` entries, sum of k * s^e * word, and sums
 are accumulated in ``{word: {e: k}}`` maps.  QScalars are built only at the
-NCPoly boundary, in ``normalize`` and ``mul``: one sum per distinct
+NCPoly boundary, in ``normalize`` and ``mul_sum``: one sum per distinct
 denominator of the input coefficients, then one canonical QScalar per output
 word.  Normal forms are unique, so the coefficient storage changes no output.
 When the input coefficients share one denominator (every Laurent input does),
 the words also come out in the order of a term-by-term add_terms sum.
 
 Two kernels do all the summing.  ``_add_int`` sums normal forms on integers
-inside ``_collect``, which serves ``normalize``, ``mul`` and the U_q actions:
-``coproduct_act`` streams its (word, coefficient) items straight into it.
+inside ``_collect``, which serves ``normalize``, ``mul_sum`` and the U_q
+actions: ``coproduct_act`` streams its (word, coefficient) items straight into
+it.  ``mul_sum`` is the route for every sum of products, sum c * a * b, so
+such a sum is one integer accumulation; ``mul`` is its one-product case.
 ``add_terms`` (acc += c * terms, zero coefficients dropped) sums QScalar
-TermMaps: NCPoly addition, ``lincomb`` on top of it (every sum of normal
-forms in the callers), and ``_collect``'s sum across denominators.
+TermMaps: NCPoly addition, ``lincomb`` on top of it (every other sum of
+normal forms in the callers), and ``_collect``'s sum across denominators.
 """
 
 from __future__ import annotations
@@ -360,7 +362,7 @@ def _collect(items: Iterable[Tuple[Word, QScalar]], P: Presentation) -> NCPoly:
     {word: {e: k}} map per denominator, and each output word gets one
     canonical QScalar; sums across denominators go through add_terms.
     """
-    P._steps = 0  # the step budget bounds a single operation
+    P._steps = 0  # the step budget bounds a single operation: one whole sum
     groups: Dict[LaurentItems, IntAcc] = {}  # denominator -> sum
     for w, c in items:
         if c.num:
@@ -385,9 +387,28 @@ def normalize(a: NCPoly, P: Presentation) -> NCPoly:
     return _collect(a.terms.items(), P)
 
 
+def mul_sum(triples: Iterable[Tuple[NCPoly, NCPoly, QScalar | None]], P: Presentation) -> NCPoly:
+    """Normal form of sum c * a * b over the (a, b, c) triples (c None counts as 1).
+
+    Every product's (word, coefficient) items stream into one ``_collect``:
+    the normal forms of all the words are summed on integers in one map, and
+    QScalars are built once for the whole sum, not once per product.  The
+    step budget therefore bounds the whole sum.  c scales a once per triple.
+    """
+    return _collect(
+        (
+            (wa + wb, ca * cb)
+            for a, b, c in triples
+            for wa, ca in (a if c is None else a.scale(c)).terms.items()
+            for wb, cb in b.terms.items()
+        ),
+        P,
+    )
+
+
 def mul(a: NCPoly, b: NCPoly, P: Presentation) -> NCPoly:
     """Normalized product."""
-    return _collect(((wa + wb, ca * cb) for wa, ca in a.terms.items() for wb, cb in b.terms.items()), P)
+    return mul_sum(((a, b, None),), P)
 
 
 def star(a: NCPoly, P: Presentation | None = None) -> NCPoly:

@@ -25,6 +25,7 @@ from .ncpoly import (
     letter,
     lincomb,
     mul,
+    mul_sum,
     star,
     uq_act,
 )
@@ -126,7 +127,7 @@ def psi(N: int, n: int, P: Presentation | None = None) -> AlgebraVector:
 def psi_dagger_psi(av: AlgebraVector) -> NCPoly:
     """Normal form of Psi_N^dag Psi_N (should be 1)."""
     P = av.presentation
-    return lincomb((mul(star(m), m, P), u) for m, u in zip(av.monomials, av.weights))
+    return mul_sum(((star(m), m, u) for m, u in zip(av.monomials, av.weights)), P)
 
 
 def projection(N: int, n: int, P: Presentation | None = None) -> AlgebraMatrix:
@@ -141,11 +142,12 @@ def projection(N: int, n: int, P: Presentation | None = None) -> AlgebraMatrix:
 
 def is_projection(M: AlgebraMatrix) -> bool:
     """Check core * U * core == core entrywise, i.e. P_N^2 = P_N (core entries in normal form)."""
-    P = M.presentation
+    P, core = M.presentation, M.core
     k = len(M)
     for i in range(k):
+        row = [core[i][l].scale(M.weights[l]) for l in range(k)]  # row i of core * U
         for j in range(k):
-            if lincomb((mul(M.core[i][l], M.core[l][j], P), M.weights[l]) for l in range(k)) != M.core[i][j]:
+            if mul_sum(((row[l], core[l][j], None) for l in range(k)), P) != core[i][j]:
                 return False
     return True
 
@@ -283,18 +285,23 @@ def gen_antipode(x: UqGenerator, inverse: bool = False) -> Tuple[QScalar, UqGene
     return QScalar.from_int(sgn) * qpow(qexp), UqGenerator(kind, x.i)
 
 
-def check_equivariance(N: int, n: int, x: UqGenerator) -> List[List[NCPoly]]:
-    """Residual of the covariance identity for (P'_N, sigma^N), entrywise.
+def equivariance_residuals(N: int, n: int, gens: Sequence[UqGenerator]) -> Dict[UqGenerator, List[List[NCPoly]]]:
+    """Residual of the covariance identity for (P'_N, sigma^N), entrywise, per generator.
 
     Works with the diagonally rescaled pair p = U*core and
     sigma(y)^t = rho^{-1} sigma_comp(y^*) rho, where rho is the diagonal of
     K_2rho eigenvalues; this is the normalized pair conjugated by a constant
     diagonal matrix, so the residual vanishes iff the original one does.
-    Returns the matrix of normalized residual entries (empty == equivariant):
-    each entry is one linear combination of normal forms.
+    Each generator's value is the matrix of normalized residual entries
+    (empty == equivariant): each entry is one linear combination of normal
+    forms.  Psi_N, P_N, the component representation and every x |> p are
+    built once for all of gens.
     """
-    if x.kind not in ("E", "F", "K", "Kinv"):
-        raise ValueError("equivariance check supports E, F, K, K^-1")
+    for x in gens:
+        if x.kind not in _STAR:
+            raise ValueError("equivariance check supports E, F, K, K^-1")
+        if not 1 <= x.i <= n:
+            raise ValueError(f"U_q generator index {x.i} out of range 1..{n}")
     av = psi(N, n)
     P = av.presentation
     M = projection(N, n, P)
@@ -302,26 +309,37 @@ def check_equivariance(N: int, n: int, x: UqGenerator) -> List[List[NCPoly]]:
     rho = k2rho_eigenvalues(av)
     k = len(av)
     pmat = [[M.scaled_entry(i, j) for j in range(k)] for i in range(k)]
+    acted: Dict[UqGenerator, List[List[NCPoly]]] = {}
 
     def sigma_t(y: UqGenerator) -> List[List[QScalar]]:
         return diag_conj(rho, rep.matrix(gen_star(y)), inverse=True)
 
     def act(gen: UqGenerator) -> List[List[NCPoly]]:
-        return [[uq_act(gen, e, P) for e in row] for row in pmat]
+        if gen not in acted:
+            acted[gen] = [[uq_act(gen, e, P) for e in row] for row in pmat]
+        return acted[gen]
 
-    # residual = sum over the coproduct of x of (x_(1) |> p) sigma_t(x_(2)), minus sigma_t(x) p
-    if x.kind in ("K", "Kinv"):
-        lhs = [(act(x), sigma_t(x))]
-    else:  # Delta(x) = x (x) K + K^{-1} (x) x
-        lhs = [(act(x), sigma_t(UqGenerator("K", x.i))), (act(UqGenerator("Kinv", x.i)), sigma_t(x))]
-    neg_sigma = [[-c for c in row] for row in sigma_t(x)]
+    def residuals(x: UqGenerator) -> List[List[NCPoly]]:
+        # sum over the coproduct of x of (x_(1) |> p) sigma_t(x_(2)), minus sigma_t(x) p
+        if x.kind in ("K", "Kinv"):
+            lhs = [(act(x), sigma_t(x))]
+        else:  # Delta(x) = x (x) K + K^{-1} (x) x
+            lhs = [(act(x), sigma_t(UqGenerator("K", x.i))), (act(UqGenerator("Kinv", x.i)), sigma_t(x))]
+        neg_sigma = [[-c for c in row] for row in sigma_t(x)]
 
-    def residual(i: int, j: int) -> NCPoly:
-        pairs = [(A[i][l], S[l][j]) for A, S in lhs for l in range(k)]
-        pairs += [(pmat[l][j], neg_sigma[i][l]) for l in range(k)]
-        return lincomb((a, c) for a, c in pairs if not c.is_zero())
+        def entry(i: int, j: int) -> NCPoly:
+            pairs = [(A[i][l], S[l][j]) for A, S in lhs for l in range(k)]
+            pairs += [(pmat[l][j], neg_sigma[i][l]) for l in range(k)]
+            return lincomb((a, c) for a, c in pairs if not c.is_zero())
 
-    return [[residual(i, j) for j in range(k)] for i in range(k)]
+        return [[entry(i, j) for j in range(k)] for i in range(k)]
+
+    return {x: residuals(x) for x in gens}
+
+
+def check_equivariance(N: int, n: int, x: UqGenerator) -> List[List[NCPoly]]:
+    """Residual matrix of the covariance identity for one generator (see equivariance_residuals)."""
+    return equivariance_residuals(N, n, [x])[x]
 
 
 def check_rn_conjugation(N: int, n: int, x: UqGenerator) -> bool:

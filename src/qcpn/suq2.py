@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 from scipy import sparse
 
-from .ncpoly import NCPoly, Presentation, UqGenerator, coproduct_act, letter, lincomb, mul, normalize, star, uq_act
+from .ncpoly import NCPoly, Presentation, UqGenerator, coproduct_act, letter, mul, mul_sum, normalize, star, uq_act
 from .qcoeff import ONE, ZERO, QScalar, is_positive_at_q, qint, qpow
 from .rep_sphere import word_operator
 
@@ -778,10 +778,12 @@ def tau1_pairing(N: int) -> QScalar:
     P_N enter only through closed index loops, hence as exact squares, so
     the summand over (i0, i1, i2) is one polynomial with Laurent
     coefficients and the Haar state is applied to it once.
-    Target value: q^{-4} [N].
+    Target value: q^{-4} [N].  Defined for N >= 0 only: ValueError otherwise.
     """
     from .projections import k2rho_eigenvalues, projection, psi
 
+    if N < 0:
+        raise ValueError(f"tau1 pairing needs N >= 0, got {N}")
     P = Presentation(1)
     M = projection(N, 1, P)
     k = len(M)
@@ -790,11 +792,11 @@ def tau1_pairing(N: int) -> QScalar:
     # x[i][j] = (dbar core[i][j]^*)^*, where core[i][j]^* = core[j][i] as P_N is selfadjoint
     x = [[star(y[j][i], P) for j in range(k)] for i in range(k)]
     u = M.weights
-    total = lincomb(
-        (mul(mul(M.core[i0][i1], x[i1][i2], P), y[i2][i0], P), u[i0] * u[i1] * u[i2] * rho_inv[i0])
+    triples = (
+        (mul(M.core[i0][i1], x[i1][i2], P), y[i2][i0], u[i0] * u[i1] * u[i2] * rho_inv[i0])
         for i0, i1, i2 in itertools.product(range(k), repeat=3)
     )
-    return haar_symbolic(total, P)
+    return haar_symbolic(mul_sum(triples, P), P)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ from qcpn.ncpoly import (
     add_terms,
     lincomb,
     mul,
+    mul_sum,
     normalize,
     star,
     uq_act,
 )
-from qcpn.qcoeff import ONE, QScalar, qint, qpow
+from qcpn.qcoeff import ONE, ZERO, QScalar, qint, qpow
 from qcpn.suq2 import dbar, l_act
 
 
@@ -269,6 +270,73 @@ def test_integer_kernel_matches_letter_engine(case):
         assert got.terms == want
         if len({tuple(sorted(c.den.items())) for _, c in items}) == 1:
             assert list(got.terms) == list(want)  # one denominator: the same word order too
+
+
+# -- mul_sum: every sum of products as one integer accumulation --------------
+
+# coefficients for the random polynomials and the triple scales: Laurent ones,
+# 1/[2] and 1/3 (non-unit denominators, so _collect sums across denominators)
+SUM_COEFFS = [ONE, -qpow(1), ONE - qpow(2), qpow(Fraction(-1, 2)), qint(2).inv(),
+              -qint(2).inv() * qpow(1), QScalar.from_fraction(Fraction(1, 3))]
+
+
+def _rand_poly(P, rng, coeffs, deg=4, terms=3):
+    return lincomb(
+        (NCPoly.word(rng.randrange(2 * (P.n + 1)) for _ in range(rng.randint(0, deg))), rng.choice(coeffs))
+        for _ in range(rng.randint(0, terms))  # zero terms: an empty polynomial
+    )
+
+
+@pytest.mark.parametrize("sphere", [True, False], ids=["sphere", "no-sphere"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mul_sum_equals_lincomb_of_products(n, sphere):
+    P = Presentation(n, sphere_reduction=sphere)
+    oracle = LetterEngine(P)
+    rng = random.Random(1000 * n + sphere)
+    scales = [None, ZERO] + SUM_COEFFS
+    for case in range(60):
+        coeffs = SUM_COEFFS if case % 2 else SUM_COEFFS[:4]  # odd cases mix denominators
+        triples = [(_rand_poly(P, rng, coeffs), _rand_poly(P, rng, coeffs), rng.choice(scales))
+                   for _ in range(rng.randint(1, 4))]
+        got = mul_sum(triples, P)
+        assert got == lincomb((mul(a, b, P), c) for a, b, c in triples)
+        items = [(wa + wb, (ca if c is None else c * ca) * cb)
+                 for a, b, c in triples for wa, ca in a.terms.items() for wb, cb in b.terms.items()]
+        want = oracle.combine(items)
+        assert got.terms == want
+        if not any(c.den != ONE.den for _, c in items):
+            assert list(got.terms) == list(want)  # Laurent coefficients: the term-by-term word order
+
+
+def test_mul_sum_edge_cases():
+    P = Presentation(2)
+    z, zs = gens(2)
+    a = z[0] + zs[1].scale(qint(2).inv())
+    b = zs[0].scale(qpow(-1)) + NCPoly.one()
+    assert mul_sum([], P) == NCPoly.zero()
+    assert mul_sum([(a, b, ZERO)], P) == NCPoly.zero()
+    assert mul_sum([(NCPoly.zero(), b, ONE), (a, NCPoly.zero(), None)], P) == NCPoly.zero()
+    assert mul_sum([(a, b, None)], P) == mul(a, b, P)
+    assert mul_sum([(a, b, None), (a, b, -ONE)], P) == NCPoly.zero()
+    assert mul_sum([(a, b, qint(2)), (b, a, ZERO)], P) == mul(a, b, P).scale(qint(2))
+    # z0 z0* + z1 z1* + z2 z2* = 1, summed across products
+    assert mul_sum([(z[j], zs[j], None) for j in range(3)], P) == NCPoly.one()
+
+
+def test_mul_sum_step_budget_bounds_the_whole_sum(monkeypatch):
+    P = Presentation(1)
+    z, zs = gens(1)
+    pairs = [(z[0], zs[0]), (z[1], zs[1])]
+    steps = []
+    for a, b in pairs:
+        mul(a, b, P)
+        steps.append(P._steps)
+    P2 = Presentation(1)
+    mul_sum([(a, b, None) for a, b in pairs], P2)
+    assert P2._steps == sum(steps) > max(steps)
+    monkeypatch.setattr(ncpoly, "_MAX_STEPS", max(steps))
+    with pytest.raises(ArithmeticError, match="step budget exceeded"):
+        mul_sum([(a, b, None) for a, b in pairs], Presentation(1))
 
 
 def test_mixed_denominators_cancel():

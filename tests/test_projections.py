@@ -1,5 +1,6 @@
 """Psi_N, P_N, R_N, sigma^N and the covariance identity."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from qcpn.ncpoly import NCPoly, Presentation, UqGenerator, mul, normalize, uq_act
 from qcpn.projections import (
     check_equivariance,
+    equivariance_residuals,
     check_rn_conjugation,
     is_projection,
     is_selfadjoint,
@@ -163,6 +165,42 @@ def test_equivariance_trivial_at_N0_n2():
         for kind in ("E", "F", "K", "Kinv"):
             res = check_equivariance(0, 2, UqGenerator(kind, i))
             assert all(e.is_zero() for row in res for e in row)
+
+
+@pytest.mark.parametrize("N,n", [(2, 1), (-2, 1), (1, 2), (2, 2)])
+def test_is_projection_rejects_a_perturbed_core(N, n):
+    # negative controls: the fused P^2 = P check sees a one-entry change
+    M = projection(N, n)
+    assert is_projection(M)
+    scaled = [row[:] for row in M.core]
+    scaled[0][1] = scaled[0][1].scale(qpow(1))
+    assert not is_projection(replace(M, core=scaled))
+    swapped = [row[:] for row in M.core]
+    swapped[0][1], swapped[1][0] = swapped[1][0], swapped[0][1]
+    assert not is_projection(replace(M, core=swapped))
+
+
+@pytest.mark.parametrize("N,n", [(2, 1), (-2, 1), (1, 2)])
+def test_equivariance_residuals_match_one_generator_at_a_time(N, n):
+    gens = [UqGenerator(k, i) for i in range(1, n + 1) for k in ("E", "F", "K", "Kinv")]
+    for order in (gens, gens[::-1]):  # every x |> p is built once and shared
+        batch = equivariance_residuals(N, n, order)
+        assert list(batch) == order
+        for g in gens:
+            assert batch[g] == check_equivariance(N, n, g)
+            assert all(e.is_zero() for row in batch[g] for e in row)
+
+
+@pytest.mark.parametrize("bad", [UqGenerator("K2rho"), UqGenerator("E", 2)], ids=str)
+def test_equivariance_residuals_validate_every_generator_first(bad, monkeypatch):
+    from qcpn import projections
+
+    def fail(*args):
+        raise AssertionError("built psi before validating the generators")
+
+    monkeypatch.setattr(projections, "psi", fail)
+    with pytest.raises(ValueError):
+        equivariance_residuals(1, 1, [UqGenerator("E", 1), bad])
 
 
 @pytest.mark.parametrize("N", range(-3, 4))

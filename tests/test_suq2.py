@@ -665,3 +665,10 @@ def test_tau1_values(N, scale):
 def test_tau1_exact():
     for N in range(5):
         assert tau1_pairing(N) == qpow(-4) * qint(N)
+
+
+@pytest.mark.parametrize("N", [-1, -2, -3])
+def test_tau1_rejects_negative_N(N):
+    # the pairing is stated for N >= 0; below it the sum is 0, which matches no formula
+    with pytest.raises(ValueError, match="N >= 0"):
+        tau1_pairing(N)
