@@ -283,8 +283,8 @@ def _index_branch_formula(j2: int) -> int:
 def cmd_spectrum(args) -> Report:
     rep = Report("Dirac spectrum vs q-integer products", metadata={"L": args.L, "q0": args.q})
     for j2 in _int_range(args.j, "--j", 2):
-        worst, spec = suq2.dirac_spectrum_check(j2, args.L, args.q)
-        rep.add(PairingRecord("spectrum_residual", {"j": f"{j2}/2"}, worst, 0.0, worst, args.tol))
+        bad, spec = suq2.dirac_spectrum_check(j2, args.L, args.q)
+        rep.add(_tally("spectrum_residual", {"j": f"{j2}/2"}, bad))
         for ev, mult in spec:
             rep.add(PairingRecord("eigenvalue", {"j": f"{j2}/2", "D2": ev}, mult))
     return rep
@@ -292,13 +292,10 @@ def cmd_spectrum(args) -> Report:
 
 def cmd_holo_dim(args) -> Report:
     rep = Report("holomorphic section dimensions", metadata={"L": args.L, "q0": args.q})
-    unstable = False
     for N in _int_range(args.N, "--N"):
         r = suq2.holo_dim(N, args.L, args.q)
         rep.add(_tally("holo_dim", {"N": N}, r.dimension, abs(N) + 1 if N <= 0 else 0))
-        if not r.boundary_safe:
-            unstable = True
-    rep.unstable = unstable
+        rep.unstable |= not r.boundary_safe
     return rep
 
 
@@ -432,7 +429,6 @@ def build_parser(cfg: Dict[str, float]) -> argparse.ArgumentParser:
     p.add_argument("--j", default="1/2")
     p.add_argument("--L", type=int, default=L)
     p.add_argument("--q", type=float, default=q0)
-    p.add_argument("--tol", type=float, default=1e-10)
 
     p = report(sub, "holo-dim", cmd_holo_dim, help="holomorphic section dimensions")
     p.add_argument("--N", default="-4..2")

@@ -124,4 +124,4 @@ def line_bundle_phi(N: int, n: int) -> ChernVector:
 
 def pairing_table(n: int, Nmax: int) -> List[List[int]]:
     """Integer matrix with entry (N, k) = C(N, k), 0 <= N <= Nmax, 0 <= k <= n."""
-    return [[math.comb(N, k) if k <= N else 0 for k in range(n + 1)] for N in range(Nmax + 1)]
+    return [[math.comb(N, k) for k in range(n + 1)] for N in range(Nmax + 1)]

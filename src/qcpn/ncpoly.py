@@ -508,7 +508,3 @@ def uq_act(x: UqGenerator, a: NCPoly, P: Presentation) -> NCPoly:
         return coproduct_act(a, P, weight, {hi: (ONE, lo), lo + 1: (-_Q, hi + 1)})
     # F_i |> z_{n-i} = z_{n+1-i},  F_i |> z_{n+1-i}^* = -q^{-1} z_{n-i}^*
     return coproduct_act(a, P, weight, {lo: (ONE, hi), hi + 1: (-_QINV, lo + 1)})
-
-
-def counit(x: UqGenerator) -> QScalar:
-    return ZERO if x.kind in ("E", "F") else ONE

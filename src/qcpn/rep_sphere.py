@@ -10,6 +10,7 @@ pullback representations, which converges geometrically in M.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Tuple
@@ -18,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .ncpoly import NCPoly, Presentation, letter_index, letter_starred, normalize
-from .qcoeff import QScalar
+from .qcoeff import ZERO, QScalar
 
 FockIndex = Tuple[int, ...]
 
@@ -165,8 +166,6 @@ def pullback(a: NCPoly, k: int, n_from: int) -> NCPoly:
 
 def character(a: NCPoly) -> QScalar:
     """The unique character of the algebra: z_0 -> 1, z_i -> 0 for i > 0."""
-    from .qcoeff import ZERO
-
     out = ZERO
     for w, c in a.terms.items():
         if all(letter_index(g) == 0 for g in w):
@@ -217,7 +216,7 @@ def fredholm_pairing(N: int, k: int, n: int, M: int, q0: float) -> PairingResult
     if k == 0:
         # character representation a -> a (+) 0: value sum of surviving weights
         val = sum(wt for wt, _ in terms)
-        return PairingResult(val, _binom(N, k), 0.0)
+        return PairingResult(val, math.comb(N, k), 0.0)
 
     deg = N
 
@@ -247,12 +246,4 @@ def fredholm_pairing(N: int, k: int, n: int, M: int, q0: float) -> PairingResult
     # forward-project the geometric tail beyond M from the last 4-step gain
     r = q0 ** 8
     tail = abs(val - val_small) * r / (1.0 - r)
-    return PairingResult(val, _binom(N, k), tail)
-
-
-def _binom(N: int, k: int) -> int:
-    if k > N:
-        return 0
-    import math
-
-    return math.comb(N, k)
+    return PairingResult(val, math.comb(N, k), tail)

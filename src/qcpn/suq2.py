@@ -17,7 +17,6 @@ the generator matrices.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,6 +42,11 @@ def _brk(q0: float, x: float) -> float:
     if x == 0:
         return 0.0
     return (q0 ** x - q0 ** (-x)) / (q0 - 1.0 / q0)
+
+
+def _ladder_args(kind: str, l2, n2):
+    """Doubled (a, b) of the radicand [a/2][b/2] of L_E, [l-n+1][l+n], or of L_F, [l-n][l+n+1]."""
+    return (l2 - n2 + 2, l2 + n2) if kind == "E" else (l2 - n2, l2 + n2 + 2)
 
 
 class SUq2Box:
@@ -235,16 +239,12 @@ class SUq2Box:
         return self._build("LK", lambda l, m, n: [((0, 0, 0), self._q(-n))])
 
     def lf(self) -> sparse.csr_matrix:
-        br = self._br
-        return self._build(
-            "LF", lambda l, m, n: [((0, 0, 2), np.sqrt(np.maximum(br(l - n) * br(l + n + 1), 0.0)))]
-        )
+        a, b = _ladder_args("F", self.lmn[0], self.lmn[2])
+        return self._build("LF", lambda l, m, n: [((0, 0, 2), np.sqrt(self._br(a / 2) * self._br(b / 2)))])
 
     def le(self) -> sparse.csr_matrix:
-        br = self._br
-        return self._build(
-            "LE", lambda l, m, n: [((0, 0, -2), np.sqrt(np.maximum(br(l - n + 1) * br(l + n), 0.0)))]
-        )
+        a, b = _ladder_args("E", self.lmn[0], self.lmn[2])
+        return self._build("LE", lambda l, m, n: [((0, 0, -2), np.sqrt(self._br(a / 2) * self._br(b / 2)))])
 
     def k_left(self) -> sparse.csr_matrix:
         """Diagonal of the canonical left action K|> (eigenvalue q^m)."""
@@ -746,28 +746,24 @@ class HoloReport:
 
 
 def holo_dim(N: int, L: int, q0: float) -> HoloReport:
-    """Numeric kernel dimension of the holomorphic connection on Gamma_N.
+    """Kernel dimension of the holomorphic connection on Gamma_N, decided on the labels.
 
-    The connection is q^{N/2-1} (.) <| F, realized as -q^{N/2-2} L_F on the
-    slice n = -N/2.  L_F maps that slice to n = -N/2 + 1 as a partial
-    matching, each state to at most one state and no two to the same one,
-    asserted (ArithmeticError otherwise), so its singular values are its
-    absolute entries.  Ranks are decided at 1e-9: the kernel is spanned by
-    the states with no kept entry, which must sit at l = |N|/2, safely away
-    from the truncation wall.
+    The connection is q^{N/2-1} (.) <| F, realized as -q^{N/2-2} L_F on the slice
+    n = -N/2, where L_F translates labels n -> n + 1.  The kernel is spanned by the
+    states whose radicand has a zero argument, which must sit at l = |N|/2, away from
+    the wall.  Only the slice is built; its float links, the entries of ``SUq2Box.lf()``
+    bit for bit, give the margins.
     """
-    tol = 1e-9
     if 2 * L < abs(N) + 6:
         raise ValueError("truncation too small")
-    box = SUq2Box(L, q0)
-    sl = box.gamma_slice(N)
-    mat = box.lf()[np.ix_(box.gamma_slice(N - 2), sl)].tocoo()  # L_F raises n by one
-    sv = _matching_values(mat.row, mat.col, mat.data)
-    kept = sv > tol
-    kernel = np.setdiff1d(np.arange(len(sl)), mat.col[kept])
-    safe = bool(np.all(box.lmn[0][sl[kernel]] == abs(N)))
-    smallest_kept, largest_dropped = sv[kept].min(initial=float("inf")), sv[~kept].max(initial=0.0)
-    return HoloReport(len(sl) - int(kept.sum()), safe, float(smallest_kept), float(largest_dropped))
+    if not (0.0 < q0 < 1.0):
+        raise ValueError("q0 must lie in (0,1)")
+    l2 = np.repeat(np.arange(abs(N), 2 * L + 1, 2), np.arange(abs(N) + 1, 2 * L + 2, 2))  # each l once per m
+    a, b = _ladder_args("F", l2, -N)
+    zero = (a == 0) | (b == 0)
+    links = np.sqrt([_brk(q0, x / 2) * _brk(q0, y / 2) for x, y in zip(a.tolist(), b.tolist())])
+    return HoloReport(int(zero.sum()), bool(np.all(l2[zero] == abs(N))),
+                      float(links[~zero].min(initial=float("inf"))), float(links[zero].max(initial=0.0)))
 
 
 def tau1_pairing(N: int) -> QScalar:
@@ -908,41 +904,61 @@ def _opnorm(mat: sparse.spmatrix) -> float:
     return float(np.linalg.norm(mat @ v))
 
 
-def dirac_spectrum_check(j2: int, L: int, q0: float) -> Tuple[float, List[Tuple[float, int]]]:
-    """Compare D_j^2 diagonal against the q-integer products, sector-wise.
+def _round_trip_fails(src: np.ndarray, there, back, args, back_args) -> np.ndarray:
+    """Whether each state of ``src`` breaks the ladder pairing rule, decided on integer labels.
 
-    Returns (max residual, spectrum as (eigenvalue, multiplicity) list over
-    the interior).  On slot n paired upward, D^2 acts as L_E L_F with
-    eigenvalue [l-n][l+n+1]; on its partner as L_F L_E with [l-n+1][l+n].
+    ``there`` and ``back`` are two hops, ``args`` and ``back_args`` their doubled radicand arguments
+    (a, b) at every state.  A state passes when it has no image exactly when a or b is zero, and
+    otherwise its one image hops back to it with the same arguments as a multiset.  Then the round
+    trip is diagonal on ``src``, with entries [a/2][b/2].
+    """
+    def image(mat):  # row of the one nonzero entry in each column: -1 for none, -2 for more
+        rows, cols, _ = sparse.find(mat)
+        img = np.full(mat.shape[1], -1)
+        img[cols] = rows
+        img[np.bincount(cols, minlength=mat.shape[1]) > 1] = -2
+        return img
+
+    r = image(there)[src]
+    hit = np.maximum(r, 0)
+    ab = np.sort(args, axis=0)[:, src]
+    same = np.all(ab == np.sort(back_args, axis=0)[:, hit], axis=0)
+    return ~np.where(np.any(ab == 0, axis=0), r == -1, (r >= 0) & (image(back)[hit] == src) & same)
+
+
+def dirac_spectrum_check(j2: int, L: int, q0: float) -> Tuple[int, List[Tuple[float, int]]]:
+    """(number of states failing ``_round_trip_fails`` under D_j, D_j^2 spectrum over the interior).
+
+    D swaps the two slots of each pair (n, n + 1): L_F maps the lower member up, L_E the upper one
+    down.  With no state failing, D^2 is diagonal, exactly [l-n][l+n+1] on the lower member and
+    [l-n+1][l+n] on the upper; the spectrum lists these as (eigenvalue, multiplicity).
     """
     st = build_triple(j2, L, q0)
+    l2, _, n2 = st.labels
+    args = np.where(_hplus(j2, n2), _ladder_args("E", l2, n2), _ladder_args("F", l2, n2))
     D = st.dirac()
-    D2 = (D @ D).tocsr()
-    diag = D2.diagonal()
-    worst = float(abs(D2 - sparse.diags(diag)).max())
-    win = st.interior(2)
-    l2, _, n2 = st.labels[:, win]
-    l, n = l2 / 2.0, n2 / 2.0
-    br = st.box._br
-    # upper member of a pair (H_j^+): L_F L_E; lower member (H_j^-): L_E L_F
-    target = np.where(_hplus(j2, n2), br(l - n + 1) * br(l + n), br(l - n) * br(l + n + 1))
-    worst = max(worst, float(np.max(np.abs(diag[win] - target), initial=0.0)))
-    spec = Counter(round(t, 9) for t in target.tolist())
-    return worst, sorted(spec.items())
+    bad = _round_trip_fails(np.arange(st.dim), D, D, args, args)
+    a, b = args[:, st.interior(2)]
+    spec = Counter(round(t, 9) for t in (st.box._br(a / 2) * st.box._br(b / 2)).tolist())
+    return int(bad.sum()), sorted(spec.items())
 
 
-def casimir_block_check(N: int, L: int, q0: float) -> float:
-    """Max residual of C_q = [(l+1/2)]^2 on the V_{2l} blocks of Gamma_N."""
+def casimir_block_check(N: int, L: int, q0: float) -> int:
+    """Number of states of Gamma_N on which C_q = [(l+1/2)]^2 fails, decided exactly.
+
+    C_q = L_F L_E + [n-1/2]^2, the second term from L_K = q^{-n}.  The assembled L_E and L_F
+    must return each state to itself with the L_E radicand [l-n+1][l+n] (``_round_trip_fails``),
+    and [n-1/2]^2 + [l-n+1][l+n] = [l+1/2]^2 must hold in Q(s), decided once per l.
+    """
     box = SUq2Box(L, q0)
     sl = box.gamma_slice(N)
-    lk = box.lk()
-    le, lf = box.le(), box.lf()
-    pref = 1.0 / (q0 - 1.0 / q0)
-    kterm = (math.sqrt(q0) * lk - (1.0 / math.sqrt(q0)) * sparse.diags(1.0 / lk.diagonal())) * pref
-    cas = (kterm @ kterm + lf @ le).tocoo()  # L_{FE} = L_F L_E
-    rows = np.zeros(box.dim, dtype=bool)
-    rows[sl[box.lmn[0][sl] <= 2 * L - 2]] = True
-    target = box._br(box.lmn[0] / 2.0 + 0.5) ** 2
-    diag = np.abs(cas.diagonal() - target)[rows]
-    off = np.abs(cas.data[rows[cas.row] & (cas.row != cas.col)])
-    return float(max(diag.max(initial=0.0), off.max(initial=0.0)))
+    l2, _, n2 = box.lmn
+    bad = _round_trip_fails(sl, box.le(), box.lf(), _ladder_args("E", l2, n2), _ladder_args("F", l2, n2))
+
+    def holds(l2s):  # times (q - q^{-1})^2, each [k/2] is the Laurent polynomial s^k - s^{-k}
+        a, b = _ladder_args("E", l2s, -N)
+        d = [QScalar.s_pow(k) - QScalar.s_pow(-k) for k in (-N - 1, a, b, l2s + 1)]  # 2n - 1 = -N - 1
+        return d[0] * d[0] + d[1] * d[2] == d[3] * d[3]
+
+    ok = {x: holds(x) for x in set(l2[sl].tolist())}
+    return int(np.sum(bad | ~np.array([ok[x] for x in l2[sl].tolist()], dtype=bool)))

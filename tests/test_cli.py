@@ -265,11 +265,14 @@ def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want
         ("verify", "equivariance", "--n", "0"),
         ("pairing", "--n", "2", "--N", "3", "--k", "3", "--csv"),
         ("tau1", "--N", "-1", "--csv"),
+        ("spectrum", "--q", "1.0"),
+        ("holo-dim", "--q", "1.0"),
     ],
     ids=["holo-dim", "verify-triple", "pairing", "tau1", "tau1-reversed-range", "holo-dim-fraction",
          "verify-triple-quarter", "identities-negative", "projections-negative-Nmax",
          "equivariance-negative-Nmax", "chern-negative-n", "chern-negative-Nmax", "relations-n-0",
-         "relations-negative-cases", "equivariance-n-0", "pairing-k-above-n", "tau1-negative-N"],
+         "relations-negative-cases", "equivariance-n-0", "pairing-k-above-n", "tau1-negative-N",
+         "spectrum-q-1", "holo-dim-q-1"],
 )
 def test_cli_input_errors_exit_2(argv):
     code, _, err = run_cli(*argv)

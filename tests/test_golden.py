@@ -2,8 +2,10 @@
 
 Each file under tests/golden/ holds the stdout of one command, recorded when
 the output was known good.  Commands whose records carry float residuals at
-rounding level (pairing, spectrum, verify triple) are left out: their last
-digits may move with the BLAS or the operation order.
+rounding level (pairing, verify triple) are left out: their last digits may
+move with the BLAS or the operation order.  spectrum is in: its residual is a
+count decided on the labels, and its eigenvalues are scalar q-bracket
+products rounded to 9 digits.
 """
 
 import contextlib
@@ -27,6 +29,7 @@ CASES = [
     ("tau1.csv", "tau1 --N 0..2 --csv", 0),
     ("index.json", "index --j 1/2..5/2 --L 8 --json", 1),  # index_numeric disagrees from j = 3/2 on
     ("holo_dim.csv", "holo-dim --N=-2..1 --L 7 --csv", 0),
+    ("spectrum.csv", "spectrum --j 1/2,3/2 --L 16 --csv", 0),
     # normal forms: rational, q^{1/2}-power and cancelling coefficients at n = 1..3
     ("normalize_n1.txt", "normalize --n 1 '1/3 z1 z0 + 2/3 z1 z0 - q z0 z1 + 1/3 z0 z0* + 2/3 z1* z1'", 0),
     ("normalize_n2.txt", "normalize --n 2 'q^1/2 z2 z0* z1 + q^-3/2 z1* z2 z0 - 2/5 q^1/2 z1 z1* z2'", 0),

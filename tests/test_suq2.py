@@ -303,6 +303,67 @@ def test_casimir_blocks():
     assert casimir_block_check(1, 10, Q0) < 1e-9
 
 
+def _closed_form_ladder(box, dn2, radicand):
+    """L_E or L_F written out as the displayed closed form sqrt(radicand(br, l, n)), target n + dn2/2."""
+    l2, m2, n2 = box.lmn
+    amp = np.sqrt(np.maximum(radicand(box._br, l2 / 2.0, n2 / 2.0), 0.0))
+    tgt = box._locate(l2, m2, n2 + dn2)
+    keep = (tgt >= 0) & (amp != 0.0)
+    return sparse.csr_matrix((amp[keep], (tgt[keep], np.flatnonzero(keep))), shape=(box.dim, box.dim))
+
+
+@pytest.mark.parametrize("q0", (0.3, 0.5, 0.8))
+@pytest.mark.parametrize("L", (5, 9))
+def test_ladders_equal_closed_forms_bit_for_bit(L, q0):
+    """le() and lf() read _ladder_args; their floats equal the closed forms exactly, the wall shell included."""
+    box = SUq2Box(L, q0)
+    le = _closed_form_ladder(box, -2, lambda br, l, n: br(l - n + 1) * br(l + n))
+    lf = _closed_form_ladder(box, 2, lambda br, l, n: br(l - n) * br(l + n + 1))
+    for got, want in ((box.le(), le), (box.lf(), lf)):
+        assert got.nnz == want.nnz and (got != want).nnz == 0
+        assert np.any(box.lmn[0][got.tocoo().col] == 2 * L)
+
+
+def test_dirac_and_casimir_exact_at_large_L():
+    """The float D^2 residual at L = 16 is 3.7e-9 from rounding alone; the label decision has no such floor."""
+    bad, spec = dirac_spectrum_check(3, 16, Q0)
+    assert bad == 0 and max(ev for ev, _ in spec) > 1e8
+    assert casimir_block_check(-3, 16, Q0) == casimir_block_check(2, 16, Q0) == 0
+
+
+def test_wrong_ladder_bracket_is_caught(monkeypatch):
+    """An L_E bracket [l-n+2][l+n] fails both exact checks, and qcpn spectrum exits 1."""
+    import contextlib
+    import io
+
+    from qcpn import suq2
+    from qcpn.cli import main
+
+    right = suq2._ladder_args
+    monkeypatch.setattr(
+        suq2, "_ladder_args", lambda kind, l2, n2: (l2 - n2 + 4, l2 + n2) if kind == "E" else right(kind, l2, n2)
+    )
+    assert dirac_spectrum_check(3, 10, Q0)[0] > 0
+    assert casimir_block_check(-2, 10, Q0) > 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["spectrum", "--j", "1/2,3/2", "--L", "10", "--csv"]) == 1
+
+
+def test_missing_dirac_entry_is_caught(monkeypatch):
+    """A D with one entry dropped leaves that state and its partner without a round trip."""
+    from qcpn.suq2 import SpectralTriple
+
+    full = SpectralTriple.dirac
+
+    def dropped(self):
+        D = full(self).tocoo()
+        keep = np.arange(D.nnz) != D.nnz // 2
+        return sparse.csr_matrix((D.data[keep], (D.row[keep], D.col[keep])), shape=D.shape)
+
+    monkeypatch.setattr(SpectralTriple, "dirac", dropped)
+    assert dirac_spectrum_check(3, 10, Q0)[0] == 2
+
+
 # -- index ---------------------------------------------------------------------
 
 
