@@ -5,7 +5,10 @@ subspace V^n_k of l^2(N^n) spanned by |m_1..m_n> with m_1 <= ... <= m_k and
 m_{k+1} > ... > m_n >= 0; operators vanish on the complement.  Everything is
 assembled on a finite box m_i <= M and the K-homology pairing
 <[F_k], [P_{-N}]> is computed as the trace of the alternating sum of
-pullback representations, which converges geometrically in M.
+pullback representations, which converges geometrically in M: for k >= 2
+the states of the k-dimensional cone past the box weigh in, so the tail
+behaves like M^{k-1} q0^{2M}.  Every pi_{n,k}(z_i) is a partial injective
+weighted shift (FockRep.shift); the pairing composes these index maps.
 """
 
 from __future__ import annotations
@@ -91,39 +94,48 @@ class FockRep:
         key = (i, starred)
         if key in self._gen_cache:
             return self._gen_cache[key]
-        mat = self._build_generator(i)
+        tgt, amp = self.shift(i)
+        src = np.flatnonzero(tgt >= 0)
+        mat = sparse.csr_matrix((amp[src], (tgt[src], src)), shape=(self.dimension,) * 2)
         if starred:
             mat = mat.conjugate().transpose().tocsr()
         self._gen_cache[key] = mat
         return mat
 
-    def _build_generator(self, i: int) -> sparse.csr_matrix:
+    def shift(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """pi(z_i) as a weighted shift over the basis: z_i e_s = amp[s] e_{tgt[s]}.
+
+        tgt[s] = -1 (and amp[s] = 0.0) where z_i kills e_s or moves it out of
+        the box.  The diagonal letters (z_0 at k = 0, z_k) keep every V^n_k
+        state even where the amplitude underflows to 0.0; the shifting letters
+        drop amplitude 0.0.
+        """
         n, k, M, q0 = self.spec.n, self.spec.k, self.spec.M, self.spec.q0
-        dim = self.dimension
+        tgt = np.full(self.dimension, -1)
+        amp = np.zeros(self.dimension)
+        if i > k:  # z_i = 0 for i > k
+            return tgt, amp
         src = np.flatnonzero(self.in_vnk)
-        if k == 0:
-            # z_0 is the projection onto strictly decreasing strings; z_{>0} = 0
-            diag = src if i == 0 else src[:0]
-            return sparse.csr_matrix((np.ones(len(diag)), (diag, diag)), shape=(dim, dim))
-        if i > k:
-            return sparse.csr_matrix((dim, dim))
         # the scalar powers q0 ** e, so amplitudes match the scalar formulas bit for bit
         qpow = np.array([q0 ** e for e in range(2 * M + 3)])
-        m = self.labels[:, src]
+        m = self.labels[:k, src]
         if i == k:
-            return sparse.csr_matrix((qpow[m[k - 1]], (src, src)), shape=(dim, dim))
-        # 0 <= i <= k-1: shift m_{i+1}..m_k up by one
+            # z_0 at k = 0 is the projection onto strictly decreasing strings; z_k multiplies by q0^{m_k}
+            tgt[src] = src
+            amp[src] = 1.0 if k == 0 else qpow[m[k - 1]]
+            return tgt, amp
+        # 0 <= i <= k-1: shift m_{i+1}..m_k up by one; leaving the box is
+        # harmless outside the interior window
         mi = m[i - 1] if i >= 1 else np.zeros_like(m[i])
-        amp = qpow[mi] * np.sqrt(1.0 - qpow[2 * (m[i] - mi + 1)])
-        pos = np.arange(n)[:, None]
-        target = m + ((pos >= i) & (pos < k))
-        # leaving the box is harmless outside the interior window
-        keep = np.all(target <= M, axis=0) & (amp != 0.0)
+        a = qpow[mi] * np.sqrt(1.0 - qpow[2 * (m[i] - mi + 1)])
+        keep = np.all(m[i:] < M, axis=0) & (a != 0.0)
         # a shifted V^n_k label stays in V^n_k, so it is a basis state; the
         # basis is in lexicographic order, so its flat box indices ascend
-        shape = (M + 1,) * n
-        tgt = np.searchsorted(np.ravel_multi_index(self.labels, shape), np.ravel_multi_index(target[:, keep], shape))
-        return sparse.csr_matrix((amp[keep], (tgt, src[keep])), shape=(dim, dim))
+        flat = np.ravel_multi_index(self.labels, (M + 1,) * n)
+        step = sum((M + 1) ** (n - 1 - p) for p in range(i, k))
+        tgt[src[keep]] = np.searchsorted(flat, flat[src[keep]] + step)
+        amp[src[keep]] = a[keep]
+        return tgt, amp
 
     def poly(self, a: NCPoly) -> sparse.csr_matrix:
         """Represent a normalized NCPoly (multiplicative on each word)."""
@@ -194,15 +206,27 @@ def fredholm_pairing(N: int, k: int, n: int, M: int, q0: float) -> PairingResult
     nonnegative and the truncated trace has no cancellation ahead of the
     even/odd alternation.  (Normalizing first loses ~q^{-deg^2} digits.)
 
-    The series converges like q0^{2M}: the default q0 = 0.5 with M = 40 is
-    far below every stated tolerance, but q0 near 1 needs a much larger box
-    (e.g. q0 = 0.9 wants M ~ 100 for 1e-8).  tail_estimate forward-projects
-    the geometric tail from the M-4 comparison.
+    Each letter is a weighted shift (FockRep.shift), so a word m_I maps a
+    state to one state: its amplitude is composed right to left on index
+    arrays, and the trace over a box sums the squares of the paths that end
+    in it.  Letters only raise labels, so one representation on the box
+    M + N serves both the box M and the box M - 4.
+
+    The series converges like q0^{2M} (times M^{k-1} for k >= 2): the
+    default q0 = 0.5 with M = 40 is far below every stated tolerance, but
+    q0 near 1 needs a much larger box (e.g. q0 = 0.9 wants M ~ 100 for
+    1e-8).  tail_estimate is a heuristic, not a bound: it forward-projects a
+    pure geometric tail from the M - 4 comparison, and for k >= 2 it runs
+    low by up to 15x.
     """
     if N < 0:
         raise ValueError("pairing is stated for P_{-N} with N >= 0")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n for F_k, got k={k} with n={n}")
+    if not 0.0 < q0 < 1.0:
+        raise ValueError("q0 must lie in (0,1) for the Fock representations")
+    if M < 5:
+        raise ValueError("truncation M must be >= 5: the tail estimate compares the boxes M and M - 4")
     from .projections import psi
 
     av = psi(-N, n)
@@ -218,31 +242,27 @@ def fredholm_pairing(N: int, k: int, n: int, M: int, q0: float) -> PairingResult
         val = sum(wt for wt, _ in terms)
         return PairingResult(val, math.comb(N, k), 0.0)
 
-    deg = N
+    totals = [0.0, 0.0]
+    for j in range(k + 1):
+        rep = FockRep(RepSpec(k, j, M + N, q0))
+        # one sentinel state past the basis, mapped to itself with amplitude 0, holds the dead paths
+        shifts = [[np.append(x, dead) for x, dead in zip(rep.shift(i), (-1, 0.0))] for i in range(k + 1)]
+        keeps = [np.append(np.all(rep.labels <= box, axis=0), False) for box in (M, M - 4)]
+        contrib = [0.0, 0.0]
+        for wt, w in terms:
+            idx, amp = np.arange(rep.dimension), np.ones(rep.dimension)
+            for g in reversed(w):
+                tgt, a = shifts[letter_index(g)]
+                amp = a[idx] * amp
+                idx = tgt[idx]
+            # as the sparse product: a lone letter keeps its stored entries, a longer word drops exact zeros
+            live = idx >= 0 if len(w) < 2 else amp != 0.0
+            for b, keep in enumerate(keeps):
+                contrib[b] += wt * float(np.sum(amp[live & keep[idx]] ** 2))
+        for b in range(2):
+            totals[b] += contrib[b] if j % 2 == 0 else -contrib[b]
 
-    def boxed_trace(box: int) -> float:
-        total = 0.0
-        for j in range(k + 1):
-            spec = RepSpec(k, j, box + deg, q0)
-            rep = FockRep(spec)
-            gens = [rep.generator(i, False).tocsc() for i in range(k + 1)]
-            # diagonal of mat mat^dag is summed over the reporting box only
-            keep = np.all(rep.labels <= box, axis=0)
-            contrib = 0.0
-            for wt, w in terms:
-                mat = None
-                for g in reversed(w):
-                    gm = gens[letter_index(g)]
-                    mat = gm if mat is None else gm @ mat
-                if mat is None:
-                    mat = sparse.identity(rep.dimension, format="csc")
-                coo = mat.tocoo()
-                contrib += wt * float(np.sum(coo.data[keep[coo.row]] ** 2))
-            total += contrib if j % 2 == 0 else -contrib
-        return total
-
-    val = boxed_trace(M)
-    val_small = boxed_trace(max(M - 4, 4))
+    val, val_small = totals
     # forward-project the geometric tail beyond M from the last 4-step gain
     r = q0 ** 8
     tail = abs(val - val_small) * r / (1.0 - r)

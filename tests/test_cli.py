@@ -267,12 +267,15 @@ def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want
         ("tau1", "--N", "-1", "--csv"),
         ("spectrum", "--q", "1.0"),
         ("holo-dim", "--q", "1.0"),
+        ("pairing", "--n", "2", "--N", "0..2", "--k", "0..0", "--q", "1.0", "--csv"),
+        ("pairing", "--n", "2", "--N", "0..2", "--k", "0..2", "--M", "4", "--q", "0.9"),
+        ("pairing", "--n", "2", "--N", "0..2", "--k", "0..0", "--M", "0", "--csv"),
     ],
     ids=["holo-dim", "verify-triple", "pairing", "tau1", "tau1-reversed-range", "holo-dim-fraction",
          "verify-triple-quarter", "identities-negative", "projections-negative-Nmax",
          "equivariance-negative-Nmax", "chern-negative-n", "chern-negative-Nmax", "relations-n-0",
          "relations-negative-cases", "equivariance-n-0", "pairing-k-above-n", "tau1-negative-N",
-         "spectrum-q-1", "holo-dim-q-1"],
+         "spectrum-q-1", "holo-dim-q-1", "pairing-k0-q1", "pairing-M-4", "pairing-M-0-k0"],
 )
 def test_cli_input_errors_exit_2(argv):
     code, _, err = run_cli(*argv)

@@ -1,9 +1,13 @@
 """Fock representations pi_{n,k} and the Fredholm index pairing."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
 from qcpn.ncpoly import NCPoly, Presentation, mul, normalize
+from qcpn.projections import psi
 from qcpn.rep_sphere import (
     FockRep,
     RepSpec,
@@ -151,3 +155,143 @@ def test_geometric_convergence_in_M():
     d2 = abs(vals[30] - vals[20])
     assert d2 < d1 * 0.1
     assert abs(vals[30] - 3) < 1e-4
+
+
+@pytest.mark.parametrize("M", [0, 4])
+def test_pairing_rejects_boxes_below_5(M):
+    """The tail estimate compares the boxes M and M - 4, so M < 5 is an input error at every k."""
+    for k in range(3):
+        with pytest.raises(ValueError, match="M must be >= 5"):
+            fredholm_pairing(2, k, 2, M, Q0)
+
+
+def test_pairing_rejects_q0_outside_0_1_at_k0():
+    """k = 0 builds no representation, but q0 is still checked."""
+    with pytest.raises(ValueError, match="q0 must lie in"):
+        fredholm_pairing(2, 0, 2, 40, 1.0)
+
+
+# -- the weighted shifts against the sparse construction they replaced --------------
+
+
+def _sparse_generator_reference(rep, i):
+    """pi(z_i) assembled directly as a csr matrix, as FockRep built it before FockRep.shift."""
+    from scipy import sparse
+
+    n, k, M, q0 = rep.spec.n, rep.spec.k, rep.spec.M, rep.spec.q0
+    dim = rep.dimension
+    src = np.flatnonzero(rep.in_vnk)
+    if k == 0:
+        diag = src if i == 0 else src[:0]
+        return sparse.csr_matrix((np.ones(len(diag)), (diag, diag)), shape=(dim, dim))
+    if i > k:
+        return sparse.csr_matrix((dim, dim))
+    qpow = np.array([q0 ** e for e in range(2 * M + 3)])
+    m = rep.labels[:, src]
+    if i == k:
+        return sparse.csr_matrix((qpow[m[k - 1]], (src, src)), shape=(dim, dim))
+    mi = m[i - 1] if i >= 1 else np.zeros_like(m[i])
+    amp = qpow[mi] * np.sqrt(1.0 - qpow[2 * (m[i] - mi + 1)])
+    pos = np.arange(n)[:, None]
+    target = m + ((pos >= i) & (pos < k))
+    keep = np.all(target <= M, axis=0) & (amp != 0.0)
+    shape = (M + 1,) * n
+    tgt = np.searchsorted(np.ravel_multi_index(rep.labels, shape), np.ravel_multi_index(target[:, keep], shape))
+    return sparse.csr_matrix((amp[keep], (tgt, src[keep])), shape=(dim, dim))
+
+
+@pytest.mark.parametrize("full_box", [False, True])
+def test_generator_from_shift_matches_sparse_reference(full_box):
+    """Same structure, nnz (stored zeros included) and data bits as the direct csr build.
+
+    At q0 = 1e-60, q0^6 underflows to 0.0 inside the box M = 7.
+    """
+    for q0, M, n in itertools.product((0.3, 0.5, 0.8, 1e-60), (4, 7), (1, 2, 3)):
+        for k in range(n + 1):
+            rep = FockRep(RepSpec(n, k, M, q0), full_box=full_box)
+            for i in range(n + 1):
+                got, want = rep.generator(i, False), _sparse_generator_reference(rep, i)
+                assert got.nnz == want.nnz
+                assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+                assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_shift_kills_exactly_where_amplitude_is_zero_off_the_diagonal():
+    """z_k keeps every V^n_k state even where q0^{m_k} underflows to 0.0; z_{<k} drops amplitude 0.0."""
+    rep = FockRep(RepSpec(2, 2, 12, 1e-30))
+    tgt, amp = rep.shift(2)
+    assert np.array_equal(tgt, np.arange(rep.dimension)) and np.count_nonzero(amp == 0.0) > 0
+    for i in (0, 1):
+        tgt, amp = rep.shift(i)
+        assert np.array_equal(tgt >= 0, amp != 0.0)
+        assert np.all(tgt[tgt >= 0] > np.flatnonzero(tgt >= 0))  # shifts raise labels
+    tgt, amp = FockRep(RepSpec(2, 1, 12, Q0)).shift(2)
+    assert np.all(tgt == -1) and np.all(amp == 0.0)
+
+
+_psi = functools.lru_cache(maxsize=None)(psi)
+
+
+def _sparse_pairing_reference(N, k, n, M, q0, memo):
+    """(value, tail_estimate) from sparse products of the generators on one box per truncation.
+
+    memo holds each box's labels and csc generators, and the product of each
+    word suffix, so calls with the same N, k, M and q0 share them.
+    """
+    from scipy import sparse
+
+    from qcpn.ncpoly import letter_index
+
+    av = _psi(-N, n)
+    terms = []
+    for m, u in zip(av.monomials, av.weights):
+        (w, c), = m.terms.items()
+        if all(letter_index(g) <= k for g in w):
+            terms.append((u.evalf_stable(q0) * c.evalf_stable(q0) ** 2, w))
+    if k == 0:
+        return sum(wt for wt, _ in terms), 0.0
+
+    def box_rep(j, top):
+        if (j, top) not in memo:
+            rep = FockRep(RepSpec(k, j, top, q0))
+            memo[j, top] = rep.labels, [_sparse_generator_reference(rep, i).tocsc() for i in range(k + 1)]
+        return memo[j, top]
+
+    def product(j, top, w):
+        # right to left, as mat = gm @ mat
+        if (j, top, w) not in memo:
+            labels, gens = box_rep(j, top)
+            if not w:
+                memo[j, top, w] = sparse.identity(labels.shape[1], format="csc")
+            elif len(w) == 1:
+                memo[j, top, w] = gens[letter_index(w[0])]
+            else:
+                memo[j, top, w] = gens[letter_index(w[0])] @ product(j, top, w[1:])
+        return memo[j, top, w]
+
+    def boxed_trace(box):
+        total = 0.0
+        for j in range(k + 1):
+            # diagonal of mat mat^dag is summed over the reporting box only
+            keep = np.all(box_rep(j, box + N)[0] <= box, axis=0)
+            contrib = 0.0
+            for wt, w in terms:
+                # a csc matrix's (indices, data) are its tocoo() (row, data), column by column
+                mat = product(j, box + N, w)
+                contrib += wt * float(np.sum(mat.data[keep[mat.indices]] ** 2))
+            total += contrib if j % 2 == 0 else -contrib
+        return total
+
+    val, val_small = boxed_trace(M), boxed_trace(M - 4)
+    r = q0 ** 8
+    return val, abs(val - val_small) * r / (1.0 - r)
+
+
+@pytest.mark.parametrize("q0", [0.3, 0.5, 0.9])
+def test_pairing_bit_identical_to_sparse_products(q0):
+    """Composing index maps on one box gives the same floats as sparse products on two."""
+    for M, N, k in itertools.product((5, 8, 16), range(5), range(4)):
+        memo = {}
+        for n in range(max(k, 1), 4):
+            r = fredholm_pairing(N, k, n, M, q0)
+            assert (r.value, r.tail_estimate) == _sparse_pairing_reference(N, k, n, M, q0, memo), (n, N, k, M)
