@@ -7,8 +7,7 @@ assembled on a finite box m_i <= M and the K-homology pairing
 <[F_k], [P_{-N}]> is computed as the trace of the alternating sum of
 pullback representations, which converges geometrically in M: for k >= 2
 the states of the k-dimensional cone past the box weigh in, so the tail
-behaves like M^{k-1} q0^{2M}.  Every pi_{n,k}(z_i) is a partial injective
-weighted shift (FockRep.shift); the pairing composes these index maps.
+behaves like M^{k-1} q0^{2M}.
 """
 
 from __future__ import annotations
@@ -103,9 +102,9 @@ class FockRep:
         return mat
 
     def shift(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """pi(z_i) as a weighted shift over the basis: z_i e_s = amp[s] e_{tgt[s]}.
+        """pi(z_i) as a partial injective weighted shift: z_i e_s = amp[s] e_{tgt[s]}.
 
-        tgt[s] = -1 (and amp[s] = 0.0) where z_i kills e_s or moves it out of
+        tgt[s] = -1 and amp[s] = 0.0 where z_i kills e_s or moves it out of
         the box.  The diagonal letters (z_0 at k = 0, z_k) keep every V^n_k
         state even where the amplitude underflows to 0.0; the shifting letters
         drop amplitude 0.0.
@@ -255,7 +254,8 @@ def fredholm_pairing(N: int, k: int, n: int, M: int, q0: float) -> PairingResult
                 tgt, a = shifts[letter_index(g)]
                 amp = a[idx] * amp
                 idx = tgt[idx]
-            # as the sparse product: a lone letter keeps its stored entries, a longer word drops exact zeros
+            # the entries of the generators' sparse product: a lone letter keeps its stored zeros,
+            # a product of two or more drops exact zeros
             live = idx >= 0 if len(w) < 2 else amp != 0.0
             for b, keep in enumerate(keeps):
                 contrib[b] += wt * float(np.sum(amp[live & keep[idx]] ** 2))
