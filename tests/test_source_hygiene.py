@@ -8,6 +8,9 @@ loads it, imports it or reads it as an attribute.  The names that
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +107,16 @@ def test_no_unreferenced_private_names():
         if name not in refs
     ]
     assert not dead, "private names nothing references: " + ", ".join(dead)
+
+
+def test_cli_import_leaves_out_slow_scipy_modules():
+    """Importing the CLI loads neither scipy.sparse.linalg nor scipy.sparse.csgraph, which dominate start-up."""
+    slow = ("scipy.sparse.linalg", "scipy.sparse.csgraph")
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, qcpn.cli; print([m for m in {slow!r} if m in sys.modules])"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -6,11 +6,13 @@ import random
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from qcpn.ncpoly import NCPoly, Presentation, UqGenerator, mul, normalize, star, uq_act
 from qcpn.qcoeff import qint, qpow
 from qcpn.suq2 import (
     SUq2Box,
+    _block_norm,
     _brk,
     _hplus,
     _hplus_slots,
@@ -37,6 +39,7 @@ Z0, Z1 = NCPoly.gen(0), NCPoly.gen(1)
 Z0S, Z1S = NCPoly.gen(0, True), NCPoly.gen(1, True)
 A_EL = mul(Z1S, Z1, P1)
 B_EL = mul(Z1S, Z0, P1)
+BS_EL = mul(Z0S, Z1, P1)
 
 
 def _at(box, l2, m2, n2):
@@ -240,6 +243,73 @@ def test_triple_axioms(j2):
             assert val < 1e-3, (name, val)
         else:
             assert val < 1e-9, (name, val)
+
+
+def test_commutator_norm_drift_is_truncation_only():
+    """The exact norms drift by at most 1.1e-7 from L = 16 to 19 at q0 = 0.5."""
+    for j2 in (1, 3):
+        drifts = {k: v for k, v in triple_axiom_suite(j2, 16, Q0).items() if "drift" in k}
+        assert len(drifts) == 3
+        for name, val in drifts.items():
+            assert val < 1e-6, (j2, name, val)
+
+
+def _component_norm(mat):
+    """np.linalg.norm(mat.toarray(), 2), taken over the connected components of mat.
+
+    The 2-norm of a direct sum is the largest 2-norm of its summands.  The
+    components come from the bipartite row/column graph of the entries, not
+    from slot or m labels; one dense SVD of a whole window costs seconds at
+    the largest boxes here.
+    """
+    coo = mat.tocoo()
+    _, comp = csgraph.connected_components(sparse.bmat([[None, coo], [coo.T, None]]), directed=False)
+    rc, cc = comp[: mat.shape[0]], comp[mat.shape[0]:]
+    dense = mat.toarray()
+    return max(np.linalg.norm(dense[np.ix_(rc == i, cc == i)], 2) for i in np.unique(cc[coo.col]))
+
+
+@pytest.mark.parametrize("j2", [1, 3, 5])
+@pytest.mark.parametrize("L", [12, 16, 19])
+def test_block_norm_is_the_dense_norm(j2, L):
+    """||[D, a]|| on the interior window, on the L and L + 3 boxes: the dense 2-norm, and
+    ||[D, B]|| = ||[D, B^*]|| since [D, B^*] = -[D, B]^T."""
+    for q0 in (0.3, 0.5, 0.8):
+        for box_L in (L, L + 3):
+            st = build_triple(j2, box_L, q0)
+            D, win = st.dirac(), st.interior(3)
+            norms = {}
+            for nm, e in (("A", A_EL), ("B", B_EL), ("B*", BS_EL)):
+                a = st.represent(e)
+                comm = (D @ a - a @ D).tocsr()[np.ix_(win, win)]
+                norms[nm] = _block_norm(comm, st.labels[:, win], j2)
+                assert norms[nm] == pytest.approx(_component_norm(comm), rel=1e-13, abs=0), (q0, box_L, nm)
+            assert norms["B*"] == pytest.approx(norms["B"], rel=1e-13, abs=0), (q0, box_L)
+
+
+def test_block_norm_rejects_other_structure():
+    """An entry between two (pair, m) blocks, or a second m-shift, is an error; no entries give 0."""
+    st = build_triple(3, 8, Q0)
+    D, win = st.dirac(), st.interior(3)
+    lab = st.labels[:, win]
+    _, m2, n2 = lab
+    pair = (n2 + 3) // 4
+
+    def comm(e):
+        a = st.represent(e)
+        return (D @ a - a @ D).tocsr()[np.ix_(win, win)]
+
+    ca = comm(A_EL)
+    assert _block_norm(ca, lab, 3) > 0
+    s = int(np.flatnonzero(pair == 0)[0])
+    for other in (pair == 1) & (m2 == m2[s]), (pair == 0) & (m2 == m2[s] + 2):
+        stray = sparse.csr_matrix(([1.0], ([int(np.flatnonzero(other)[0])], [s])), shape=ca.shape)
+        with pytest.raises(ArithmeticError, match="not block diagonal"):
+            _block_norm(ca + stray, lab, 3)
+    with pytest.raises(ArithmeticError, match="m-shift is not constant"):
+        _block_norm(ca + comm(B_EL), lab, 3)
+    assert _block_norm(sparse.csr_matrix((0, 0)), np.zeros((3, 0), dtype=int), 3) == 0.0
+    assert _block_norm(sparse.csr_matrix(ca.shape), lab, 3) == 0.0
 
 
 def test_grading_eigenvalues():
