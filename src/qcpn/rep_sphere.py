@@ -2,9 +2,9 @@
 
 The representation pi_{n,k} of the level-n sphere algebra acts on the
 subspace V^n_k of l^2(N^n) spanned by |m_1..m_n> with m_1 <= ... <= m_k and
-m_{k+1} > ... > m_n >= 0; operators vanish on the complement.  Everything is
-assembled on a finite box m_i <= M and the K-homology pairing
-<[F_k], [P_{-N}]> is computed as the trace of the alternating sum of
+m_{k+1} > ... > m_n >= 0; operators vanish on the complement, so they are
+assembled on the V^n_k states of a finite box m_i <= M alone.  The K-homology
+pairing <[F_k], [P_{-N}]> is computed as the trace of the alternating sum of
 pullback representations, which converges geometrically in M: for k >= 2
 the states of the k-dimensional cone past the box weigh in, so the tail
 behaves like M^{k-1} q0^{2M}.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -44,46 +44,31 @@ class RepSpec:
             raise ValueError("q0 must lie in (0,1) for the Fock representations")
 
 
-def _box_labels(spec: RepSpec) -> np.ndarray:
-    """All labels of the box {0..M}^n as an (n, (M+1)^n) array, in lexicographic order."""
-    return np.indices((spec.M + 1,) * spec.n).reshape(spec.n, -1)
-
-
-def _vnk_mask(m: np.ndarray, k: int) -> np.ndarray:
-    """Which label columns lie in V^n_k: m_1 <= .. <= m_k and m_{k+1} > .. > m_n."""
-    return np.all(np.diff(m[:k], axis=0) >= 0, axis=0) & np.all(np.diff(m[k:], axis=0) < 0, axis=0)
-
-
-def _tuples(m: np.ndarray) -> List[FockIndex]:
-    return list(zip(*m.tolist()))
+def _cone_labels(spec: RepSpec) -> np.ndarray:
+    """Labels of V^n_k (m_1 <= .. <= m_k, m_{k+1} > .. > m_n) in the box {0..M}^n, lexicographic, as (n, dimension)."""
+    m = np.indices((spec.M + 1,) * spec.n).reshape(spec.n, -1)
+    k = spec.k
+    return m[:, np.all(np.diff(m[:k], axis=0) >= 0, axis=0) & np.all(np.diff(m[k:], axis=0) < 0, axis=0)]
 
 
 def fock_states(spec: RepSpec) -> List[FockIndex]:
     """Basis of V^n_k inside the box {0..M}^n, in lexicographic order."""
-    m = _box_labels(spec)
-    return _tuples(m[:, _vnk_mask(m, spec.k)])
+    return list(zip(*_cone_labels(spec).tolist()))
 
 
 class FockRep:
-    """Sparse-matrix realization of pi_{n,k} on the truncated V^n_k basis.
+    """Sparse-matrix realization of pi_{n,k} on the truncated V^n_k basis."""
 
-    With full_box=True the operators are embedded in the whole box
-    {0..M}^n (still vanishing off V^n_k), so representations with different
-    k can be composed.
-    """
-
-    def __init__(self, spec: RepSpec, full_box: bool = False):
+    def __init__(self, spec: RepSpec):
         self.spec = spec
-        m = _box_labels(spec)
-        in_vnk = _vnk_mask(m, spec.k)
-        # labels (n, dimension) of the basis, and which of them lie in V^n_k
-        self.labels = m if full_box else m[:, in_vnk]
-        self.in_vnk = in_vnk if full_box else np.ones(self.labels.shape[1], dtype=bool)
+        self.labels = _cone_labels(spec)  # (n, dimension)
+        # flat indices of the labels in the box {0..M}^n; they ascend, as the labels are in lexicographic order
+        self._flat = np.ravel_multi_index(self.labels, (spec.M + 1,) * spec.n)
         self._gen_cache: Dict[Tuple[int, bool], sparse.csr_matrix] = {}
 
     @cached_property
     def states(self) -> List[FockIndex]:
-        return _tuples(self.labels)
+        return list(zip(*self.labels.tolist()))
 
     @property
     def dimension(self) -> int:
@@ -114,26 +99,22 @@ class FockRep:
         amp = np.zeros(self.dimension)
         if i > k:  # z_i = 0 for i > k
             return tgt, amp
-        src = np.flatnonzero(self.in_vnk)
         # the scalar powers q0 ** e, so amplitudes match the scalar formulas bit for bit
         qpow = np.array([q0 ** e for e in range(2 * M + 3)])
-        m = self.labels[:k, src]
+        m = self.labels[:k]
         if i == k:
             # z_0 at k = 0 is the projection onto strictly decreasing strings; z_k multiplies by q0^{m_k}
-            tgt[src] = src
-            amp[src] = 1.0 if k == 0 else qpow[m[k - 1]]
-            return tgt, amp
+            amp[:] = 1.0 if k == 0 else qpow[m[k - 1]]
+            return np.arange(self.dimension), amp
         # 0 <= i <= k-1: shift m_{i+1}..m_k up by one; leaving the box is
         # harmless outside the interior window
         mi = m[i - 1] if i >= 1 else np.zeros_like(m[i])
         a = qpow[mi] * np.sqrt(1.0 - qpow[2 * (m[i] - mi + 1)])
         keep = np.all(m[i:] < M, axis=0) & (a != 0.0)
-        # a shifted V^n_k label stays in V^n_k, so it is a basis state; the
-        # basis is in lexicographic order, so its flat box indices ascend
-        flat = np.ravel_multi_index(self.labels, (M + 1,) * n)
+        # a shifted V^n_k label stays in V^n_k, so it is a basis state
         step = sum((M + 1) ** (n - 1 - p) for p in range(i, k))
-        tgt[src[keep]] = np.searchsorted(flat, flat[src[keep]] + step)
-        amp[src[keep]] = a[keep]
+        tgt[keep] = np.searchsorted(self._flat, self._flat[keep] + step)
+        amp[keep] = a[keep]
         return tgt, amp
 
     def poly(self, a: NCPoly) -> sparse.csr_matrix:
@@ -195,6 +176,23 @@ class PairingResult:
         return abs(self.value - self.target)
 
 
+@lru_cache(maxsize=1)
+def _trace_terms(N: int, n: int, q0: float) -> Tuple[Tuple[float, Tuple[int, ...]], ...]:
+    """(u_I c_I^2 at q0, word w_I) for each summand u_I m_I m_I^* of Tr P_{-N}, where m_I = c_I w_I.
+
+    Only the last N is kept: `qcpn pairing` loops over k inside N, so its
+    sweep builds Psi_{-N} once per N.
+    """
+    from .projections import psi
+
+    av = psi(-N, n)
+    terms = []
+    for m, u in zip(av.monomials, av.weights):
+        (w, c), = m.terms.items()
+        terms.append((u.evalf_stable(q0) * c.evalf_stable(q0) ** 2, w))
+    return tuple(terms)
+
+
 def fredholm_pairing(N: int, k: int, n: int, M: int, q0: float) -> PairingResult:
     """Pairing <[F_k], [P_{-N}]> = Tr((pi_+^{(k)} - pi_-^{(k)})(Tr P_{-N})).
 
@@ -226,15 +224,7 @@ def fredholm_pairing(N: int, k: int, n: int, M: int, q0: float) -> PairingResult
         raise ValueError("q0 must lie in (0,1) for the Fock representations")
     if M < 5:
         raise ValueError("truncation M must be >= 5: the tail estimate compares the boxes M and M - 4")
-    from .projections import psi
-
-    av = psi(-N, n)
-    terms: List[Tuple[float, Tuple[int, ...]]] = []
-    for m, u in zip(av.monomials, av.weights):
-        (w, c), = m.terms.items()
-        if any(letter_index(g) > k for g in w):
-            continue
-        terms.append((u.evalf_stable(q0) * c.evalf_stable(q0) ** 2, w))
+    terms = [(wt, w) for wt, w in _trace_terms(N, n, q0) if all(letter_index(g) <= k for g in w)]
 
     if k == 0:
         # character representation a -> a (+) 0: value sum of surviving weights

@@ -622,6 +622,11 @@ class IndexReport:
     unstable: bool
 
 
+def index_min_L(j2: int) -> int:
+    """The smallest box index_numeric accepts at j = j2/2: L >= j + 3."""
+    return (j2 + 7) // 2
+
+
 def index_numeric(j2: int, L: int, q0: float, tol: float = 1e-8) -> IndexReport:
     """dim ker - dim coker of pD_j^+p, sector by sector in (l, m).
 
@@ -665,7 +670,7 @@ def index_numeric(j2: int, L: int, q0: float, tol: float = 1e-8) -> IndexReport:
     projection and from equivariant multiplicity counting, so the
     discrepancy is intrinsic, not numerical.
     """
-    if 2 * L < j2 + 6:
+    if L < index_min_L(j2):
         raise ValueError("need L >= j + 3")
     box = SUq2Box(L, q0)
     sec_l, sec_m = _sector_labels(j2 + 5)
@@ -852,14 +857,17 @@ def triple_axiom_suite(j2: int, L: int, q0: float) -> Dict[str, float]:
     ||[D, a]|| on the interior window from the L box to the L + 3 box, a
     proxy for boundedness.  Both norms are exact (``_block_norm``, which
     asserts the block structure it relies on), so the drift measures the
-    truncation only: 2.5e-8 for B at j = 1/2, L = 16, q0 = 0.5.
+    truncation only: 2.5e-8 for B at j = 1/2, L = 16, q0 = 0.5.  A window
+    that holds no state of H_j is an input error (ValueError).
     """
     st = build_triple(j2, L, q0)
+    win = st.interior(3)
+    if not len(win):
+        raise ValueError(f"the interior window l <= L - 3 = {L - 3} holds no state of H_j at j = {j2}/2")
     D = st.dirac()
     G = st.grading()
     J = st.real_structure()
     eye = sparse.identity(st.dim, format="csr")
-    win = st.interior(3)
     res: Dict[str, float] = {}
     res["J2+1"] = _maxabs(J @ J + eye, win)
     res["JD-DJ"] = _maxabs(J @ D - D @ J, win)

@@ -199,7 +199,7 @@ def test_cli_triple_drift_at_q08():
 
 def test_cli_index_reports_discrepancy():
     # analytic values match the branch formulas; numeric disagrees beyond j=1/2
-    code, out, _ = run_cli("index", "--j", "1/2,3/2", "--L", "8", "--json")
+    code, out, _ = run_cli("index", "--j", "1/2,3/2", "--json")
     payload = json.loads(out)
     recs = {(r["name"], r["params"]["j"]): r for r in payload["records"]}
     assert recs[("index_analytic", "1/2")]["pass"]
@@ -278,12 +278,14 @@ def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want
         ("pairing", "--n", "2", "--N", "0..2", "--k", "0..0", "--q", "1.0", "--csv"),
         ("pairing", "--n", "2", "--N", "0..2", "--k", "0..2", "--M", "4", "--q", "0.9"),
         ("pairing", "--n", "2", "--N", "0..2", "--k", "0..0", "--M", "0", "--csv"),
+        ("verify", "triple", "--j", "1/2", "--L", "3", "--csv"),
     ],
     ids=["holo-dim", "verify-triple", "pairing", "tau1", "tau1-reversed-range", "holo-dim-fraction",
          "verify-triple-quarter", "identities-negative", "projections-negative-Nmax",
          "equivariance-negative-Nmax", "chern-negative-n", "chern-negative-Nmax", "relations-n-0",
          "relations-negative-cases", "equivariance-n-0", "pairing-k-above-n", "tau1-negative-N",
-         "spectrum-q-1", "holo-dim-q-1", "pairing-k0-q1", "pairing-M-4", "pairing-M-0-k0"],
+         "spectrum-q-1", "holo-dim-q-1", "pairing-k0-q1", "pairing-M-4", "pairing-M-0-k0",
+         "verify-triple-empty-window"],
 )
 def test_cli_input_errors_exit_2(argv):
     code, _, err = run_cli(*argv)
@@ -311,7 +313,7 @@ def test_cli_each_config_gets_its_own_defaults(tmp_path, monkeypatch):
         if text is not None:
             (tmp_path / name / "qcpn.cfg").write_text(text)
         monkeypatch.chdir(tmp_path / name)
-        code, out, err = run_cli("index", "--j", "1/2", "--json")
+        code, out, err = run_cli("spectrum", "--j", "1/2", "--json")
         assert (code, err) == (0, "")
         want = {"a": {"L": "9", "q0": "0.25"}, "b": {"L": "10", "q0": "0.75"}}[name]
         assert json.loads(out)["metadata"] == want
@@ -384,17 +386,31 @@ def _readme_cli_lines():
     return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("qcpn ")]
 
 
-def test_readme_cli_examples_parse():
-    """Every README CLI example names a real subcommand and real flags; nothing is run."""
-    from qcpn import cli
+def test_readme_cli_examples_parse(tmp_path, monkeypatch):
+    """Every README CLI example parses and runs with its documented exit code: 0, or 1 for index, which fails by design.
 
+    An example with an unknown subcommand or flag would exit 2.
+    """
+    monkeypatch.chdir(tmp_path)  # no ./qcpn.cfg, so the built-in defaults apply
     lines = _readme_cli_lines()
     assert len(lines) >= 12
     for words in lines:
-        argv = words[1:]
-        _, start = cli._config_arg(argv)
-        try:
-            args = cli.build_parser({}).parse_args(cli._expression_last(argv, start))
-        except SystemExit:
-            pytest.fail(f"README example does not parse: {' '.join(words)}")
-        assert callable(args.fn)
+        code, _, err = run_cli(*words[1:])
+        assert (code, err) == (1 if words[1] == "index" else 0, ""), " ".join(words)
+
+
+def test_pairing_builds_psi_once_per_n(monkeypatch):
+    """pairing over N = 0..3 and k = 0..3 builds Psi_{-N} 4 times, once per N, not once per (N, k)."""
+    from qcpn import projections, rep_sphere
+
+    calls, original = [], projections.psi
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    rep_sphere._trace_terms.cache_clear()
+    monkeypatch.setattr(projections, "psi", counting)
+    code, _, err = run_cli("pairing", "--n", "3", "--N", "0..3", "--k", "0..3", "--M", "30", "--json")
+    assert (code, err) == (0, "")
+    assert sorted(calls) == [(-N, 3) for N in (3, 2, 1, 0)]

@@ -27,7 +27,7 @@ CASES = [
     ("verify_equivariance.json", "verify equivariance --n 1 --Nmax 2 --json", 0),
     ("verify_equivariance_n2.json", "verify equivariance --n 2 --Nmax 2 --json", 0),
     ("tau1.csv", "tau1 --N 0..2 --csv", 0),
-    ("index.json", "index --j 1/2..5/2 --L 8 --json", 1),  # index_numeric disagrees from j = 3/2 on
+    ("index.json", "index --j 1/2..5/2 --json", 1),  # index_numeric disagrees from j = 3/2 on
     ("holo_dim.csv", "holo-dim --N=-2..1 --L 7 --csv", 0),
     ("spectrum.csv", "spectrum --j 1/2,3/2 --L 16 --csv", 0),
     # normal forms: rational, q^{1/2}-power and cancelling coefficients at n = 1..3

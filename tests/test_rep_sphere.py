@@ -29,6 +29,21 @@ def test_state_constraints():
     assert [len(fock_states(RepSpec(2, k, 4, Q0))) for k in range(3)] == [10, 25, 15]
 
 
+@pytest.mark.parametrize("M", [1, 4, 7])
+def test_fock_labels_are_the_cone_in_lexicographic_order(M):
+    """The basis of V^n_k is the brute-force filter of {0..M}^n; its flat box indices strictly ascend.
+
+    FockRep.shift finds a shifted label by searchsorted on those flat indices.
+    """
+    for n in range(1, 4):
+        for k in range(n + 1):
+            want = [m for m in itertools.product(range(M + 1), repeat=n)
+                    if all(m[p] <= m[p + 1] for p in range(k - 1)) and all(m[p] > m[p + 1] for p in range(k, n - 1))]
+            rep = FockRep(RepSpec(n, k, M, Q0))
+            assert rep.states == fock_states(RepSpec(n, k, M, Q0)) == want, (n, k)
+            assert np.all(np.diff(np.ravel_multi_index(rep.labels, (M + 1,) * n)) > 0)
+
+
 def test_generator_formulas():
     spec = RepSpec(1, 1, 6, Q0)
     rep = FockRep(spec)
@@ -61,12 +76,11 @@ FOCK_M4 = {
 }
 
 
-@pytest.mark.parametrize("full_box", [False, True])
-def test_generator_nnz_at_box_wall(full_box):
-    """Shifts past m_i = M are dropped; in the full box the operators still vanish off V^n_k."""
+def test_generator_nnz_at_box_wall():
+    """Shifts past m_i = M are dropped."""
     for (n, k), (dim, nnz) in FOCK_M4.items():
-        rep = FockRep(RepSpec(n, k, 4, Q0), full_box=full_box)
-        assert rep.dimension == (5 ** n if full_box else dim)
+        rep = FockRep(RepSpec(n, k, 4, Q0))
+        assert rep.dimension == dim
         assert tuple(rep.generator(i, False).nnz for i in range(n + 1)) == nnz
 
 
@@ -95,15 +109,26 @@ def test_z1_normality_example():
     assert abs(diff[np.ix_(win, win)]).max() < 1e-12
 
 
+def _embed_in_box(rep, op):
+    """op, an operator on rep's V^n_k basis, as an operator on the whole box {0..M}^n (zero off V^n_k)."""
+    from scipy import sparse
+
+    shape = (rep.spec.M + 1,) * rep.spec.n
+    rows = np.ravel_multi_index(rep.labels, shape)
+    emb = sparse.csr_matrix((np.ones(rep.dimension), (rows, np.arange(rep.dimension))),
+                            shape=(np.prod(shape), rep.dimension))
+    return emb @ op @ emb.T
+
+
 def test_representation_orthogonality():
-    """pi_{n,j}(a) pi_{n,k}(b) = 0 for |j - k| > 1 (n = 2: j=0, k=2)."""
+    """pi_{n,j}(a) pi_{n,k}(b) = 0 for |j - k| > 1 (n = 2: j=0, k=2), composed in the box {0..10}^2."""
     P = Presentation(2)
     a = NCPoly.gen(0)
     b = mul(NCPoly.gen(0, True), NCPoly.gen(0), P)
-    r0 = FockRep(RepSpec(2, 0, 10, Q0), full_box=True)
-    r2 = FockRep(RepSpec(2, 2, 10, Q0), full_box=True)
-    prod = r0.poly(normalize(a, P)) @ r2.poly(b)
-    win = r0.interior_window(3)
+    r0 = FockRep(RepSpec(2, 0, 10, Q0))
+    r2 = FockRep(RepSpec(2, 2, 10, Q0))
+    prod = _embed_in_box(r0, r0.poly(normalize(a, P))) @ _embed_in_box(r2, r2.poly(b))
+    win = np.flatnonzero(np.all(np.indices((11, 11)).reshape(2, -1) <= 7, axis=0))
     assert abs(prod[np.ix_(win, win)]).max() < 1e-12
 
 
@@ -180,7 +205,7 @@ def _sparse_generator_reference(rep, i):
 
     n, k, M, q0 = rep.spec.n, rep.spec.k, rep.spec.M, rep.spec.q0
     dim = rep.dimension
-    src = np.flatnonzero(rep.in_vnk)
+    src = np.arange(dim)
     if k == 0:
         diag = src if i == 0 else src[:0]
         return sparse.csr_matrix((np.ones(len(diag)), (diag, diag)), shape=(dim, dim))
@@ -200,15 +225,14 @@ def _sparse_generator_reference(rep, i):
     return sparse.csr_matrix((amp[keep], (tgt, src[keep])), shape=(dim, dim))
 
 
-@pytest.mark.parametrize("full_box", [False, True])
-def test_generator_from_shift_matches_sparse_reference(full_box):
+def test_generator_from_shift_matches_sparse_reference():
     """Same structure, nnz (stored zeros included) and data bits as the direct csr build.
 
     At q0 = 1e-60, q0^6 underflows to 0.0 inside the box M = 7.
     """
     for q0, M, n in itertools.product((0.3, 0.5, 0.8, 1e-60), (4, 7), (1, 2, 3)):
         for k in range(n + 1):
-            rep = FockRep(RepSpec(n, k, M, q0), full_box=full_box)
+            rep = FockRep(RepSpec(n, k, M, q0))
             for i in range(n + 1):
                 got, want = rep.generator(i, False), _sparse_generator_reference(rep, i)
                 assert got.nnz == want.nnz
