@@ -21,12 +21,14 @@ polynomial in s with integer coefficients (``Presentation._pair`` converts
 each one once and raises ArithmeticError if one is not), so every normal form
 of a word is too.  Inside ``Presentation`` a normal form is an immutable
 tuple of ``(word, ((e, k), ...))`` entries, sum of k * s^e * word, and sums
-are accumulated in ``{word: {e: k}}`` maps.  QScalars are built only at the
-NCPoly boundary, in ``normalize`` and ``mul_sum``: one sum per distinct
-denominator of the input coefficients, then one canonical QScalar per output
-word.  Normal forms are unique, so the coefficient storage changes no output.
-When the input coefficients share one denominator (every Laurent input does),
-the words also come out in the order of a term-by-term add_terms sum.
+are accumulated in ``{word: {e: k}}`` maps.  ``_collect`` keeps one such sum
+per distinct denominator and builds one canonical QScalar per output word;
+``normalize`` and ``coproduct_act`` convert each input QScalar once, and
+``mul_sum`` multiplies coefficients as (e, k) items, QScalars only for a
+non-unit denominator.  Normal forms are unique, so the coefficient storage
+changes no output.  When the input coefficients share one denominator (every
+Laurent input does), the words also come out in the order of a term-by-term
+add_terms sum, but for the one case ``mul_sum`` names.
 
 Two kernels do all the summing.  ``_add_int`` sums normal forms on integers
 inside ``_collect``, which serves ``normalize``, ``mul_sum`` and the U_q
@@ -44,7 +46,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .qcoeff import ONE, ZERO, QScalar, qpow
+from .qcoeff import ONE, ZERO, QScalar, _lmul, qpow
 
 Word = Tuple[int, ...]
 TermMap = Dict[Word, QScalar]
@@ -355,19 +357,16 @@ def _freeze(acc: IntAcc) -> IntForm:
     return tuple((w, tuple(d.items())) for w, d in acc.items())
 
 
-def _collect(items: Iterable[Tuple[Word, QScalar]], P: Presentation) -> NCPoly:
-    """sum of c * (normal form of w) over the (w, c) items.
+def _collect(items: Iterable[Tuple[IntForm, LaurentItems, LaurentItems]], P: Presentation) -> NCPoly:
+    """sum of (num / den) * form over the (form, den, num) items (forms normal, den canonical).
 
-    Coefficients with one denominator are summed on integers, in one
-    {word: {e: k}} map per denominator, and each output word gets one
-    canonical QScalar; sums across denominators go through add_terms.
+    One {word: {e: k}} map per denominator sums on integers, each output word
+    gets one canonical QScalar, and sums across denominators go through add_terms.
     """
     P._steps = 0  # the step budget bounds a single operation: one whole sum
     groups: Dict[LaurentItems, IntAcc] = {}  # denominator -> sum
-    for w, c in items:
-        if c.num:
-            acc = groups.setdefault(tuple(sorted(c.den.items())), {})
-            _add_int(acc, P._normal_word(w), tuple(c.num.items()))
+    for form, den, num in items:
+        _add_int(groups.setdefault(den, {}), form, num)
     out: TermMap = {}
     for den, acc in groups.items():
         if den == _UNIT:
@@ -380,30 +379,56 @@ def _collect(items: Iterable[Tuple[Word, QScalar]], P: Presentation) -> NCPoly:
     return NCPoly(out)
 
 
+def _word_items(pairs: Iterable[Tuple[Word, QScalar]], P: Presentation):
+    """(normal form of w, den, num) items of the nonzero (w, c) pairs, for _collect."""
+    for w, c in pairs:
+        if c.num:
+            yield P._normal_word(w), tuple(sorted(c.den.items())), tuple(c.num.items())
+
+
 def normalize(a: NCPoly, P: Presentation) -> NCPoly:
     """Unique normal form of a modulo the sphere relations (idempotent)."""
     for w in a.terms:
         P.check_letters(w)
-    return _collect(a.terms.items(), P)
+    return _collect(_word_items(a.terms.items(), P), P)
 
 
 def mul_sum(triples: Iterable[Tuple[NCPoly, NCPoly, QScalar | None]], P: Presentation) -> NCPoly:
     """Normal form of sum c * a * b over the (a, b, c) triples (c None counts as 1).
 
-    Every product's (word, coefficient) items stream into one ``_collect``:
-    the normal forms of all the words are summed on integers in one map, and
-    QScalars are built once for the whole sum, not once per product.  The
-    step budget therefore bounds the whole sum.  c scales a once per triple.
+    Every product of a term of a with a term of b is one integer item of one
+    ``_collect``: Laurent coefficients multiply as (e, k) items, and only a
+    non-unit denominator takes a QScalar product.  The step budget bounds the
+    whole sum.  A c with more than one Laurent term is applied once per output
+    word: the triple's products are summed without it into a scratch map, which
+    then enters the sum times c; every other c scales a.  Unlike the
+    term-by-term sum, this keeps in place a word that an earlier triple left
+    and that cancels only part-way through such a triple.
     """
-    return _collect(
-        (
-            (wa + wb, ca * cb)
-            for a, b, c in triples
-            for wa, ca in (a if c is None else a.scale(c)).terms.items()
-            for wb, cb in b.terms.items()
-        ),
-        P,
-    )
+    def products(a: NCPoly, b: NCPoly):  # _collect items of the products of a term of a and a term of b
+        bt = [(wb, cb, tuple(cb.num.items()) if cb.is_laurent() else None) for wb, cb in b.terms.items()]
+        for wa, ca in a.terms.items():
+            la = tuple(ca.num.items()) if ca.is_laurent() else None
+            for wb, cb, lb in bt:
+                if la is None or lb is None:
+                    p = ca * cb
+                    yield P._normal_word(wa + wb), tuple(sorted(p.den.items())), tuple(p.num.items())
+                elif len(la) == 1 == len(lb):
+                    yield P._normal_word(wa + wb), _UNIT, ((la[0][0] + lb[0][0], la[0][1] * lb[0][1]),)
+                else:
+                    yield P._normal_word(wa + wb), _UNIT, tuple(_lmul(ca.num, cb.num).items())
+
+    def items():
+        for a, b, c in triples:
+            if c is None or not c.is_laurent() or len(c.num) < 2:
+                yield from products(a if c is None else a.scale(c), b)
+                continue
+            part: Dict[LaurentItems, IntAcc] = {}  # denominator -> this triple's sum without c
+            for form, den, num in products(a, b):
+                _add_int(part.setdefault(den, {}), form, num)
+            yield from ((_freeze(acc), den, tuple(c.num.items())) for den, acc in part.items())
+
+    return _collect(items(), P)
 
 
 def mul(a: NCPoly, b: NCPoly, P: Presentation) -> NCPoly:
@@ -479,7 +504,7 @@ def coproduct_act(
                     yield w[:p] + (g2,) + w[p + 1:], c * coeff * QScalar.s_pow(total - ws[p] - 2 * left)
                 left += ws[p]
 
-    return _collect(items(), P)
+    return _collect(_word_items(items(), P), P)
 
 
 def uq_act(x: UqGenerator, a: NCPoly, P: Presentation) -> NCPoly:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -10,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import qcpn
-from qcpn import ncpoly
+from qcpn import cli, ncpoly
 from qcpn.cli import main
-from qcpn.ncpoly import NCPoly, Presentation, mul, normalize
+from qcpn.ncpoly import NCPoly, Presentation, lincomb, mul, normalize
 from qcpn.parser import ParseError, parse_expr, print_expr
 from qcpn.qcoeff import qpow
 
@@ -162,6 +163,30 @@ def test_cli_identities_pass():
 def test_cli_verify_relations():
     code, out, _ = run_cli("verify", "relations", "--n", "2", "--cases", "60")
     assert code == 0
+
+
+def test_verify_relations_draws_the_inputs_of_the_lincomb_construction():
+    # _random_poly builds its integer coefficient map from the same draws, in the same order,
+    # as a lincomb of q-power words: the same terms, words in the same order, and the
+    # generator left in the same state
+    def lincomb_poly(P, rng, deg=3, terms=2):
+        return lincomb(
+            (NCPoly.word(rng.randrange(2 * (P.n + 1)) for _ in range(rng.randint(0, deg))), qpow(rng.randint(-2, 2)))
+            for _ in range(terms)
+        )
+
+    merged = 0
+    for n in (1, 2, 3):
+        P = Presentation(n)
+        for seed in range(50):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(4):  # one case of verify relations: a, b, c and x
+                got, want = cli._random_poly(P, rng), lincomb_poly(P, ref)
+                assert got.terms == want.terms
+                assert list(got.terms) == list(want.terms)
+                merged += len(got.terms) < 2
+            assert rng.random() == ref.random()
+    assert merged  # some draws repeat a word, so coefficients add up
 
 
 def test_cli_verify_relations_zero_cases():

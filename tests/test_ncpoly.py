@@ -20,7 +20,7 @@ from qcpn.ncpoly import (
     star,
     uq_act,
 )
-from qcpn.qcoeff import ONE, ZERO, QScalar, qint, qpow
+from qcpn.qcoeff import ONE, ZERO, QScalar, qint, qmultinomial, qpow
 from qcpn.suq2 import dbar, l_act
 
 
@@ -337,6 +337,63 @@ def test_mul_sum_step_budget_bounds_the_whole_sum(monkeypatch):
     monkeypatch.setattr(ncpoly, "_MAX_STEPS", max(steps))
     with pytest.raises(ArithmeticError, match="step budget exceeded"):
         mul_sum([(a, b, None) for a, b in pairs], Presentation(1))
+
+
+def test_mul_sum_factored_triple_scalars(monkeypatch):
+    # qint(3) = qmultinomial([2, 1]) has 3 Laurent terms and qmultinomial([2, 2]) has 5: mul_sum
+    # sums each such triple's products first and applies its scalar once per output word
+    P = Presentation(2)
+    z, zs = gens(2)
+    a, b = z[1] - z[0].scale(qpow(1)), z[0] + z[1]  # z1 z0 = q z0 z1, so the z0 z1 products cancel
+    assert (0, 2) not in mul(a, b, P).terms and len(mul(a, b, P).terms) == 2
+    laurent = [
+        (z[0] + zs[1].scale(qpow(-1)), zs[0] + z[2], qint(3)),
+        (a, b, qmultinomial([2, 2])),
+        (z[2], zs[0] + z[1] + NCPoly.one(), None),
+        (zs[2], z[2].scale(ONE - qpow(2)), qmultinomial([2, 1])),
+        (z[0], z[1], ZERO),
+    ]
+    mixed = laurent + [
+        (zs[2] + NCPoly.one(), z[1].scale(qint(2).inv()), qint(3)),  # a non-unit denominator in a factored triple
+        (zs[1], z[0], QScalar.from_fraction(Fraction(1, 3))),
+        (z[1], zs[1], qint(2).inv()),
+    ]
+    oracle = LetterEngine(P)
+    for triples in (laurent, mixed):
+        got = mul_sum(triples, P)
+        assert got == lincomb((mul(a, b, P), c) for a, b, c in triples)
+        items = [(wa + wb, (ca if c is None else c * ca) * cb)
+                 for a, b, c in triples for wa, ca in a.terms.items() for wb, cb in b.terms.items()]
+        want = oracle.combine(items)
+        assert got.terms == want
+        if triples is laurent:
+            assert list(got.terms) == list(want)  # Laurent coefficients: the term-by-term word order
+    # the step budget bounds the whole sum, factored triples included
+    P1, P2 = Presentation(2), Presentation(2)
+    steps = []
+    for t in mixed:
+        mul_sum([t], P1)
+        steps.append(P1._steps)
+    mul_sum(mixed, P2)
+    assert P2._steps == sum(steps) > max(steps)
+    monkeypatch.setattr(ncpoly, "_MAX_STEPS", max(steps))
+    with pytest.raises(ArithmeticError, match="step budget exceeded"):
+        mul_sum(mixed, Presentation(2))
+
+
+def test_mul_sum_factored_scalar_keeps_the_place_of_a_word_it_never_cancels():
+    # z0 z1 enters with -[3] q; the next triple's products reach it with +q, then -q.  The
+    # term-by-term sum cancels z0 z1 part-way and appends it again; mul_sum applies [3] to the
+    # triple's sum, where z0 z1 is gone, so the word never cancels and keeps its place
+    P = Presentation(1)
+    z, _ = gens(1)
+    a, b = z[1] - z[0].scale(qpow(1)), z[0] + z[1]
+    triples = [(z[0], z[1], -qint(3) * qpow(1)), (a, b, qint(3))]
+    got = mul_sum(triples, P)
+    items = [(wa + wb, c * ca * cb) for a, b, c in triples for wa, ca in a.terms.items() for wb, cb in b.terms.items()]
+    want = LetterEngine(P).combine(items)
+    assert got.terms == want
+    assert list(got.terms) == [(0, 2), (2, 2), (0, 0)] != list(want)
 
 
 def test_mixed_denominators_cancel():
