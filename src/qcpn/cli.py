@@ -40,7 +40,7 @@ from .projections import (
     psi_dagger_psi,
     qtrace,
 )
-from .qcoeff import ONE, QScalar, qint, qpow
+from .qcoeff import ONE, ZERO, QScalar, qint, qpow
 from .report import PairingRecord, Report
 
 
@@ -188,12 +188,11 @@ def _relations(P: Presentation) -> List[NCPoly]:
 
 def _random_poly(P: Presentation, rng: random.Random, deg: int = 3, terms: int = 2) -> NCPoly:
     """Sum of `terms` random words of up to `deg` letters, each times q^e with e drawn from -2..2."""
-    acc: Dict[Tuple[int, ...], Dict[int, int]] = {}  # word -> {s-exponent 2e: count}
+    acc: Dict[Tuple[int, ...], QScalar] = {}
     for _ in range(terms):
-        d = acc.setdefault(tuple(rng.randrange(2 * (P.n + 1)) for _ in range(rng.randint(0, deg))), {})
-        e = 2 * rng.randint(-2, 2)
-        d[e] = d.get(e, 0) + 1
-    return NCPoly({w: QScalar(d, _canonical=True) for w, d in acc.items()})
+        w = tuple(rng.randrange(2 * (P.n + 1)) for _ in range(rng.randint(0, deg)))
+        acc[w] = acc.get(w, ZERO) + qpow(rng.randint(-2, 2))
+    return NCPoly(acc)
 
 
 def cmd_verify_relations(args) -> Report:

@@ -28,7 +28,7 @@ per distinct denominator and builds one canonical QScalar per output word;
 non-unit denominator.  Normal forms are unique, so the coefficient storage
 changes no output.  When the input coefficients share one denominator (every
 Laurent input does), the words also come out in the order of a term-by-term
-add_terms sum, but for the one case ``mul_sum`` names.
+add_terms sum.
 
 Two kernels do all the summing.  ``_add_int`` sums normal forms on integers
 inside ``_collect``, which serves ``normalize``, ``mul_sum`` and the U_q
@@ -357,16 +357,16 @@ def _freeze(acc: IntAcc) -> IntForm:
     return tuple((w, tuple(d.items())) for w, d in acc.items())
 
 
-def _collect(items: Iterable[Tuple[IntForm, LaurentItems, LaurentItems]], P: Presentation) -> NCPoly:
-    """sum of (num / den) * form over the (form, den, num) items (forms normal, den canonical).
+def _collect(items: Iterable[Tuple[Word, LaurentItems, LaurentItems]], P: Presentation) -> NCPoly:
+    """sum of (num / den) * (normal form of w) over the (w, den, num) items (den canonical).
 
     One {word: {e: k}} map per denominator sums on integers, each output word
     gets one canonical QScalar, and sums across denominators go through add_terms.
     """
     P._steps = 0  # the step budget bounds a single operation: one whole sum
     groups: Dict[LaurentItems, IntAcc] = {}  # denominator -> sum
-    for form, den, num in items:
-        _add_int(groups.setdefault(den, {}), form, num)
+    for w, den, num in items:
+        _add_int(groups.setdefault(den, {}), P._normal_word(w), num)
     out: TermMap = {}
     for den, acc in groups.items():
         if den == _UNIT:
@@ -379,18 +379,16 @@ def _collect(items: Iterable[Tuple[IntForm, LaurentItems, LaurentItems]], P: Pre
     return NCPoly(out)
 
 
-def _word_items(pairs: Iterable[Tuple[Word, QScalar]], P: Presentation):
-    """(normal form of w, den, num) items of the nonzero (w, c) pairs, for _collect."""
-    for w, c in pairs:
-        if c.num:
-            yield P._normal_word(w), tuple(sorted(c.den.items())), tuple(c.num.items())
+def _word_items(pairs: Iterable[Tuple[Word, QScalar]]):
+    """(w, den, num) items of the nonzero (w, c) pairs, for _collect."""
+    return ((w, tuple(sorted(c.den.items())), tuple(c.num.items())) for w, c in pairs if c.num)
 
 
 def normalize(a: NCPoly, P: Presentation) -> NCPoly:
     """Unique normal form of a modulo the sphere relations (idempotent)."""
     for w in a.terms:
         P.check_letters(w)
-    return _collect(_word_items(a.terms.items(), P), P)
+    return _collect(_word_items(a.terms.items()), P)
 
 
 def mul_sum(triples: Iterable[Tuple[NCPoly, NCPoly, QScalar | None]], P: Presentation) -> NCPoly:
@@ -399,34 +397,19 @@ def mul_sum(triples: Iterable[Tuple[NCPoly, NCPoly, QScalar | None]], P: Present
     Every product of a term of a with a term of b is one integer item of one
     ``_collect``: Laurent coefficients multiply as (e, k) items, and only a
     non-unit denominator takes a QScalar product.  The step budget bounds the
-    whole sum.  A c with more than one Laurent term is applied once per output
-    word: the triple's products are summed without it into a scratch map, which
-    then enters the sum times c; every other c scales a.  Unlike the
-    term-by-term sum, this keeps in place a word that an earlier triple left
-    and that cancels only part-way through such a triple.
+    whole sum.  c scales a once per triple.
     """
-    def products(a: NCPoly, b: NCPoly):  # _collect items of the products of a term of a and a term of b
-        bt = [(wb, cb, tuple(cb.num.items()) if cb.is_laurent() else None) for wb, cb in b.terms.items()]
-        for wa, ca in a.terms.items():
-            la = tuple(ca.num.items()) if ca.is_laurent() else None
-            for wb, cb, lb in bt:
-                if la is None or lb is None:
-                    p = ca * cb
-                    yield P._normal_word(wa + wb), tuple(sorted(p.den.items())), tuple(p.num.items())
-                elif len(la) == 1 == len(lb):
-                    yield P._normal_word(wa + wb), _UNIT, ((la[0][0] + lb[0][0], la[0][1] * lb[0][1]),)
-                else:
-                    yield P._normal_word(wa + wb), _UNIT, tuple(_lmul(ca.num, cb.num).items())
-
     def items():
         for a, b, c in triples:
-            if c is None or not c.is_laurent() or len(c.num) < 2:
-                yield from products(a if c is None else a.scale(c), b)
-                continue
-            part: Dict[LaurentItems, IntAcc] = {}  # denominator -> this triple's sum without c
-            for form, den, num in products(a, b):
-                _add_int(part.setdefault(den, {}), form, num)
-            yield from ((_freeze(acc), den, tuple(c.num.items())) for den, acc in part.items())
+            bt = [(wb, cb, cb.is_laurent()) for wb, cb in b.terms.items()]
+            for wa, ca in (a if c is None else a.scale(c)).terms.items():
+                la = ca.is_laurent()
+                for wb, cb, lb in bt:
+                    if la and lb:
+                        yield wa + wb, _UNIT, tuple(_lmul(ca.num, cb.num).items())
+                    else:
+                        p = ca * cb
+                        yield wa + wb, tuple(sorted(p.den.items())), tuple(p.num.items())
 
     return _collect(items(), P)
 
@@ -504,7 +487,7 @@ def coproduct_act(
                     yield w[:p] + (g2,) + w[p + 1:], c * coeff * QScalar.s_pow(total - ws[p] - 2 * left)
                 left += ws[p]
 
-    return _collect(_word_items(items(), P), P)
+    return _collect(_word_items(items()), P)
 
 
 def uq_act(x: UqGenerator, a: NCPoly, P: Presentation) -> NCPoly:

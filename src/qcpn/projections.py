@@ -141,15 +141,13 @@ def projection(N: int, n: int, P: Presentation | None = None) -> AlgebraMatrix:
 
 
 def is_projection(M: AlgebraMatrix) -> bool:
-    """Check core * U * core == core entrywise, i.e. P_N^2 = P_N (core entries in normal form).
-
-    Entry (i, j) is one ``mul_sum`` with u_l as the scalar of triple (core_il, core_lj).
-    """
+    """Check core * U * core == core entrywise, i.e. P_N^2 = P_N (core entries in normal form)."""
     P, core = M.presentation, M.core
     k = len(M)
     for i in range(k):
+        row = [core[i][l].scale(M.weights[l]) for l in range(k)]  # row i of core * U
         for j in range(k):
-            if mul_sum(((core[i][l], core[l][j], M.weights[l]) for l in range(k)), P) != core[i][j]:
+            if mul_sum(((row[l], core[l][j], None) for l in range(k)), P) != core[i][j]:
                 return False
     return True
 

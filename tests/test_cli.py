@@ -166,9 +166,9 @@ def test_cli_verify_relations():
 
 
 def test_verify_relations_draws_the_inputs_of_the_lincomb_construction():
-    # _random_poly builds its integer coefficient map from the same draws, in the same order,
-    # as a lincomb of q-power words: the same terms, words in the same order, and the
-    # generator left in the same state
+    # _random_poly adds up its q-power words from the same draws, in the same order, as a
+    # lincomb of them: the same terms, words in the same order, and the generator left in
+    # the same state
     def lincomb_poly(P, rng, deg=3, terms=2):
         return lincomb(
             (NCPoly.word(rng.randrange(2 * (P.n + 1)) for _ in range(rng.randint(0, deg))), qpow(rng.randint(-2, 2)))

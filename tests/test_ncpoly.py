@@ -339,9 +339,9 @@ def test_mul_sum_step_budget_bounds_the_whole_sum(monkeypatch):
         mul_sum([(a, b, None) for a, b in pairs], Presentation(1))
 
 
-def test_mul_sum_factored_triple_scalars(monkeypatch):
-    # qint(3) = qmultinomial([2, 1]) has 3 Laurent terms and qmultinomial([2, 2]) has 5: mul_sum
-    # sums each such triple's products first and applies its scalar once per output word
+def test_mul_sum_multi_term_triple_scalars(monkeypatch):
+    # qint(3) = qmultinomial([2, 1]) has 3 Laurent terms and qmultinomial([2, 2]) has 5, so the
+    # products of such a triple multiply multi-term Laurent coefficients
     P = Presentation(2)
     z, zs = gens(2)
     a, b = z[1] - z[0].scale(qpow(1)), z[0] + z[1]  # z1 z0 = q z0 z1, so the z0 z1 products cancel
@@ -354,7 +354,7 @@ def test_mul_sum_factored_triple_scalars(monkeypatch):
         (z[0], z[1], ZERO),
     ]
     mixed = laurent + [
-        (zs[2] + NCPoly.one(), z[1].scale(qint(2).inv()), qint(3)),  # a non-unit denominator in a factored triple
+        (zs[2] + NCPoly.one(), z[1].scale(qint(2).inv()), qint(3)),  # a non-unit denominator beside a multi-term c
         (zs[1], z[0], QScalar.from_fraction(Fraction(1, 3))),
         (z[1], zs[1], qint(2).inv()),
     ]
@@ -368,7 +368,7 @@ def test_mul_sum_factored_triple_scalars(monkeypatch):
         assert got.terms == want
         if triples is laurent:
             assert list(got.terms) == list(want)  # Laurent coefficients: the term-by-term word order
-    # the step budget bounds the whole sum, factored triples included
+    # the step budget bounds the whole sum
     P1, P2 = Presentation(2), Presentation(2)
     steps = []
     for t in mixed:
@@ -379,21 +379,6 @@ def test_mul_sum_factored_triple_scalars(monkeypatch):
     monkeypatch.setattr(ncpoly, "_MAX_STEPS", max(steps))
     with pytest.raises(ArithmeticError, match="step budget exceeded"):
         mul_sum(mixed, Presentation(2))
-
-
-def test_mul_sum_factored_scalar_keeps_the_place_of_a_word_it_never_cancels():
-    # z0 z1 enters with -[3] q; the next triple's products reach it with +q, then -q.  The
-    # term-by-term sum cancels z0 z1 part-way and appends it again; mul_sum applies [3] to the
-    # triple's sum, where z0 z1 is gone, so the word never cancels and keeps its place
-    P = Presentation(1)
-    z, _ = gens(1)
-    a, b = z[1] - z[0].scale(qpow(1)), z[0] + z[1]
-    triples = [(z[0], z[1], -qint(3) * qpow(1)), (a, b, qint(3))]
-    got = mul_sum(triples, P)
-    items = [(wa + wb, c * ca * cb) for a, b, c in triples for wa, ca in a.terms.items() for wb, cb in b.terms.items()]
-    want = LetterEngine(P).combine(items)
-    assert got.terms == want
-    assert list(got.terms) == [(0, 2), (2, 2), (0, 0)] != list(want)
 
 
 def test_mixed_denominators_cancel():
