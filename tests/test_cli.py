@@ -222,6 +222,14 @@ def test_cli_triple_drift_at_q08():
     assert len(drift) == 3 and all(line.endswith(",pass") for line in drift)
 
 
+def test_cli_triple_order_one_passes_at_q03():
+    """At q0 = 0.3, L = 16 the order-one residuals of A are rounding, not the cancellation in A's normal form."""
+    code, out, _ = run_cli("verify", "triple", "--j", "1/2,3/2", "--L", "16", "--q", "0.3", "--csv")
+    assert code == 0
+    order1 = [line for line in out.splitlines() if line.startswith('"order1[A,')]
+    assert len(order1) == 6 and all(line.endswith(",pass") for line in order1)
+
+
 def test_cli_index_reports_discrepancy():
     # analytic values match the branch formulas; numeric disagrees beyond j=1/2
     code, out, _ = run_cli("index", "--j", "1/2,3/2", "--json")

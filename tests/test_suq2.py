@@ -13,6 +13,7 @@ from qcpn.qcoeff import qint, qpow
 from qcpn.suq2 import (
     SUq2Box,
     _block_norm,
+    _closed_forms,
     _brk,
     _hplus,
     _hplus_slots,
@@ -252,6 +253,52 @@ def test_commutator_norm_drift_is_truncation_only():
         assert len(drifts) == 3
         for name, val in drifts.items():
             assert val < 1e-6, (j2, name, val)
+
+
+@pytest.mark.parametrize("j2", [1, 3, 5])
+@pytest.mark.parametrize("L", [8, 16, 19])
+def test_triple_operators_on_hj_are_the_box_slices(j2, L):
+    """D_j, A, B, B^* and Theta assembled on H_j equal the box-wide operators sliced to H_j, bit for bit."""
+    for q0 in (0.3, 0.5, 0.8):
+        st = build_triple(j2, L, q0)
+        box, sel = st.box, st.sel
+        got = dict(_closed_forms(st), theta=st.assemble(box._theta_terms), D=st.dirac())
+        assert box._ops == {}  # nothing above built a box-wide operator
+        cut = np.ix_(sel, sel)
+        rows = sel + box.dim * _hplus(j2, st.labels[2])  # the rows of H_j^+ read L_F, stacked under L_E
+        want = {nm: box.generator(nm)[cut] for nm in ("A", "B", "B*")}
+        want["theta"] = box.theta()[cut]
+        want["D"] = sparse.vstack([box.le(), box.lf()], format="csr")[np.ix_(rows, sel)]
+        for nm, X in got.items():
+            Y = want[nm]
+            assert X.shape == Y.shape == (st.dim, st.dim)
+            assert X.nnz == Y.nnz > 0 and (X != Y).nnz == 0, (q0, nm)
+
+
+@pytest.mark.parametrize("j2", [1, 3, 5])
+def test_triple_residuals_at_rounding_level(j2):
+    """With no word product, every residual but the drift is rounding: A's sphere-reduced normal
+    form q^-2 - q^-2 z0^* z0 made order1[A, B] reach 3.9e-8 at L = 19, q0 = 0.3."""
+    for L in (8, 12, 16, 19):
+        for q0 in (0.3, 0.5, 0.8):
+            for name, val in triple_axiom_suite(j2, L, q0).items():
+                if "drift" not in name:
+                    assert val < 1e-13, (L, q0, name, val)
+
+
+def test_triple_suite_builds_no_box_operator(monkeypatch):
+    """Every SUq2Box the suite creates keeps an empty operator cache: all is assembled on H_j."""
+    boxes = []
+    init = SUq2Box.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        boxes.append(self)
+
+    monkeypatch.setattr(SUq2Box, "__init__", recording)
+    triple_axiom_suite(3, 16, 0.3)
+    assert [b.L for b in boxes] == [16, 19]
+    assert all(b._ops == {} for b in boxes)
 
 
 def _component_norm(mat):
