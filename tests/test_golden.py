@@ -28,6 +28,7 @@ CASES = [
     ("verify_equivariance_n2.json", "verify equivariance --n 2 --Nmax 2 --json", 0),
     ("tau1.csv", "tau1 --N 0..2 --csv", 0),
     ("index.json", "index --j 1/2..5/2 --json", 1),  # index_numeric disagrees from j = 3/2 on
+    ("index_to_17_2.json", "index --j 1/2..17/2 --json", 1),  # the index job of the benchmark
     ("holo_dim.csv", "holo-dim --N=-2..1 --L 7 --csv", 0),
     ("spectrum.csv", "spectrum --j 1/2,3/2 --L 16 --csv", 0),
     # normal forms: rational, q^{1/2}-power and cancelling coefficients at n = 1..3
@@ -48,3 +49,17 @@ def test_golden_output(name, command, code):
         got = main(shlex.split(command))
     assert (got, err.getvalue()) == (code, "")
     assert out.getvalue() == (GOLDEN / name).read_text()
+
+
+def test_index_builds_no_box(monkeypatch):
+    """qcpn index decides on sector labels: with SUq2Box unusable it still prints the golden output."""
+    from qcpn import suq2
+
+    def refuse(self, L, q0):
+        raise AssertionError("qcpn index built an SUq2Box")
+
+    monkeypatch.setattr(suq2.SUq2Box, "__init__", refuse)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["index", "--j", "1/2..17/2", "--json"]) == 1
+    assert out.getvalue() == (GOLDEN / "index_to_17_2.json").read_text()

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from qcpn.ncpoly import NCPoly, Presentation, UqGenerator, mul, normalize, star, uq_act
-from qcpn.qcoeff import qint, qpow
+from qcpn.qcoeff import is_positive_at_q, qint, qpow
 from qcpn.suq2 import (
     SUq2Box,
     _block_norm,
@@ -26,6 +27,8 @@ from qcpn.suq2 import (
     haar_symbolic,
     holo_dim,
     index_analytic,
+    index_exact,
+    index_min_L,
     index_numeric,
     l_act,
     modular_check,
@@ -501,6 +504,87 @@ def test_chain_b_pattern():
     assert not chain_b_vanishes(4, 1)
     assert not chain_b_vanishes(2, -1)
     assert not chain_b_vanishes(4, -3)
+
+
+def _chain_b_vanishes_qs(l2, n2):
+    """chain_b_vanishes decided in Q(s): both radicands as q-integer products, their signs by is_positive_at_q."""
+    x = qint(Fraction(l2 - n2 - 1, 2)) * qint(Fraction(l2 + n2 + 1, 2))
+    if not x.is_zero() and is_positive_at_q(x):
+        return False
+    p12a = qint(Fraction(l2 + n2 + 1, 2)) * qint(Fraction(l2 - n2 + 1, 2))
+    p12b = qint(Fraction(l2 + n2 + 3, 2)) * qint(Fraction(l2 - n2 - 1, 2))
+    y = p12a * p12b
+    return y.is_zero() or not is_positive_at_q(y)
+
+
+def test_chain_b_vanishes_matches_qs_signs():
+    """The sign rule on the q-integer arguments agrees with the Q(s) computation on 800 labels."""
+    cases = [(l2, n2) for n2 in range(-39, 40, 2) for l2 in range(abs(n2) + 1, abs(n2) + 40, 2)]
+    assert len(cases) == 800
+    assert [chain_b_vanishes(l2, n2) for l2, n2 in cases] == [_chain_b_vanishes_qs(l2, n2) for l2, n2 in cases]
+
+
+def test_index_exact_triangular_counts():
+    """kernel T_{(2j-1)/2} and cokernel T_{(2j+1)/2}, triangular numbers, so the index is -(j + 1/2)."""
+    tri = [k * (k + 1) // 2 for k in range(10)]
+    for j2 in range(1, 18, 2):
+        ex = index_exact(j2)
+        assert (ex.kernel, ex.cokernel) == (tri[(j2 - 1) // 2], tri[(j2 + 1) // 2])
+
+
+@pytest.mark.parametrize("q0", (0.3, 0.5, 0.8))
+def test_index_exact_equals_index_numeric(q0):
+    for j2 in range(1, 18, 2):
+        ex = index_exact(j2)
+        assert ex.kernel - ex.cokernel == index_numeric(j2, index_min_L(j2), q0).value
+
+
+def _float_links(j2, q0):
+    """(2l, 2n) of the domain and of the codomain vectors joined by a nonzero entry of G = C^T p (L_E (+) L_E) D."""
+    from qcpn.suq2 import _hminus_slots, _p_operator, _sector_columns, _sector_labels
+
+    box = SUq2Box(index_min_L(j2), q0)
+    sec_l, sec_m = _sector_labels(j2 + 5)
+    D, dsec = _sector_columns(box, sec_l, sec_m, _hplus_slots(j2))
+    C, csec = _sector_columns(box, sec_l, sec_m, _hminus_slots(j2))
+    le = box.le()
+    G = (C.T @ _p_operator(box) @ sparse.block_diag([le, le], format="csr") @ D).tocoo()
+    big = np.abs(G.data) > 1e-8
+    assert np.abs(G.data[~big]).max(initial=0.0) < 1e-12  # no entry near the threshold
+
+    def slot(mat):  # the third label shared by a column's box entries
+        col = mat.tocoo()
+        n2 = np.full(mat.shape[1], 99)
+        n2[col.col] = box.lmn[2][col.row % box.dim]
+        return n2
+
+    dn2, cn2 = slot(D), slot(C)
+    rows, cols = G.row[big], G.col[big]
+    assert np.array_equal(csec[rows], dsec[cols]) and np.array_equal(cn2[rows], dn2[cols] - 2)
+    return ({(int(sec_l[dsec[c]]), int(dn2[c])) for c in cols},
+            {(int(sec_l[csec[r]]), int(cn2[r])) for r in rows})
+
+
+@pytest.mark.parametrize("q0", (0.3, 0.5, 0.8))
+def test_index_exact_links_match_float_pattern(q0):
+    """The exact links are the nonzero pattern of the float sector matrix G, at both ends."""
+    for j2 in range(1, 18, 2):
+        table = index_exact(j2).table
+        linked = {key for key, (_, on) in table.items() if on}
+        dom = {key for key in linked if _hplus(j2, key[1])}
+        assert _float_links(j2, q0) == (dom, linked - dom)
+
+
+def test_index_exact_checks_raise(monkeypatch):
+    """A codomain vector left out trips the link check; links all zero trip the beyond-j check."""
+    from qcpn import suq2
+
+    monkeypatch.setattr(suq2, "_sector_kinds", lambda l2, n2: (l2 >= abs(n2) + 1 and n2 != 1, (n2 < 0) & (l2 == abs(n2) - 1)))
+    with pytest.raises(ArithmeticError, match="leaves the codomain"):
+        index_exact(3)
+    monkeypatch.setattr(suq2, "_qint_sign", lambda *args2: -1)
+    with pytest.raises(ArithmeticError, match="beyond j"):
+        index_exact(3)
 
 
 def test_index_numeric_is_q0_independent_and_stable():
