@@ -366,7 +366,11 @@ def _collect(items: Iterable[Tuple[Word, LaurentItems, LaurentItems]], P: Presen
     P._steps = 0  # the step budget bounds a single operation: one whole sum
     groups: Dict[LaurentItems, IntAcc] = {}  # denominator -> sum
     for w, den, num in items:
-        _add_int(groups.setdefault(den, {}), P._normal_word(w), num)
+        try:
+            form = P._normal_word(w)
+        except RecursionError:  # _push recurses about twice per letter it moves
+            raise ArithmeticError(f"word of {len(w)} letters too long to rewrite within the recursion limit") from None
+        _add_int(groups.setdefault(den, {}), form, num)
     out: TermMap = {}
     for den, acc in groups.items():
         if den == _UNIT:

@@ -12,6 +12,14 @@ Grammar (precedence: power > juxtaposition > unary minus > addition):
 
 Juxtaposition multiplies; a '*' directly after a generator is the star,
 anywhere else it is multiplication.
+
+Products of monomial factors (numbers, q, generators and their powers) are
+built as words: the words concatenate and the coefficients multiply, so
+z_i^k is the word of k letters.  The whole expression is rewritten once, at
+the end, which normal forms being unique makes the same as rewriting after
+every factor.  A parenthesized group is normalized as a unit when it closes;
+a product with a multi-term factor, and the power of a group, go through
+``mul`` one factor at a time, so a sum is never expanded unreduced.
 """
 
 from __future__ import annotations
@@ -20,8 +28,8 @@ import re
 from fractions import Fraction
 from typing import List, Tuple
 
-from .ncpoly import NCPoly, Presentation, normalize, word_str
-from .qcoeff import QScalar, qpow
+from .ncpoly import NCPoly, Presentation, mul, normalize, word_str
+from .qcoeff import ZERO, QScalar, qpow
 
 
 class ParseError(ValueError):
@@ -104,36 +112,36 @@ class _Parser:
         return f if sign > 0 else -f
 
     def factors(self) -> NCPoly:
-        from .ncpoly import mul
-
         acc = self.factor()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                acc = mul(acc, self.factor(), self.P)
-            elif kind in ("gen", "num", "q") or (kind == "op" and val == "("):
-                acc = mul(acc, self.factor(), self.P)
-            else:
+            elif not (kind in ("gen", "num", "q") or (kind == "op" and val == "(")):
                 return acc
+            acc = _times(acc, self.factor(), self.P)
 
     def factor(self) -> NCPoly:
-        base, is_q = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            e = self.exponent(halves=is_q)
-            if is_q:
-                return NCPoly.scalar(qpow(e))
-            if e.denominator != 1 or e < 0:
-                raise ParseError("only nonnegative integer powers on this base", self.peek()[2])
-            from .ncpoly import mul
-
-            out = NCPoly.one()
-            for _ in range(int(e)):
-                out = mul(out, base, self.P)
-            return out
-        return base
+        base, kind = self.atom()
+        tok, val, _ = self.peek()
+        if tok != "op" or val != "^":
+            return base
+        self.take()
+        e = self.exponent(halves=kind == "q")
+        if kind == "q":
+            return NCPoly.scalar(qpow(e))
+        if e.denominator != 1 or e < 0:
+            raise ParseError("only nonnegative integer powers on this base", self.peek()[2])
+        k = int(e)
+        if kind == "gen":
+            ((w, _),) = base.terms.items()
+            return NCPoly.word(w * k)
+        if kind == "num":
+            return NCPoly.scalar(base.terms.get((), ZERO) ** k)
+        out = NCPoly.one()
+        for _ in range(k):
+            out = mul(out, base, self.P)
+        return out
 
     def exponent(self, halves: bool) -> Fraction:
         sign = 1
@@ -149,23 +157,36 @@ class _Parser:
             raise ParseError("fractional exponents only as halves of q", pos)
         return f
 
-    def atom(self) -> Tuple[NCPoly, bool]:
+    def atom(self) -> Tuple[NCPoly, str]:
+        """The base of a factor and its token kind ('num', 'q', 'gen', or '(' for a group, normalized as a unit)."""
         kind, val, pos = self.take()
         if kind == "num":
-            return NCPoly.scalar(QScalar.from_fraction(Fraction(val))), False
+            return NCPoly.scalar(QScalar.from_fraction(Fraction(val))), kind
         if kind == "q":
-            return NCPoly.scalar(qpow(1)), True
+            return NCPoly.scalar(qpow(1)), kind
         if kind == "gen":
             starred = val.endswith("*")
             idx = int(val[1])
             if idx > self.P.n:
                 raise ParseError(f"generator z{idx} out of range for n={self.P.n}", pos)
-            return NCPoly.gen(idx, starred), False
+            return NCPoly.gen(idx, starred), kind
         if kind == "op" and val == "(":
             e = self.expr()
             self.expect_op(")")
-            return e, False
+            return normalize(e, self.P), "("
         raise ParseError(f"unexpected token {val!r}", pos)
+
+
+def _times(a: NCPoly, b: NCPoly, P: Presentation) -> NCPoly:
+    """a * b: the concatenated word when neither has two terms, else the normalized product."""
+    if len(a.terms) > 1 or len(b.terms) > 1:
+        return mul(a, b, P)
+    if not (a.terms and b.terms):
+        return NCPoly.zero()
+    ((wa, ca),) = a.terms.items()
+    ((wb, cb),) = b.terms.items()
+    # most factors are generators, with coefficient 1: skip their QScalar product
+    return NCPoly({wa + wb: cb if ca.is_one() else ca if cb.is_one() else ca * cb})
 
 
 def parse_expr(text: str, n: int, P: Presentation | None = None) -> NCPoly:

@@ -327,6 +327,25 @@ def test_cli_input_errors_exit_2(argv):
     assert err.startswith("error:")
 
 
+def test_cli_normalize_too_deep_exits_3():
+    """A rewrite deeper than the recursion limit is an ArithmeticError (exit 3), not a traceback.
+
+    Moving z1 across z0^400 recurses about twice per letter, so a limit 300
+    frames above the caller's depth is reached inside the rewrite, not the parser.
+    """
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 300)
+    try:
+        code, out, err = run_cli("normalize", "z1 z0^400", "--n", "1")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out) == (3, "")
+    assert err == "error: word of 401 letters too long to rewrite within the recursion limit\n"
+
+
 def test_cli_verify_equivariance_n3():
     """Every E_i, F_i, K_i and K_i^-1 of U_q(su(4)) at |N| <= 1: 3 x 3 x 4 records, all exactly 0."""
     code, out, err = run_cli("verify", "equivariance", "--n", "3", "--Nmax", "1", "--json")

@@ -39,6 +39,7 @@ CASES = [
     ("normalize_zero.txt", "normalize --n 3 'z0 z0* + z1 z1* + z2 z2* + z3 z3* - 1'", 0),
     ("normalize_no_sphere.txt",
      "normalize --n 2 --no-sphere 'z0 z0* - 1/3 q^1/2 z2* z2 z1 + (1 - q^2) z1^2 z0* - 1/2 z1 z1*'", 0),
+    ("normalize_powers_n3.txt", "normalize --n 3 'q^-1 z3^3 z1* z0^2 - 2/3 z2*^2 z3 z0* + z1^3 z1*^2'", 0),
 ]
 
 
