@@ -307,14 +307,14 @@ def cmd_tau1(args) -> Report:
         raise ValueError(f"--N must be at least 0, got {min(Ns)}")
     P1 = Presentation(1)
     for N in Ns:
-        val, target = suq2.tau1_pairing(N), qpow(-4) * qint(N)
+        val, target = suq2.tau1_pairing(N, P1), qpow(-4) * qint(N)
         rep.add(_exact("tau1", {"N": N}, val == target, val.evalf_stable(args.q), target.evalf_stable(args.q)))
     z0, z1 = NCPoly.gen(0), NCPoly.gen(1)
     z1s = NCPoly.gen(1, True)
     A = mul(z1s, z1, P1)
     B = mul(z1s, z0, P1)
     for a, b, nm in ((A, A, "A,A"), (B, star(B, P1), "B,B*"), (A, B, "A,B")):
-        res = suq2.modular_check(a, b)
+        res = suq2.modular_check(a, b, P1)
         rep.add(_exact("modular_residual", {"pair": nm}, res.is_zero(), res.evalf_stable(args.q), 0.0))
     return rep
 
@@ -325,11 +325,15 @@ def cmd_identities(args) -> Report:
     gap_target = (qpow(0) - qpow(-3)) * qint(2)
     bad_gap = 0
     bad_limit = 0
+    # one evaluation per (k, N); the gap check is laplacian_gap(k, N) on the stored values
+    eig = {(k, N): identities.laplacian_eig(k, N)
+           for N in range(-args.Nmax, args.Nmax + 1) for k in range(args.kmax + 1)}
     for N in range(args.Nmax + 1):
+        target = gap_target * qint(N)
         for k in range(args.kmax + 1):
-            if identities.laplacian_gap(k, N) != gap_target * qint(N):
+            if eig[k, N] - eig[k, -N] != target:
                 bad_gap += 1
-            lim = identities.laplacian_eig(k, N).limit_q1()
+            lim = eig[k, N].limit_q1()
             if lim != 2 * (k * k + k * N + 2 * k + N):
                 bad_limit += 1
     rep.add(_tally("gap_identity", {"kmax": args.kmax, "Nmax": args.Nmax}, bad_gap))

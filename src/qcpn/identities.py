@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List
+from typing import List, Sequence
 
 from .qcoeff import ONE, QScalar, qint, qpow
 
@@ -73,18 +73,25 @@ class ChernVector:
         object.__setattr__(self, "components", tuple(Fraction(c) for c in self.components))
 
 
-def _conversion_matrix(n: int) -> List[List[Fraction]]:
-    """M with Ch_k = sum_j M[k][j] phi_j; M[k][j] = {k,j} j!/k!."""
-    return [
-        [
+@lru_cache(maxsize=None)
+def _conversion_matrix(n: int) -> tuple:
+    """M with Ch_k = sum_j M[k][j] phi_j; M[k][j] = {k,j} j!/k!.  Cached per n, as tuples."""
+    return tuple(
+        tuple(
             Fraction(stirling2(k, j) * math.factorial(j), math.factorial(k))
             for j in range(n + 1)
-        ]
+        )
         for k in range(n + 1)
-    ]
+    )
 
 
-def _invert_lower_triangular(M: List[List[Fraction]]) -> List[List[Fraction]]:
+@lru_cache(maxsize=None)
+def _inverse_conversion_matrix(n: int) -> tuple:
+    """The inverse of _conversion_matrix(n), cached per n, as tuples."""
+    return tuple(map(tuple, _invert_lower_triangular(_conversion_matrix(n))))
+
+
+def _invert_lower_triangular(M: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     n = len(M)
     inv = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -109,7 +116,7 @@ def chern_from_phi(v: ChernVector) -> ChernVector:
 def phi_from_chern(v: ChernVector) -> ChernVector:
     if v.basis != "ch":
         raise ValueError("expected a ch-basis vector")
-    M = _invert_lower_triangular(_conversion_matrix(len(v.components) - 1))
+    M = _inverse_conversion_matrix(len(v.components) - 1)
     out = tuple(
         sum(M[k][j] * v.components[j] for j in range(len(v.components)))
         for k in range(len(v.components))

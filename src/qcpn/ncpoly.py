@@ -208,8 +208,13 @@ class Presentation:
         cached = self._nf_cache.get(w)
         if cached is not None:
             return cached
-        poly: IntForm = (((), _UNIT),)
-        for g in reversed(w):
+        # The longest suffix with no reducible adjacent pair is already normal:
+        # pushing its letters would rewrite nothing, so only the letters before it are pushed.
+        k = max(len(w) - 1, 0)
+        while k and self._pair(w[k - 1], w[k]) is None:
+            k -= 1
+        poly: IntForm = ((w[k:], _UNIT),)
+        for g in reversed(w[:k]):
             poly = self._push_poly(g, poly)
         self._nf_cache[w] = poly
         return poly

@@ -32,6 +32,9 @@ from .ncpoly import NCPoly, Presentation, mul, normalize, word_str
 from .qcoeff import ZERO, QScalar, qpow
 
 
+_MAX_NESTING = 1_000  # parenthesis depth; each level costs five frames of the recursive descent
+
+
 class ParseError(ValueError):
     def __init__(self, msg: str, pos: int):
         super().__init__(f"{msg} (at position {pos})")
@@ -67,6 +70,7 @@ class _Parser:
         self.i = 0
         self.P = P
         self.text = text
+        self.depth = 0  # open parentheses
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else (None, None, len(self.text))
@@ -171,8 +175,12 @@ class _Parser:
                 raise ParseError(f"generator z{idx} out of range for n={self.P.n}", pos)
             return NCPoly.gen(idx, starred), kind
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING} levels", pos)
             e = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return normalize(e, self.P), "("
         raise ParseError(f"unexpected token {val!r}", pos)
 

@@ -857,9 +857,9 @@ def haar_symbolic(a: NCPoly, P: Presentation) -> QScalar:
     return out
 
 
-def modular_check(a: NCPoly, b: NCPoly) -> QScalar:
-    """Exact residual h(ab) - h(eta(b) a) with eta = K_2rho^{-1} |> (twisted trace)."""
-    P = Presentation(1)
+def modular_check(a: NCPoly, b: NCPoly, P: Presentation | None = None) -> QScalar:
+    """Exact residual h(ab) - h(eta(b) a) with eta = K_2rho^{-1} |> (twisted trace); P is an n = 1 presentation."""
+    P = P or Presentation(1)
     eta_b = uq_act(UqGenerator("K2rhoInv"), b, P)
     return haar_symbolic(mul(a, b, P) - mul(eta_b, a, P), P)
 
@@ -893,21 +893,24 @@ def holo_dim(N: int, L: int, q0: float) -> HoloReport:
                       float(links[~zero].min(initial=float("inf"))), float(links[zero].max(initial=0.0)))
 
 
-def tau1_pairing(N: int) -> QScalar:
+def tau1_pairing(N: int, P: Presentation | None = None) -> QScalar:
     """Twisted Hochschild pairing <[tau_1], [(P'_N, sigma^N)]> at n = 1, exactly.
 
     Evaluates tau_1(Tr(P (x). P (x). P sigma(K_2rho^{-1})^t)) with
     tau_1(a0,a1,a2) = h(a0 (dbar a1^*)^* (dbar a2)).  The radical weights of
-    P_N enter only through closed index loops, hence as exact squares, so
-    the summand over (i0, i1, i2) is one polynomial with Laurent
-    coefficients and the Haar state is applied to it once.
+    P_N enter only through closed index loops, hence as exact squares.  By
+    associativity alone the sum over (i0, i1, i2) is
+    sum_{i0,i1} u_{i0} u_{i1} rho_{i0}^{-1} core[i0][i1] (XY)[i1][i0] with
+    (XY)[i1][i0] = sum_{i2} u_{i2} x[i1][i2] y[i2][i0]: k^2 sums of k
+    products, then one sum of k^2, one polynomial with the Haar state
+    applied to it once.  P is an n = 1 presentation (a new one if None).
     Target value: q^{-4} [N].  Defined for N >= 0 only: ValueError otherwise.
     """
     from .projections import k2rho_eigenvalues, projection, psi
 
     if N < 0:
         raise ValueError(f"tau1 pairing needs N >= 0, got {N}")
-    P = Presentation(1)
+    P = P or Presentation(1)
     M = projection(N, 1, P)
     k = len(M)
     rho_inv = [x.inv() for x in k2rho_eigenvalues(psi(N, 1, P))]
@@ -915,9 +918,10 @@ def tau1_pairing(N: int) -> QScalar:
     # x[i][j] = (dbar core[i][j]^*)^*, where core[i][j]^* = core[j][i] as P_N is selfadjoint
     x = [[star(y[j][i], P) for j in range(k)] for i in range(k)]
     u = M.weights
+    xy = [[mul_sum(((x[i1][i2], y[i2][i0], u[i2]) for i2 in range(k)), P) for i0 in range(k)] for i1 in range(k)]
     triples = (
-        (mul(M.core[i0][i1], x[i1][i2], P), y[i2][i0], u[i0] * u[i1] * u[i2] * rho_inv[i0])
-        for i0, i1, i2 in itertools.product(range(k), repeat=3)
+        (M.core[i0][i1], xy[i1][i0], u[i0] * u[i1] * rho_inv[i0])
+        for i0, i1 in itertools.product(range(k), repeat=2)
     )
     return haar_symbolic(mul_sum(triples, P), P)
 

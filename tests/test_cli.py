@@ -146,6 +146,13 @@ def test_cli_normalize_parse_error_exit_2():
     assert "parse error" in err
 
 
+def test_cli_normalize_deep_nesting_exits_2():
+    """5,000 nested parentheses are a parse error (exit 2), not a RecursionError traceback."""
+    code, out, err = run_cli("normalize", "(" * 5_000 + "z0" + ")" * 5_000, "--n", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: parentheses nested deeper than")
+
+
 def test_cli_step_budget_exit_3(monkeypatch):
     """The rewrite step budget is a tripwire: exceeding it exits 3, not with a traceback."""
     monkeypatch.setattr(ncpoly, "_MAX_STEPS", 0)

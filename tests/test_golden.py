@@ -21,12 +21,14 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
     ("identities.json", "identities --json", 0),
+    ("identities_k14_N14.json", "identities --kmax 14 --Nmax 14 --json", 0),  # the benchmark's identities job
     ("chern.csv", "chern --csv", 0),
     ("verify_projections.json", "verify projections --n 1 --Nmax 2 --json", 0),
     ("verify_relations.json", "verify relations --n 2 --cases 40 --seed 3 --json", 0),
     ("verify_equivariance.json", "verify equivariance --n 1 --Nmax 2 --json", 0),
     ("verify_equivariance_n2.json", "verify equivariance --n 2 --Nmax 2 --json", 0),
     ("tau1.csv", "tau1 --N 0..2 --csv", 0),
+    ("tau1_N0_5.json", "tau1 --N 0..5 --json", 0),
     ("index.json", "index --j 1/2..5/2 --json", 1),  # index_numeric disagrees from j = 3/2 on
     ("index_to_17_2.json", "index --j 1/2..17/2 --json", 1),  # the index job of the benchmark
     ("holo_dim.csv", "holo-dim --N=-2..1 --L 7 --csv", 0),

@@ -122,3 +122,63 @@ def test_pairing_table():
     assert tbl[3][2] == 3
     for N, row in enumerate(tbl):
         assert sum(math.comb(N, k) for k in range(N + 1)) == 2 ** N
+
+
+def test_identities_command_evaluates_each_eigenvalue_once(monkeypatch):
+    """qcpn identities evaluates laplacian_eig once per (k, N), 0 <= k <= kmax, |N| <= Nmax."""
+    import collections
+    import contextlib
+    import io
+
+    from qcpn import identities
+    from qcpn.cli import main
+
+    calls = collections.Counter()
+    eig = identities.laplacian_eig
+
+    def counted(k, N):
+        calls[k, N] += 1
+        return eig(k, N)
+
+    monkeypatch.setattr(identities, "laplacian_eig", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["identities", "--kmax", "4", "--Nmax", "3", "--json"]) == 0
+    assert calls == {(k, N): 1 for k in range(5) for N in range(-3, 4)}
+
+
+def test_chern_command_inverts_each_conversion_matrix_once(monkeypatch):
+    """A whole qcpn chern command, 50 round trips included, inverts the n-th conversion matrix once."""
+    import contextlib
+    import io
+
+    from qcpn import identities
+    from qcpn.cli import main
+
+    sizes = []
+    invert = identities._invert_lower_triangular
+
+    def counted(M):
+        sizes.append(len(M))
+        return invert(M)
+
+    monkeypatch.setattr(identities, "_invert_lower_triangular", counted)
+    identities._inverse_conversion_matrix.cache_clear()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["chern", "--n", "4", "--json"]) == 0
+            assert main(["chern", "--n", "4", "--json"]) == 0
+    finally:
+        identities._inverse_conversion_matrix.cache_clear()  # no entry built by the counting wrapper stays
+    assert sizes == [5]
+
+
+def test_cached_conversion_matrices_are_immutable_inverses():
+    from qcpn.identities import _conversion_matrix, _inverse_conversion_matrix, _invert_lower_triangular
+
+    for n in range(6):
+        M, inv = _conversion_matrix(n), _inverse_conversion_matrix(n)
+        assert all(isinstance(row, tuple) for row in (M, inv, *M, *inv))
+        assert [list(row) for row in inv] == _invert_lower_triangular([list(row) for row in M])
+        for i in range(n + 1):
+            for j in range(n + 1):
+                assert sum(M[i][l] * inv[l][j] for l in range(n + 1)) == (1 if i == j else 0)

@@ -272,6 +272,37 @@ def test_integer_kernel_matches_letter_engine(case):
             assert list(got.terms) == list(want)  # one denominator: the same word order too
 
 
+def test_normal_word_pushes_only_the_letters_before_its_normal_suffix():
+    """A random prefix before a normal word: the same normal form as pushing every letter, word order included."""
+    rng = random.Random(5)
+    for n in (1, 2, 3):
+        for sphere in (True, False):
+            P = Presentation(n, sphere_reduction=sphere)
+            oracle = LetterEngine(P)
+            for _ in range(30):
+                prefix = tuple(rng.randrange(2 * n + 2) for _ in range(rng.randint(0, 4)))
+                # letters in normal order z_0^* < z_0 < z_1^* < ... < z_n
+                suffix = sorted((rng.randrange(2 * n + 2) for _ in range(rng.randint(0, 6))),
+                                key=lambda g: (g >> 1, 1 - (g & 1)))
+                if sphere and 2 * n in suffix:  # z_n^* z_n is reducible under sphere reduction
+                    suffix = [g for g in suffix if g != 2 * n + 1]
+                suffix = tuple(suffix)
+                assert all(P._pair(a, b) is None for a, b in zip(suffix, suffix[1:]))
+                got = normalize(NCPoly.word(prefix + suffix), P)
+                want = oracle.combine([(prefix + suffix, ONE)])
+                assert list(got.terms.items()) == list(want.items())
+
+
+def test_normal_power_leaves_the_push_cache_empty():
+    """z0^4000 is already normal: no letter is pushed, so the push cache stays empty."""
+    from qcpn.parser import parse_expr
+
+    P = Presentation(1)
+    assert parse_expr("z0^4000", 1, P) == NCPoly.word((0,) * 4000)
+    assert len(P._push_cache) == 0  # len: a failing push cache holds k^2/2 letters, too many to print
+    assert list(P._nf_cache) == [(0,) * 4000]
+
+
 # -- mul_sum: every sum of products as one integer accumulation --------------
 
 # coefficients for the random polynomials and the triple scales: Laurent ones,

@@ -125,6 +125,16 @@ def test_edge_inputs_rejected(text):
         parse_expr(text, 1)
 
 
+def test_nesting_limit():
+    """Parentheses up to parser._MAX_NESTING deep parse; deeper input is a ParseError, not a RecursionError."""
+    depth = parser._MAX_NESTING
+    assert parse_expr("(" * depth + "z0" + ")" * depth, 1) == NCPoly.gen(0)
+    for depth in (parser._MAX_NESTING + 1, 5_000):
+        with pytest.raises(ParseError, match="nested deeper") as err:
+            parse_expr("(" * depth + "z0" + ")" * depth, 1)
+        assert err.value.pos == parser._MAX_NESTING
+
+
 def _count(monkeypatch, calls, module, name):
     """Replace module.name by a wrapper that counts its calls in calls[name]; returns the wrapper."""
     fn = getattr(module, name)

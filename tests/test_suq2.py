@@ -929,6 +929,42 @@ def test_tau1_exact():
         assert tau1_pairing(N) == qpow(-4) * qint(N)
 
 
+def _tau1_triple_sum(N):
+    """tau_1 as one sum over the k^3 index triples (i0, i1, i2), each core[i0][i1] x[i1][i2] multiplied out."""
+    import itertools
+
+    from qcpn.ncpoly import mul_sum
+    from qcpn.projections import k2rho_eigenvalues, projection, psi
+
+    P = Presentation(1)
+    M = projection(N, 1, P)
+    k = len(M)
+    rho_inv = [x.inv() for x in k2rho_eigenvalues(psi(N, 1, P))]
+    y = [[dbar(M.core[i][j], P) for j in range(k)] for i in range(k)]
+    x = [[star(y[j][i], P) for j in range(k)] for i in range(k)]
+    u = M.weights
+    triples = (
+        (mul(M.core[i0][i1], x[i1][i2], P), y[i2][i0], u[i0] * u[i1] * u[i2] * rho_inv[i0])
+        for i0, i1, i2 in itertools.product(range(k), repeat=3)
+    )
+    return haar_symbolic(mul_sum(triples, P), P)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+def test_tau1_equals_the_triple_sum(N):
+    """Summing (XY)[i1][i0] first is associativity only: the value is the k^3-triple sum's, exactly."""
+    assert tau1_pairing(N) == _tau1_triple_sum(N)
+
+
+def test_tau1_exact_to_N5_on_one_presentation():
+    """One shared presentation, as qcpn tau1 passes it, gives q^{-4}[N] for N <= 5 and leaves modular_check exact."""
+    P = Presentation(1)
+    for N in range(6):
+        assert tau1_pairing(N, P) == qpow(-4) * qint(N)
+    assert modular_check(A_EL, B_EL, P).is_zero()
+    assert modular_check(B_EL, star(B_EL, P1), P).is_zero()
+
+
 @pytest.mark.parametrize("N", [-1, -2, -3])
 def test_tau1_rejects_negative_N(N):
     # the pairing is stated for N >= 0; below it the sum is 0, which matches no formula
