@@ -257,15 +257,13 @@ def cmd_pairing(args) -> Report:
 
 
 def cmd_index(args) -> Report:
-    if not 0.0 < args.q < 1.0:
-        raise ValueError("q0 must lie in (0,1)")
-    rep = Report("index of pD_j^+ p", metadata={"q0": args.q})
+    rep = Report("index of pD_j^+ p")
     for j2 in _int_range(args.j, "--j", 2):
         ia = suq2.index_analytic(j2)
         rep.add(_tally("index_analytic", {"j": f"{j2}/2"}, ia, _index_branch_formula(j2)))
-        # the record keeps its name and q0; its value is the exact count that index_numeric checks in floats
+        # the record keeps its name; its value is the exact count that index_numeric checks in floats
         ex = suq2.index_exact(j2)
-        rep.add(_tally("index_numeric", {"j": f"{j2}/2", "q0": args.q}, ex.kernel - ex.cokernel, ia))
+        rep.add(_tally("index_numeric", {"j": f"{j2}/2"}, ex.kernel - ex.cokernel, ia))
     return rep
 
 
@@ -294,7 +292,6 @@ def cmd_holo_dim(args) -> Report:
     for N in _int_range(args.N, "--N"):
         r = suq2.holo_dim(N, args.L, args.q)
         rep.add(_tally("holo_dim", {"N": N}, r.dimension, abs(N) + 1 if N <= 0 else 0))
-        rep.unstable |= not r.boundary_safe
     return rep
 
 
@@ -424,7 +421,6 @@ def build_parser(cfg: Dict[str, float]) -> argparse.ArgumentParser:
 
     p = report(sub, "index", cmd_index, help="spectral-triple index pairings")
     p.add_argument("--j", default="1/2..9/2")
-    p.add_argument("--q", type=float, default=q0)
 
     p = report(sub, "spectrum", cmd_spectrum, help="Dirac spectrum dump and check")
     p.add_argument("--j", default="1/2")

@@ -101,15 +101,16 @@ class SUq2Box:
 
     def _assemble(self, entries: Callable[..., List[Tuple[Lmn, np.ndarray]]], lmn: np.ndarray,
                   pos: Optional[np.ndarray] = None) -> sparse.csr_matrix:
-        """The operator with amplitudes ``entries`` on the basis states with doubled labels ``lmn``.
+        """The operator with amplitudes ``entries`` on the states with doubled labels ``lmn``, one per column.
 
         ``entries(l, m, n)`` receives the labels as float arrays and returns
         (shift, amplitude) terms: each column |l,m,n> maps to the doubled label
-        plus ``shift`` with that amplitude.  A target is located in the box
-        and then, when ``pos`` (box index -> position, -1 outside) is given,
-        in the basis ``lmn``.  Zero amplitudes and targets past the
-        truncation wall or outside the basis are dropped; amplitudes at
-        dropped targets may be inf or nan.
+        plus ``shift`` with that amplitude.  A target is located in the box;
+        when ``pos`` (box index -> position, -1 outside) is given, the rows
+        are the positions of the basis ``lmn`` and the matrix is square,
+        otherwise they are box indices, (box dim, number of columns).  Zero
+        amplitudes and targets past the truncation wall or outside the basis
+        are dropped; amplitudes at dropped targets may be inf or nan.
         """
         l2, m2, n2 = lmn
         rows, cols, vals = [], [], []
@@ -123,8 +124,8 @@ class SUq2Box:
             rows.append(tgt[keep])
             cols.append(np.flatnonzero(keep))
             vals.append(amp[keep])
-        dim = lmn.shape[1]
-        return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim))
+        shape = (lmn.shape[1] if pos is not None else self.dim, lmn.shape[1])
+        return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
 
     def _build(self, name: str, entries: Callable[..., List[Tuple[Lmn, np.ndarray]]]) -> sparse.csr_matrix:
         """Assemble the operator ``name`` on the whole box (``_assemble``) and cache it."""
@@ -361,7 +362,7 @@ class SpectralTriple:
     position k of H_j is box state ``sel[k]``, with doubled labels
     ``labels[:, k]``, and ``pos`` maps a box index back to its position
     (-1 outside H_j).  Slot n lies in H_j^+ or H_j^- as ``_hplus`` says.
-    D_j and the closed forms (``assemble``) are built on H_j alone from
+    D_j, J_j and the closed forms (``assemble``) are built on H_j alone from
     these labels; no operator on the rest of the box is built.  J is stored
     as a real matrix to be applied together with complex conjugation (all
     our data is real).
@@ -407,14 +408,13 @@ class SpectralTriple:
         return sparse.diags(np.where(_hplus(self.j2, self.labels[2]), 1.0, -1.0)).tocsr()
 
     def real_structure(self) -> sparse.csr_matrix:
-        """J_j as a real matrix (antilinear: conjugate, then apply)."""
-        l2, m2, n2 = self.labels
-        # |l,m,n> -> (-1)^{j+m-2n} |l,-m,-n>
-        expo = (self.j2 + m2) // 2 - n2
-        return sparse.csr_matrix(
-            (np.where(expo % 2, -1.0, 1.0), (self.pos[self.box._locate(l2, -m2, -n2)], np.arange(self.dim))),
-            shape=(self.dim, self.dim),
-        )
+        """J_j as a real matrix (antilinear: conjugate, then apply): |l,m,n> -> (-1)^{j+m-2n} |l,-m,-n>."""
+
+        def entries(l, m, n):  # the shift (0, -4m, -4n) reflects m and n, as in ``SUq2Box._theta_terms``
+            shift = (0, (-4 * m).astype(np.intp), (-4 * n).astype(np.intp))
+            return [(shift, np.where((self.j2 / 2 + m - 2 * n) % 2, -1.0, 1.0))]
+
+        return self.assemble(entries)
 
     def _same_slot(self, mat: sparse.spmatrix) -> sparse.csr_matrix:
         """A box operator on H_j, keeping only the entries between states of one slot."""
@@ -677,10 +677,10 @@ def _sector_labels(top2: int) -> Tuple[np.ndarray, np.ndarray]:
 def _sector_columns(box: SUq2Box, sec_l: np.ndarray, sec_m: np.ndarray, slots: List[int]):
     """The sector vectors of p(H (x) C^2) for the slots n, as columns of a sparse (2 dim, k) matrix.
 
-    Sector by sector, then slot by slot: w^{n,||} = sqrt(P11) v^{n,up} + P12/sqrt(P11) v^{n,down}
-    or the boundary v^{n,down}, wherever ``_sector_kinds`` puts them.  v^{n,up} lives
-    on the box shell l - 1/2 and v^{n,down} on l + 1/2, each at m - 1/2 in spinor 0 and m + 1/2 in
-    spinor 1, so a column has at most 4 nonzero entries.  Returns the matrix and each column's sector.
+    Sector by sector, then slot by slot: w^{n,||} = sqrt(P11) v^{n,up} + P12/sqrt(P11) v^{n,down} or the
+    boundary v^{n,down}, wherever ``_sector_kinds`` puts them.  v^{n,up} lives on the box shell l - 1/2 and
+    v^{n,down} on l + 1/2, each at m - 1/2 in spinor 0 and m + 1/2 in spinor 1 (one ``SUq2Box._assemble``
+    each, stacked), so a column has at most 4 nonzero entries.  Returns the matrix and each column's sector.
     """
     sec = np.repeat(np.arange(len(sec_l)), len(slots))
     n2 = np.tile(slots, len(sec_l))
@@ -697,23 +697,15 @@ def _sector_columns(box: SUq2Box, sec_l: np.ndarray, sec_m: np.ndarray, slots: L
         cu = np.sqrt(p11)
         cd = np.where(w, p12 / cu, 1.0)
         up, dn = np.sqrt(br(2 * l)), np.sqrt(br(2 * l + 2))
-        terms = [  # (doubled shell shift, doubled m shift, spinor, amplitude)
-            (-1, -1, 0, np.where(w, cu * (np.sqrt(np.maximum(q(-l + m) * br(l + m), 0.0)) / up), 0.0)),
-            (-1, 1, 1, np.where(w, cu * (np.sqrt(np.maximum(q(l + m) * br(l - m), 0.0)) / up), 0.0)),
-            (1, -1, 0, cd * (np.sqrt(np.maximum(q(l + m + 1) * br(l - m + 1), 0.0)) / dn)),
-            (1, 1, 1, cd * (-np.sqrt(np.maximum(q(-l + m - 1) * br(l + m + 1), 0.0)) / dn)),
+        terms = [  # (doubled shift, amplitude); the doubled m shift -1 is spinor 0, +1 spinor 1
+            ((-1, -1, 0), np.where(w, cu * (np.sqrt(np.maximum(q(-l + m) * br(l + m), 0.0)) / up), 0.0)),
+            ((-1, 1, 0), np.where(w, cu * (np.sqrt(np.maximum(q(l + m) * br(l - m), 0.0)) / up), 0.0)),
+            ((1, -1, 0), cd * (np.sqrt(np.maximum(q(l + m + 1) * br(l - m + 1), 0.0)) / dn)),
+            ((1, 1, 0), cd * (-np.sqrt(np.maximum(q(-l + m - 1) * br(l + m + 1), 0.0)) / dn)),
         ]
-    rows, cols, vals = [], [], []
-    for dl2, dm2, spinor, amp in terms:
-        tgt = box._locate(l2s + dl2, m2s + dm2, n2)
-        ok = (tgt >= 0) & (amp != 0.0)
-        rows.append(spinor * box.dim + tgt[ok])
-        cols.append(np.flatnonzero(ok))
-        vals.append(amp[ok])
-    mat = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(2 * box.dim, len(sec))
-    )
-    return mat, sec
+    lmn = np.stack([l2s, m2s, n2])
+    spinors = [box._assemble(lambda *_, dm2=dm2: [t for t in terms if t[0][1] == dm2], lmn) for dm2 in (-1, 1)]
+    return sparse.vstack(spinors, format="csr"), sec
 
 
 def _column_sq(mat: sparse.spmatrix) -> np.ndarray:
@@ -980,6 +972,11 @@ def _closed_forms(st: SpectralTriple) -> Dict[str, sparse.csr_matrix]:
     return {"A": A, "B": B, "B*": B.T.tocsr()}
 
 
+# the m-shift of each closed form (``_a_terms`` keeps m, ``_b_terms`` raises it by 1, B^* = B^T lowers
+# it), which is its K-weight: K |> b = q^{wt(b)} b, as K|>|l,m,n> = q^m |l,m,n>
+_CLOSED_FORM_WT = {"A": 0, "B": 1, "B*": -1}
+
+
 def triple_axiom_suite(j2: int, L: int, q0: float) -> Dict[str, float]:
     """Interior-window residuals of the real-spectral-triple axioms.
 
@@ -1013,25 +1010,11 @@ def triple_axiom_suite(j2: int, L: int, q0: float) -> Dict[str, float]:
     res["g2-1"] = _maxabs(G @ G - eye, win)
     res["gD+Dg"] = _maxabs(G @ D + D @ G, win)
 
-    P1 = Presentation(1)
-    z0, z1 = NCPoly.gen(0), NCPoly.gen(1)
-    z0s, z1s = NCPoly.gen(0, True), NCPoly.gen(1, True)
-    elems = {
-        "A": mul(z1s, z1, P1),
-        "B": mul(z1s, z0, P1),
-        "B*": mul(z0s, z1, P1),
-    }
     reps = _closed_forms(st)
     th = st.assemble(st.box._theta_terms)
     # JbJ^{-1} is right multiplication by b^* up to the K-weight of b in this
-    # basis realization: q^{-wt(b)} R_{b^*} (wt from K |> b = q^{wt} b), and
-    # R_{b^*} = Theta b Theta
-    rights = {}
-    for nm, e in elems.items():
-        kb = uq_act(UqGenerator("K"), e, P1)
-        w0 = next(iter(e.terms))
-        wt = kb.terms[w0] / e.terms[w0]
-        rights[nm] = (wt ** -1).evalf_stable(q0) * (th @ reps[nm] @ th)
+    # basis realization: q^{-wt(b)} R_{b^*}, and R_{b^*} = Theta b Theta
+    rights = {nm: qpow(-_CLOSED_FORM_WT[nm]).evalf_stable(q0) * (th @ mb @ th) for nm, mb in reps.items()}
     jbs = {nb: J @ mb @ J.transpose() for nb, mb in reps.items()}  # J^{-1} = J^t (real orthogonal here)
     for nb, jb in jbs.items():
         res[f"JbJ-rightmult[{nb}]"] = _maxabs(jb - rights[nb], win)

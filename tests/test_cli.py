@@ -319,14 +319,13 @@ def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want
         ("pairing", "--n", "2", "--N", "0..2", "--k", "0..2", "--M", "4", "--q", "0.9"),
         ("pairing", "--n", "2", "--N", "0..2", "--k", "0..0", "--M", "0", "--csv"),
         ("verify", "triple", "--j", "1/2", "--L", "3", "--csv"),
-        ("index", "--q", "1.0"),
     ],
     ids=["holo-dim", "verify-triple", "pairing", "tau1", "tau1-reversed-range", "holo-dim-fraction",
          "verify-triple-quarter", "identities-negative", "projections-negative-Nmax",
          "equivariance-negative-Nmax", "chern-negative-n", "chern-negative-Nmax", "relations-n-0",
          "relations-negative-cases", "equivariance-n-0", "pairing-k-above-n", "tau1-negative-N",
          "spectrum-q-1", "holo-dim-q-1", "pairing-k0-q1", "pairing-M-4", "pairing-M-0-k0",
-         "verify-triple-empty-window", "index-q-1"],
+         "verify-triple-empty-window"],
 )
 def test_cli_input_errors_exit_2(argv):
     code, _, err = run_cli(*argv)
@@ -371,6 +370,14 @@ def test_cli_index_has_no_tol():
     with pytest.raises(SystemExit) as exc:
         run_cli("index", "--tol", "1e-3")
     assert exc.value.code == 2
+
+
+def test_cli_index_has_no_q():
+    """index reads no q0 (its counts are exact and q-independent), so --q is gone too, even a valid one."""
+    for q in ("1.0", "0.5"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("index", "--q", q)
+        assert exc.value.code == 2
 
 
 def test_cli_each_config_gets_its_own_defaults(tmp_path, monkeypatch):

@@ -1,6 +1,13 @@
 """Interface-parity checks: wrappers, serialization, evaluation points."""
 
+import contextlib
+import importlib
+import importlib.util
+import io
 import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from qcpn.parser import parse_expr
@@ -75,3 +82,35 @@ def test_index_chain_data_rank_one_exact():
             from qcpn.qcoeff import ONE
 
             assert d.p11 + d.p22 == ONE
+
+
+def test_benchmark_tracer_wraps_existing_names(monkeypatch):
+    """The benchmark's tracer (perfbench/tracing.py) installs on the package as it is and traces one job.
+
+    ``Tracer.install`` looks up every function, method and cache it wraps by
+    name, so renaming one (``SUq2Box._build``, ``SpectralTriple.real_structure``,
+    ``FockRep.poly``, ``Presentation._push_cache``, ...) fails here.
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is: no __pycache__
+    spec.loader.exec_module(tracing)
+    for name in tracing.QCPN_MODULES:
+        importlib.import_module(name)
+    from qcpn import cli
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_job(0)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["normalize", "z1 z0 - q z0 z1", "--n", "1"]) == 0
+        tracer.end_job()
+    finally:
+        tracer.uninstall()
+    assert out.getvalue().strip() == "0"
+    assert {"main", "parse_expr"} <= {span[3] for span in tracer.spans}
+    assert tracer.counts["ncpoly.cache_entries"] > 0
+    assert set(tracer.metrics()) >= {"qcoeff.calls", "suq2.operator_nnz", "cli.calls"}

@@ -13,6 +13,7 @@ from qcpn.ncpoly import NCPoly, Presentation, UqGenerator, mul, normalize, star,
 from qcpn.qcoeff import is_positive_at_q, qint, qpow
 from qcpn.suq2 import (
     SUq2Box,
+    _CLOSED_FORM_WT,
     _block_norm,
     _closed_forms,
     _brk,
@@ -302,6 +303,49 @@ def test_triple_suite_builds_no_box_operator(monkeypatch):
     triple_axiom_suite(3, 16, 0.3)
     assert [b.L for b in boxes] == [16, 19]
     assert all(b._ops == {} for b in boxes)
+
+
+def test_triple_suite_takes_no_word_product(monkeypatch):
+    """The float suite reads the K-weights off the closed forms: it runs with mul, uq_act and Presentation unusable."""
+    from qcpn import suq2
+
+    want = triple_axiom_suite(3, 8, 0.3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("triple_axiom_suite took a symbolic step")
+
+    for name in ("mul", "uq_act", "Presentation"):
+        monkeypatch.setattr(suq2, name, forbidden)
+    assert triple_axiom_suite(3, 8, 0.3) == want
+
+
+@pytest.mark.parametrize("j2", [1, 3])
+def test_closed_form_m_shift_is_the_k_weight(j2):
+    """Each closed form shifts m by _CLOSED_FORM_WT, the K-exponent of its element: K |> b = q^wt b term by term."""
+    st = build_triple(j2, 8, Q0)
+    m2 = st.labels[1]
+    elems = {"A": A_EL, "B": B_EL, "B*": mul(Z0S, Z1, P1)}
+    for nm, mat in _closed_forms(st).items():
+        rows, cols = mat.nonzero()
+        assert len(rows) and set((m2[rows] - m2[cols]).tolist()) == {2 * _CLOSED_FORM_WT[nm]}, nm
+        e = elems[nm]
+        kb = uq_act(UqGenerator("K"), e, P1)
+        assert kb.terms.keys() == e.terms.keys(), nm
+        assert all(kb.terms[w] == qpow(_CLOSED_FORM_WT[nm]) * c for w, c in e.terms.items()), nm
+
+
+@pytest.mark.parametrize("j2", [1, 3, 5])
+@pytest.mark.parametrize("L", [8, 12])
+def test_real_structure_matches_the_per_state_formula(j2, L):
+    """J_j, entry by entry: |l,m,n> -> (-1)^{j+m-2n} |l,-m,-n>, from integer labels, with exact equality."""
+    st = build_triple(j2, L, Q0)
+    where = {lmn: k for k, lmn in enumerate(zip(*st.labels.tolist()))}
+    want = np.zeros((st.dim, st.dim))
+    for k, (l2, m2, n2) in enumerate(zip(*st.labels.tolist())):
+        want[where[(l2, -m2, -n2)], k] = (-1) ** ((j2 + m2) // 2 - n2)
+    J = st.real_structure()
+    assert J.shape == (st.dim, st.dim) and J.nnz == st.dim
+    assert np.array_equal(J.toarray(), want)
 
 
 def _component_norm(mat):
@@ -905,6 +949,16 @@ def test_holo_dim(N, expected):
     r = holo_dim(N, 8, Q0)
     assert r.dimension == expected
     assert r.boundary_safe
+
+
+def test_holo_dim_kernel_never_reaches_the_wall():
+    """An L_F argument (l2 + N, l2 - N + 2) is zero only at l2 = |N| with N <= 0, so no zero link sits at
+    the wall: boundary_safe holds and largest_dropped is exactly 0.0 whatever N, L and q0."""
+    for N in range(-20, 21):
+        for L in (13, 16, 25):
+            for q0 in (0.1, 0.5, 0.9):
+                r = holo_dim(N, L, q0)
+                assert (r.boundary_safe, r.largest_dropped) == (True, 0.0), (N, L, q0)
 
 
 def test_dbar_kills_holomorphic_generators():
