@@ -153,12 +153,15 @@ def cmd_verify_projections(args) -> Report:
     _at_least(args, 0, "n", "Nmax")
     rep = Report("projection suite", metadata={"n": args.n, "Nmax": args.Nmax})
     P = Presentation(args.n)
+    P1 = projection(1, args.n, P) if args.Nmax == 0 else None  # else the loop builds it at N = 1
     for N in range(-args.Nmax, args.Nmax + 1):
         rep.add(_exact("psi_dag_psi", {"N": N}, psi_dagger_psi(psi(N, args.n, P)) == NCPoly.one()))
         M = projection(N, args.n, P)
         rep.add(_exact("P^2=P", {"N": N}, is_projection(M)))
         rep.add(_exact("P=P^dag", {"N": N}, is_selfadjoint(M)))
-    rep.add(_exact("qtrace_P1", {"n": args.n}, qtrace(projection(1, args.n, P)) == NCPoly.one()))
+        if N == 1:
+            P1 = M
+    rep.add(_exact("qtrace_P1", {"n": args.n}, qtrace(P1) == NCPoly.one()))
     return rep
 
 
@@ -222,8 +225,9 @@ def cmd_verify_equivariance(args) -> Report:
     _at_least(args, 0, "Nmax")
     rep = Report("equivariance suite", metadata={"n": args.n, "Nmax": args.Nmax})
     gens = [UqGenerator(k, i) for i in range(1, args.n + 1) for k in ("E", "F", "K", "Kinv")]
+    P = Presentation(args.n)
     for N in range(-args.Nmax, args.Nmax + 1):
-        for g, res in equivariance_residuals(N, args.n, gens).items():
+        for g, res in equivariance_residuals(N, args.n, gens, P).items():
             nz = sum(1 for row in res for e in row if not e.is_zero())
             rep.add(_tally("covariance_residual", {"N": N, "x": str(g)}, nz))
     return rep

@@ -141,23 +141,40 @@ def projection(N: int, n: int, P: Presentation | None = None) -> AlgebraMatrix:
 
 
 def is_projection(M: AlgebraMatrix) -> bool:
-    """Check core * U * core == core entrywise, i.e. P_N^2 = P_N (core entries in normal form)."""
+    """Check P_N^2 = P_N, i.e. core * U * core == core (core entries in normal form).
+
+    The core must first be self-adjoint (``is_selfadjoint``); a core that is
+    not is rejected.  Then only the entries with i <= j of C U C are formed,
+    each as one ``mul_sum`` over the core entries as they stand.  The lower
+    triangle follows: star is an antilinear anti-automorphism, Q(s)
+    coefficients are real, and the weights u_l are real and central, so with
+    C = C^dag, for i > j
+
+        (CUC)_ij = sum_l C_il u_l C_lj = sum_l star(C_li) u_l star(C_jl)
+                 = star((CUC)_ji) = star(C_ji) = C_ij.
+    """
+    if not is_selfadjoint(M):
+        return False
     P, core = M.presentation, M.core
     k = len(M)
     for i in range(k):
         row = [core[i][l].scale(M.weights[l]) for l in range(k)]  # row i of core * U
-        for j in range(k):
+        for j in range(i, k):
             if mul_sum(((row[l], core[l][j], None) for l in range(k)), P) != core[i][j]:
                 return False
     return True
 
 
 def is_selfadjoint(M: AlgebraMatrix) -> bool:
-    """Check core_IJ == star(core_JI), i.e. P_N = P_N^dag (core entries in normal form)."""
+    """Check core_IJ == star(core_JI) for I <= J, i.e. P_N = P_N^dag (core entries in normal form).
+
+    Star is an involution on normal forms, so the pairs with I > J repeat
+    the check of their transposes.
+    """
     P = M.presentation
     k = len(M)
     for i in range(k):
-        for j in range(k):
+        for j in range(i, k):
             if M.core[i][j] != star(M.core[j][i], P):
                 return False
     return True
@@ -285,7 +302,9 @@ def gen_antipode(x: UqGenerator, inverse: bool = False) -> Tuple[QScalar, UqGene
     return QScalar.from_int(sgn) * qpow(qexp), UqGenerator(kind, x.i)
 
 
-def equivariance_residuals(N: int, n: int, gens: Sequence[UqGenerator]) -> Dict[UqGenerator, List[List[NCPoly]]]:
+def equivariance_residuals(
+    N: int, n: int, gens: Sequence[UqGenerator], P: Presentation | None = None
+) -> Dict[UqGenerator, List[List[NCPoly]]]:
     """Residual of the covariance identity for (P'_N, sigma^N), entrywise, per generator.
 
     Works with the diagonally rescaled pair p = U*core and
@@ -295,14 +314,14 @@ def equivariance_residuals(N: int, n: int, gens: Sequence[UqGenerator]) -> Dict[
     Each generator's value is the matrix of normalized residual entries
     (empty == equivariant): each entry is one linear combination of normal
     forms.  Psi_N, P_N, the component representation and every x |> p are
-    built once for all of gens.
+    built once for all of gens, over P (a fresh Presentation(n) if None).
     """
     for x in gens:
         if x.kind not in _STAR:
             raise ValueError("equivariance check supports E, F, K, K^-1")
         if not 1 <= x.i <= n:
             raise ValueError(f"U_q generator index {x.i} out of range 1..{n}")
-    av = psi(N, n)
+    av = psi(N, n, P)
     P = av.presentation
     M = projection(N, n, P)
     rep = UqMatrixRep(av)

@@ -488,3 +488,36 @@ def test_pairing_builds_psi_once_per_n(monkeypatch):
     code, _, err = run_cli("pairing", "--n", "3", "--N", "0..3", "--k", "0..3", "--M", "30", "--json")
     assert (code, err) == (0, "")
     assert sorted(calls) == [(-N, 3) for N in (3, 2, 1, 0)]
+
+
+@pytest.mark.parametrize("Nmax, built", [(2, [-2, -1, 0, 1, 2]), (0, [0, 1])])
+def test_verify_projections_builds_each_projection_once(monkeypatch, Nmax, built):
+    """qtrace_P1 reuses the loop's P_1; only at Nmax = 0 is P_1 built for it alone."""
+    calls, original = [], cli.projection
+
+    def counting(N, n, P=None):
+        calls.append(N)
+        return original(N, n, P)
+
+    monkeypatch.setattr(cli, "projection", counting)
+    code, out, err = run_cli("verify", "projections", "--n", "2", "--Nmax", str(Nmax), "--json")
+    assert (code, err) == (0, "")
+    assert sorted(calls) == built
+    assert json.loads(out)["records"][-1]["name"] == "qtrace_P1"
+
+
+def test_verify_equivariance_shares_one_presentation(monkeypatch):
+    """Every Psi_N of one verify equivariance run is built over the same Presentation."""
+    from qcpn import projections
+
+    calls, original = [], projections.psi
+
+    def counting(N, n, P=None):
+        calls.append((N, P))
+        return original(N, n, P)
+
+    monkeypatch.setattr(projections, "psi", counting)
+    code, _, err = run_cli("verify", "equivariance", "--n", "1", "--Nmax", "2", "--json")
+    assert (code, err) == (0, "")
+    assert sorted({N for N, _ in calls}) == [-2, -1, 0, 1, 2]
+    assert len({id(P) for _, P in calls}) == 1 and calls[0][1] is not None

@@ -24,6 +24,8 @@ CASES = [
     ("identities_k14_N14.json", "identities --kmax 14 --Nmax 14 --json", 0),  # the benchmark's identities job
     ("chern.csv", "chern --csv", 0),
     ("verify_projections.json", "verify projections --n 1 --Nmax 2 --json", 0),
+    ("verify_projections_n2.json", "verify projections --n 2 --Nmax 2 --json", 0),
+    ("verify_projections_n3.json", "verify projections --n 3 --Nmax 1 --json", 0),
     ("verify_relations.json", "verify relations --n 2 --cases 40 --seed 3 --json", 0),
     ("verify_equivariance.json", "verify equivariance --n 1 --Nmax 2 --json", 0),
     ("verify_equivariance_n2.json", "verify equivariance --n 2 --Nmax 2 --json", 0),

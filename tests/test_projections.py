@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcpn.ncpoly import NCPoly, Presentation, UqGenerator, mul, normalize, uq_act
+from qcpn.ncpoly import NCPoly, Presentation, UqGenerator, mul, mul_sum, normalize, star, uq_act
 from qcpn.projections import (
     check_equivariance,
     equivariance_residuals,
@@ -178,6 +178,78 @@ def test_is_projection_rejects_a_perturbed_core(N, n):
     swapped = [row[:] for row in M.core]
     swapped[0][1], swapped[1][0] = swapped[1][0], swapped[0][1]
     assert not is_projection(replace(M, core=swapped))
+    # C_01 and C_10 scaled by the same real q-power: the core stays
+    # self-adjoint, so only the upper-triangle P^2 = P entries can reject it
+    both = [row[:] for row in M.core]
+    both[0][1], both[1][0] = both[0][1].scale(qpow(1)), both[1][0].scale(qpow(1))
+    assert is_selfadjoint(replace(M, core=both))
+    assert not is_projection(replace(M, core=both))
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_is_selfadjoint_checks_the_diagonal(i):
+    # C_ii + z0 is in normal form and not self-adjoint; no off-diagonal pair changes
+    M = projection(1, 1)
+    core = [row[:] for row in M.core]
+    core[i][i] = core[i][i] + NCPoly.gen(0)
+    bad = replace(M, core=core)
+    assert not is_selfadjoint(bad)
+    assert not is_projection(bad)
+
+
+def test_is_projection_rejects_an_idempotent_core_that_is_not_selfadjoint():
+    # [[1, z0], [0, 0]] with unit weights squares to itself, but is not P = P^dag
+    M = projection(1, 1)
+    one, zero = NCPoly.one(), NCPoly({})
+    bad = replace(M, core=[[one, NCPoly.gen(0)], [zero, zero]], weights=[ONE, ONE])
+    assert _full_square(bad) == bad.core
+    assert not is_selfadjoint(bad)
+    assert not is_projection(bad)
+
+
+@pytest.mark.parametrize("N,n", [(3, 1), (-2, 2), (3, 2)])
+def test_is_projection_forms_the_upper_triangle_only(N, n, monkeypatch):
+    from qcpn import projections
+
+    M = projection(N, n)
+    k, calls, original = len(M), [], projections.mul_sum
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(projections, "mul_sum", counting)
+    assert is_projection(M)
+    assert len(calls) == k * (k + 1) // 2
+
+
+def _full_square(M):
+    """Every entry of core * U * core, k^2 normal forms (the test-side oracle)."""
+    k, P, C, u = len(M), M.presentation, M.core, M.weights
+    return [[mul_sum(((C[i][l], C[l][j], u[l]) for l in range(k)), P) for j in range(k)] for i in range(k)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("N", range(-3, 4))
+def test_is_projection_agrees_with_the_full_square(n, N):
+    # criterion-1 sizes; on each core and on its self-adjoint perturbation,
+    # is_projection agrees with the entrywise k^2 check, and the lower
+    # triangle of C U C is the star of the upper one
+    P = Presentation(n)
+    M = projection(N, n, P)
+    cores = [M.core]
+    if len(M) > 1:
+        scaled = [row[:] for row in M.core]
+        scaled[0][1], scaled[1][0] = scaled[0][1].scale(qpow(-1)), scaled[1][0].scale(qpow(-1))
+        cores.append(scaled)
+    for core in cores:
+        C = replace(M, core=core)
+        sq, k = _full_square(C), len(C)
+        assert is_projection(C) == (sq == core)
+        for i in range(k):
+            for j in range(i + 1, k):
+                assert star(sq[i][j], P) == sq[j][i]
+    assert is_projection(M)
 
 
 @pytest.mark.parametrize("N,n", [(2, 1), (-2, 1), (1, 2)])
