@@ -172,19 +172,38 @@ class Presentation:
     # front of an already-normal word, rewriting the boundary pair when
     # needed.  Memoizing on (letter, normal word) gives far more cache reuse
     # than memoizing whole unnormalized words.
+    #
+    # Letters of different index q-commute, so a push first crosses the
+    # letters of w below g's index (a prefix, since w is normal) in one step:
+    # each is a one-term rule, q past an unstarred letter and q^{-1} past a
+    # starred one, whatever g's star.  When g then stops (at the end of w or
+    # before a letter it is ordered with), the result is one word times
+    # q^{#unstarred - #starred} and takes one cache key, not one per letter
+    # crossed.  Otherwise g moves one letter at a time, caching every suffix
+    # it passes, as the rest of the rewrite reuses those.
 
     def _push(self, g: int, w: Word) -> IntForm:
         key = (g, w)
         cached = self._push_cache.get(key)
         if cached is not None:
             return cached
-        repl = self._pair(g, w[0]) if w else None
-        if repl is None:
-            res: IntForm = (((g,) + w, _UNIT),)
+        lower = g & ~1  # the letters below g's index are the ones below z_i (g = z_i or z_i^*)
+        p = e = 0
+        for x in w:
+            if x >= lower:
+                break
+            e += -2 if x & 1 else 2  # exponent of s = q^{1/2}
+            p += 1
+        if p == len(w) or self._pair(g, w[p]) is None:
+            steps, repl = p, None
         else:
-            self._steps += 1
-            if self._steps > _MAX_STEPS:
-                raise ArithmeticError("rewrite step budget exceeded (rule system bug?)")
+            steps, repl = 1, self._pair(g, w[0])
+        self._steps += steps
+        if self._steps > _MAX_STEPS:
+            raise ArithmeticError("rewrite step budget exceeded (rule system bug?)")
+        if repl is None:
+            res: IntForm = ((w[:p] + (g,) + w[p:], ((e, 1),)),)
+        else:
             acc: IntAcc = {}
             rest: IntForm = ((w[1:], _UNIT),)
             for coeff, mid in repl:

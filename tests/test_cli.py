@@ -336,8 +336,9 @@ def test_cli_input_errors_exit_2(argv):
 def test_cli_normalize_too_deep_exits_3():
     """A rewrite deeper than the recursion limit is an ArithmeticError (exit 3), not a traceback.
 
-    Moving z1 across z0^400 recurses about twice per letter, so a limit 300
-    frames above the caller's depth is reached inside the rewrite, not the parser.
+    Moving z0 across z0*^400 (a run of its own index) recurses about twice per
+    letter, so a limit 300 frames above the caller's depth is reached inside
+    the rewrite, not the parser.
     """
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -345,11 +346,17 @@ def test_cli_normalize_too_deep_exits_3():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 300)
     try:
-        code, out, err = run_cli("normalize", "z1 z0^400", "--n", "1")
+        code, out, err = run_cli("normalize", "z0 z0*^400", "--n", "1")
     finally:
         sys.setrecursionlimit(limit)
     assert (code, out) == (3, "")
     assert err == "error: word of 401 letters too long to rewrite within the recursion limit\n"
+
+
+def test_cli_normalize_letter_across_a_long_lower_index_run():
+    """z1 crosses z0^12000 in one q-power step: no recursion per letter, so no exit 3."""
+    code, out, err = run_cli("normalize", "z1 z0^12000", "--n", "1")
+    assert (code, out, err) == (0, "q^12000 * z0^12000 z1\n", "")
 
 
 def test_cli_verify_equivariance_n3():

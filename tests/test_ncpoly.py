@@ -13,6 +13,7 @@ from qcpn.ncpoly import (
     Presentation,
     UqGenerator,
     add_terms,
+    letter,
     lincomb,
     mul,
     mul_sum,
@@ -301,6 +302,51 @@ def test_normal_power_leaves_the_push_cache_empty():
     assert parse_expr("z0^4000", 1, P) == NCPoly.word((0,) * 4000)
     assert len(P._push_cache) == 0  # len: a failing push cache holds k^2/2 letters, too many to print
     assert list(P._nf_cache) == [(0,) * 4000]
+
+
+def _normal_word(rng, n, sphere, run):
+    """A random normal word z_0^*^{a_0} z_0^{b_0} ... z_n^{b_n}, each run 0..run letters long."""
+    w = []
+    for j in range(n + 1):
+        a, b = (rng.randint(0, run) if rng.random() < 0.6 else 0 for _ in range(2))
+        if sphere and j == n and a and b:  # z_n^* z_n is reducible under sphere reduction
+            a = 0
+        w += [letter(j, True)] * a + [letter(j, False)] * b
+    return tuple(w)
+
+
+def test_one_step_crossing_of_lower_index_runs_matches_letter_engine():
+    """Prefix letters pushed across lower-index runs of up to 12 letters: the oracle's terms, word order included."""
+    rng = random.Random(24)
+    for n in (1, 2, 3):
+        for sphere in (True, False):
+            P = Presentation(n, sphere_reduction=sphere)
+            oracle = LetterEngine(P)
+            for _ in range(25):
+                w = _normal_word(rng, n, sphere, 12)
+                assert all(P._pair(a, b) is None for a, b in zip(w, w[1:]))
+                prefix = tuple(rng.randrange(2 * n + 2) for _ in range(rng.randint(1, 3)))
+                got = normalize(NCPoly.word(prefix + w), P)
+                want = oracle.combine([(prefix + w, ONE)])
+                assert list(got.terms.items()) == list(want.items())
+
+
+def test_letter_across_a_lower_index_run_is_one_push_key():
+    """z1 z0^4000 is q^4000 z0^4000 z1 in one push: one key, not one per suffix of the run."""
+    from qcpn.parser import parse_expr
+
+    P = Presentation(1)
+    assert parse_expr("z1 z0^4000", 1, P) == NCPoly.word((0,) * 4000 + (2,), qpow(4000))
+    assert list(P._push_cache) == [(2, (0,) * 4000)]
+
+
+def test_two_lower_index_runs_cost_one_push_key_per_moved_letter():
+    """z2 z1^200 z0^200: each of the 201 moved letters crosses its lower-index runs in one push."""
+    from qcpn.parser import parse_expr
+
+    P = Presentation(2)
+    assert parse_expr("z2 z1^200 z0^200", 2, P) == NCPoly.word((0,) * 200 + (2,) * 200 + (4,), qpow(40400))
+    assert len(P._push_cache) <= 201  # len: a failing push cache holds millions of letters, too many to print
 
 
 # -- mul_sum: every sum of products as one integer accumulation --------------
