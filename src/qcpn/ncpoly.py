@@ -16,12 +16,55 @@ Rewriting is memoized per presentation: the normal form of a word is
 computed once and reused, which is what keeps the projection identity
 checks fast.
 
-Rewriting runs on integers.  Every rewrite-rule coefficient is a Laurent
-polynomial in s with integer coefficients (``Presentation._pair`` converts
-each one once and raises ArithmeticError if one is not), so every normal form
-of a word is too.  Inside ``Presentation`` a normal form is an immutable
-tuple of ``(word, ((e, k), ...))`` entries, sum of k * s^e * word, and sums
-are accumulated in ``{word: {e: k}}`` maps.  ``_collect`` keeps one such sum
+A normal form is built by pushing letters, right to left, onto a normal word
+(``Presentation._push``), and every push is one closed-form step.  Write
+x_j = z_j^* z_j, and w = L B H for a normal word whose block of index i is
+B = z_i^*^a z_i^b, with L below index i and H above it.  The cross-index
+relations move a letter of index i across L for q^e, q per unstarred and
+q^{-1} per starred letter of L, whatever its star.  They also make x_j
+commute with every generator of higher index, and give x_j z_k = q^2 z_k x_j
+and x_j z_k^* = q^{-2} z_k^* x_j for k < j.  Write M_j for a word with its
+block j grown by z_j^* z_j, b_j for the exponent of z_j in it, and B_j =
+b_j + ... + b_{i-1}.  A letter that commutes past B gives one word.  The
+other pushes follow from the relations that ``_rewrite_pair`` lists:
+
+- With sphere reduction, z_i z_i^* = q^{-2} x_i - (1-q^2) q^{-2i-2} (1 - y_i)
+  with y_i = sum_{j<i} q^{2j} x_j, which commutes with z_i and z_i^*.
+  Induction on a gives, for i < n,
+      z_i L z_i^*^a z_i^b H = q^{e-2a} L z_i^*^a z_i^{b+1} H
+          + q^e (q^{-2a-2i} - q^{-2i}) (L y_i - L) z_i^*^{a-1} z_i^b H.
+  At the top index the sphere relation x_n = q^{-2n} (1 - y_n) gives
+  z_n L z_n^*^a = q^{e-2n} (L - L y_n) z_n^*^{a-1} and z_n^* L z_n^b =
+  q^{e-2n} (L - L y_n) z_n^{b-1}.  The same identity for j < i gives
+  L x_j = q^{-2b_j} M_j + (q^{-2b_j-2j} - q^{-2j}) (L y_j - L), and summed
+  over j the bracket telescopes, L y_{j+1} - L = q^{-2b_j} (L y_j - L +
+  q^{2j} M_j), to L y_i - L = -q^{-2B_0} L + sum_{j<i} q^{2j-2B_j} M_j.
+- Without sphere reduction the formulas are mirror images.  Here z_i z_i^* =
+  x_i + d_i with d_i = -(1-q^2) sum_{j>i} q^{2(j-i-1)} x_j, and d_i z_i^b =
+  q^{2b} z_i^b d_i, so z_i z_i^*^a = z_i^*^a z_i + [a]' z_i^*^{a-1} d_i with
+  [a]' = sum_{k<a} q^{-2k} and
+      z_i L z_i^*^a z_i^b H = q^e L z_i^*^a z_i^{b+1} H
+          + q^e [a]' q^{2b} L z_i^*^{a-1} z_i^b d_i H.
+  x_j applied on the left of H recurses upward, x_j H = q^{2c} M_j +
+  [a_j]' q^{2a_j} d_j H with q^{2c} the cost of crossing H's letters below
+  j, and the sum over j telescopes the same way, d_{j-1} H = -(1-q^2) q^{2c}
+  M_j + q^{2a_j+2} d_j H, to d_i H = -(1-q^2) sum_{k>i} q^{2(k-i-1) + 2(b_{i+1}
+  + ... + b_{k-1})} M_k.
+
+So a push writes at most n + 2 words, each with a one- or two-term Laurent
+coefficient, in one pass over w: nothing recurses and no suffix is cached.
+``Presentation._own_block`` writes the words in the order a letter-by-letter
+rewrite with the rules of ``_rewrite_pair`` first writes them: the main word,
+then (with sphere reduction) the word with one letter fewer, then the M_j by
+ascending j.
+
+Rewriting runs on integers.  Every push coefficient is a Laurent polynomial
+in s with integer coefficients, so every normal form of a word is too.
+(``Presentation._pair``, which finds a word's normal suffix, still raises
+ArithmeticError if a rule of the table is not Laurent.)  Inside
+``Presentation`` a normal form is an immutable tuple of ``(word, ((e, k),
+...))`` entries, sum of k * s^e * word, and sums are accumulated in
+``{word: {e: k}}`` maps.  ``_collect`` keeps one such sum
 per distinct denominator and builds one canonical QScalar per output word;
 ``normalize`` and ``coproduct_act`` convert each input QScalar once, and
 ``mul_sum`` multiplies coefficients as (e, k) items, QScalars only for a
@@ -42,7 +85,6 @@ normal forms in the callers), and ``_collect``'s sum across denominators.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -59,9 +101,7 @@ _QINV = qpow(-1)
 _ONE_MINUS_Q2 = ONE - qpow(2)
 _MISS = object()
 _UNIT: LaurentItems = ((0, 1),)
-_MAX_STEPS = 50_000_000  # rewrite steps allowed in one _collect (a rule-system bug tripwire)
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
+_MAX_STEPS = 50_000_000  # push steps (letters crossed, terms written) allowed in one _collect
 
 
 def letter(index: int, starred: bool) -> int:
@@ -169,18 +209,15 @@ class Presentation:
     # -- word normal form ------------------------------------------------------
     #
     # Normalization works insertion-sort style: a letter is pushed onto the
-    # front of an already-normal word, rewriting the boundary pair when
-    # needed.  Memoizing on (letter, normal word) gives far more cache reuse
-    # than memoizing whole unnormalized words.
+    # front of an already-normal word.  Memoizing on (letter, normal word)
+    # gives far more cache reuse than memoizing whole unnormalized words.
     #
-    # Letters of different index q-commute, so a push first crosses the
-    # letters of w below g's index (a prefix, since w is normal) in one step:
-    # each is a one-term rule, q past an unstarred letter and q^{-1} past a
-    # starred one, whatever g's star.  When g then stops (at the end of w or
-    # before a letter it is ordered with), the result is one word times
-    # q^{#unstarred - #starred} and takes one cache key, not one per letter
-    # crossed.  Otherwise g moves one letter at a time, caching every suffix
-    # it passes, as the rest of the rewrite reuses those.
+    # A push is one closed-form step (the derivation is in the module
+    # docstring): g crosses the letters of w below its index (a prefix, since
+    # w is normal) for q^{#unstarred - #starred}, and then either stops, which
+    # gives one word, or meets its own index block, which gives the main word
+    # and one word per other index.  Nothing recurses, and a push takes one
+    # cache key however long the runs it crosses are.
 
     def _push(self, g: int, w: Word) -> IntForm:
         key = (g, w)
@@ -194,26 +231,69 @@ class Presentation:
                 break
             e += -2 if x & 1 else 2  # exponent of s = q^{1/2}
             p += 1
-        if p == len(w) or self._pair(g, w[p]) is None:
-            steps, repl = p, None
+        nxt = w[p] if p < len(w) else -1
+        # z_i onto z_i^*^a z_i^b ..., or z_n^* onto z_n^b under sphere reduction
+        if (g == lower and nxt == g + 1) or (g == nxt + 1 == 2 * self.n + 1 and self.sphere_reduction):
+            res = self._own_block(g, w, p, e)
         else:
-            steps, repl = 1, self._pair(g, w[0])
-        self._steps += steps
+            res = ((w[:p] + (g,) + w[p:], ((e, 1),)),)
+        self._steps += p + len(res)
         if self._steps > _MAX_STEPS:
             raise ArithmeticError("rewrite step budget exceeded (rule system bug?)")
-        if repl is None:
-            res: IntForm = ((w[:p] + (g,) + w[p:], ((e, 1),)),)
-        else:
-            acc: IntAcc = {}
-            rest: IntForm = ((w[1:], _UNIT),)
-            for coeff, mid in repl:
-                poly = rest
-                for g2 in reversed(mid):
-                    poly = self._push_poly(g2, poly)
-                _add_int(acc, poly, coeff)
-            res = _freeze(acc)
         self._push_cache[key] = res
         return res
+
+    def _own_block(self, g: int, w: Word, p: int, e: int) -> IntForm:
+        """g w for a normal word w = L B H whose index block B, from w[p] on, g does not commute with.
+
+        L = w[:p] holds the letters below g's index and H those above it; s^e
+        is the cost of moving g across L.  The words come in the order the
+        letter-by-letter rewrite first writes them.
+        """
+        i = g >> 1
+        end = p
+        while end < len(w) and w[end] == w[p]:
+            end += 1
+        a = end - p  # the run g meets: z_i^*^a, or z_n^a for g = z_n^* under sphere reduction
+        rest = w[:p] + w[p + 1:]  # B with one letter fewer
+        c = ((-4 * a, -1), (0, 1))  # 1 - q^{-2a}
+        if not self.sphere_reduction:
+            # q^e (L z_i^*^a z_i^{b+1} H + [a]' q^{2b} L z_i^*^{a-1} z_i^b d_i H): the main word, then
+            # one word per H block k > i grown by z_k^* z_k
+            out = [(w[:end] + (g,) + w[end:], ((e, 1),))]
+            b = end
+            while b < len(w) and w[b] == g:
+                b += 1
+            x, pos = e + 4 * (b - end) + 4, b - 1  # pos indexes rest, which lacks one z_i^*
+            for k in range(i + 1, self.n + 1):  # x = e + 4b + 4(k - i) + 4(b_{i+1} + ... + b_{k-1})
+                while pos < len(rest) and rest[pos] == 2 * k + 1:
+                    pos += 1
+                out.append((rest[:pos] + (2 * k + 1, 2 * k) + rest[pos:], _scaled(c, x, 1)))
+                run = pos
+                while pos < len(rest) and rest[pos] == 2 * k:
+                    pos += 1
+                x += 4 * (pos - run) + 4
+            return tuple(out)
+        # q^e (q^{-2a} L z_i^*^a z_i^{b+1} H + (q^{-2a-2i} - q^{-2i}) (L y_i - L) z_i^*^{a-1} z_i^b H) for i < n
+        if i < self.n:
+            out = [(w[:end] + (g,) + w[end:], ((e - 4 * a, 1),))]
+        else:  # q^{e-2n} (L - L y_n) times B with one letter fewer
+            out, c = [], _UNIT
+        grow = []  # (position of the z_j run, b_j) per L block j < i
+        pos = 0
+        for j in range(i):
+            while pos < p and w[pos] == 2 * j + 1:
+                pos += 1
+            run = pos
+            while pos < p and w[pos] == 2 * j:
+                pos += 1
+            grow.append((run, pos - run))
+        x = e - 4 * i - 4 * sum(bj for _, bj in grow)
+        out.append((rest, _scaled(c, x, 1)))
+        for j, (run, bj) in enumerate(grow):  # x = e + 4j - 4i - 4(b_j + ... + b_{i-1})
+            out.append((rest[:run] + (2 * j + 1, 2 * j) + rest[run:], _scaled(c, x, -1)))
+            x += 4 * bj + 4
+        return tuple(out)
 
     def _push_poly(self, g: int, poly: IntForm) -> IntForm:
         if len(poly) == 1 and poly[0][1] == _UNIT:  # one word times 1: the cached push itself
@@ -377,6 +457,11 @@ def _add_int(acc: IntAcc, form: IntForm, c: LaurentItems) -> None:
             del acc[w]
 
 
+def _scaled(c: LaurentItems, x: int, k: int) -> LaurentItems:
+    """k * s^x * c."""
+    return tuple((x + ce, k * ck) for ce, ck in c)
+
+
 def _freeze(acc: IntAcc) -> IntForm:
     return tuple((w, tuple(d.items())) for w, d in acc.items())
 
@@ -390,11 +475,7 @@ def _collect(items: Iterable[Tuple[Word, LaurentItems, LaurentItems]], P: Presen
     P._steps = 0  # the step budget bounds a single operation: one whole sum
     groups: Dict[LaurentItems, IntAcc] = {}  # denominator -> sum
     for w, den, num in items:
-        try:
-            form = P._normal_word(w)
-        except RecursionError:  # _push recurses about twice per letter it moves
-            raise ArithmeticError(f"word of {len(w)} letters too long to rewrite within the recursion limit") from None
-        _add_int(groups.setdefault(den, {}), form, num)
+        _add_int(groups.setdefault(den, {}), P._normal_word(w), num)
     out: TermMap = {}
     for den, acc in groups.items():
         if den == _UNIT:

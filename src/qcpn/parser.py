@@ -25,6 +25,7 @@ a product with a multi-term factor, and the power of a group, go through
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -33,6 +34,8 @@ from .qcoeff import ZERO, QScalar, qpow
 
 
 _MAX_NESTING = 1_000  # parenthesis depth; each level costs five frames of the recursive descent
+
+sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))  # room for _MAX_NESTING levels
 
 
 class ParseError(ValueError):

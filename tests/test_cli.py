@@ -333,12 +333,11 @@ def test_cli_input_errors_exit_2(argv):
     assert err.startswith("error:")
 
 
-def test_cli_normalize_too_deep_exits_3():
-    """A rewrite deeper than the recursion limit is an ArithmeticError (exit 3), not a traceback.
+def test_cli_normalize_same_index_run_does_not_recurse():
+    """z0 crosses z0*^400, a run of its own index, in one closed-form push.
 
-    Moving z0 across z0*^400 (a run of its own index) recurses about twice per
-    letter, so a limit 300 frames above the caller's depth is reached inside
-    the rewrite, not the parser.
+    Run under a limit 300 frames above the caller's depth, which a rewrite
+    recursing once per letter of the run would exceed.
     """
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -349,8 +348,13 @@ def test_cli_normalize_too_deep_exits_3():
         code, out, err = run_cli("normalize", "z0 z0*^400", "--n", "1")
     finally:
         sys.setrecursionlimit(limit)
-    assert (code, out) == (3, "")
-    assert err == "error: word of 401 letters too long to rewrite within the recursion limit\n"
+    assert (code, out, err) == (0, "(1 - q^-800) * z0*^399 + q^-800 * z0*^400 z0\n", "")
+
+
+def test_cli_normalize_long_same_index_run():
+    """z0 z0*^12000, a run longer than the default recursion limit, normalizes with exit 0."""
+    code, out, err = run_cli("normalize", "z0 z0*^12000", "--n", "1")
+    assert (code, out, err) == (0, "(1 - q^-24000) * z0*^11999 + q^-24000 * z0*^12000 z0\n", "")
 
 
 def test_cli_normalize_letter_across_a_long_lower_index_run():

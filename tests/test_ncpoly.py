@@ -1,5 +1,6 @@
 """Rewriting engine: defining relations, confluence, star, U_q action."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -347,6 +348,37 @@ def test_two_lower_index_runs_cost_one_push_key_per_moved_letter():
     P = Presentation(2)
     assert parse_expr("z2 z1^200 z0^200", 2, P) == NCPoly.word((0,) * 200 + (2,) * 200 + (4,), qpow(40400))
     assert len(P._push_cache) <= 201  # len: a failing push cache holds millions of letters, too many to print
+
+
+def _all_normal_words(n, sphere, run):
+    """Every normal word whose runs are 0..run letters long."""
+    blocks = [[(letter(j, True),) * a + (letter(j, False),) * b
+               for a in range(run + 1) for b in range(run + 1) if not (sphere and j == n and a and b)]
+              for j in range(n + 1)]  # z_n^* z_n is reducible under sphere reduction
+    return [sum(combo, ()) for combo in itertools.product(*blocks)]
+
+
+@pytest.mark.parametrize("sphere", [True, False], ids=["sphere", "no-sphere"])
+@pytest.mark.parametrize("n, run", [(1, 3), (2, 2), (3, 1)])
+def test_closed_form_push_matches_letter_engine(n, run, sphere):
+    """Every generator pushed onto every normal word with short runs: the oracle's terms, in its word order."""
+    P = Presentation(n, sphere_reduction=sphere)
+    oracle = LetterEngine(P)
+    for w in _all_normal_words(n, sphere, run):
+        assert all(P._pair(a, b) is None for a, b in zip(w, w[1:]))
+        for g in range(2 * n + 2):
+            got = [(u, QScalar(dict(c), _canonical=True)) for u, c in P._push(g, w)]
+            assert got == list(oracle.push(g, w).items())
+
+
+def test_letter_across_its_own_index_run_is_one_push_key():
+    """z0 z0*^2000 is one closed-form push: one key, not one per suffix of the run."""
+    from qcpn.parser import parse_expr
+
+    P = Presentation(1)
+    want = NCPoly({(1,) * 1999: ONE - qpow(-4000), (1,) * 2000 + (0,): qpow(-4000)})
+    assert parse_expr("z0 z0*^2000", 1, P) == want
+    assert list(P._push_cache) == [(0, (1,) * 2000)]
 
 
 # -- mul_sum: every sum of products as one integer accumulation --------------
