@@ -58,10 +58,13 @@ rewrite with the rules of ``_rewrite_pair`` first writes them: the main word,
 then (with sphere reduction) the word with one letter fewer, then the M_j by
 ascending j.
 
+``Presentation._reducible`` is the one normal-order test: it decides
+whether an adjacent pair of letters is out of normal order, both for the
+normal suffix that ``_normal_word`` leaves unpushed and for the own-block
+branch of ``_push``.
+
 Rewriting runs on integers.  Every push coefficient is a Laurent polynomial
-in s with integer coefficients, so every normal form of a word is too.
-(``Presentation._pair``, which finds a word's normal suffix, still raises
-ArithmeticError if a rule of the table is not Laurent.)  Inside
+in s with integer coefficients, so every normal form of a word is too.  Inside
 ``Presentation`` a normal form is an immutable tuple of ``(word, ((e, k),
 ...))`` entries, sum of k * s^e * word, and sums are accumulated in
 ``{word: {e: k}}`` maps.  ``_collect`` keeps one such sum
@@ -99,7 +102,6 @@ IntAcc = Dict[Word, Dict[int, int]]  # the same, while it is being summed
 _Q = qpow(1)
 _QINV = qpow(-1)
 _ONE_MINUS_Q2 = ONE - qpow(2)
-_MISS = object()
 _UNIT: LaurentItems = ((0, 1),)
 _MAX_STEPS = 50_000_000  # push steps (letters crossed, terms written) allowed in one _collect
 
@@ -141,7 +143,6 @@ class Presentation:
     sphere_reduction: bool = True
     _nf_cache: Dict[Word, IntForm] = field(default_factory=dict, repr=False)
     _push_cache: Dict[Tuple[int, Word], IntForm] = field(default_factory=dict, repr=False)
-    _pair_cache: Dict[Tuple[int, int], object] = field(default_factory=dict, repr=False)
     _steps: int = field(default=0, repr=False)
 
     def __post_init__(self):
@@ -192,19 +193,13 @@ class Presentation:
             return out
         return None
 
-    def _pair(self, a: int, b: int):
-        """The rule for (a, b) as (Laurent coefficient, word) pairs, or None; cached."""
-        key = (a, b)
-        hit = self._pair_cache.get(key, _MISS)
-        if hit is _MISS:
-            rule = self._rewrite_pair(a, b)
-            if rule is not None:
-                for coeff, _ in rule:
-                    if not coeff.is_laurent():
-                        raise ArithmeticError(f"rewrite coefficient {coeff} for {(a, b)} is not a Laurent polynomial")
-                rule = tuple((tuple(coeff.num.items()), mid) for coeff, mid in rule)
-            hit = self._pair_cache[key] = rule
-        return hit
+    def _reducible(self, a: int, b: int) -> bool:
+        """Whether the adjacent pair (a, b) is out of normal order, so that _rewrite_pair rewrites it.
+
+        a ^ 1 ranks the letters in normal order, z_i^* as 2i and z_i as 2i + 1;
+        under sphere reduction z_n^* z_n is reducible as well.
+        """
+        return (a ^ 1) > (b ^ 1) or (self.sphere_reduction and a == 2 * self.n + 1 and b == a - 1)
 
     # -- word normal form ------------------------------------------------------
     #
@@ -231,9 +226,8 @@ class Presentation:
                 break
             e += -2 if x & 1 else 2  # exponent of s = q^{1/2}
             p += 1
-        nxt = w[p] if p < len(w) else -1
         # z_i onto z_i^*^a z_i^b ..., or z_n^* onto z_n^b under sphere reduction
-        if (g == lower and nxt == g + 1) or (g == nxt + 1 == 2 * self.n + 1 and self.sphere_reduction):
+        if p < len(w) and self._reducible(g, w[p]):
             res = self._own_block(g, w, p, e)
         else:
             res = ((w[:p] + (g,) + w[p:], ((e, 1),)),)
@@ -295,26 +289,25 @@ class Presentation:
             x += 4 * bj + 4
         return tuple(out)
 
-    def _push_poly(self, g: int, poly: IntForm) -> IntForm:
-        if len(poly) == 1 and poly[0][1] == _UNIT:  # one word times 1: the cached push itself
-            return self._push(g, poly[0][0])
-        acc: IntAcc = {}
-        for w, c in poly:
-            _add_int(acc, self._push(g, w), c)
-        return _freeze(acc)
-
     def _normal_word(self, w: Word) -> IntForm:
         cached = self._nf_cache.get(w)
         if cached is not None:
             return cached
+        self.check_letters(w)
         # The longest suffix with no reducible adjacent pair is already normal:
         # pushing its letters would rewrite nothing, so only the letters before it are pushed.
         k = max(len(w) - 1, 0)
-        while k and self._pair(w[k - 1], w[k]) is None:
+        while k and not self._reducible(w[k - 1], w[k]):
             k -= 1
         poly: IntForm = ((w[k:], _UNIT),)
         for g in reversed(w[:k]):
-            poly = self._push_poly(g, poly)
+            if len(poly) == 1 and poly[0][1] == _UNIT:  # one word times 1: the cached push itself
+                poly = self._push(g, poly[0][0])
+            else:
+                acc: IntAcc = {}
+                for u, c in poly:
+                    _add_int(acc, self._push(g, u), c)
+                poly = _freeze(acc)
         self._nf_cache[w] = poly
         return poly
 
@@ -495,8 +488,6 @@ def _word_items(pairs: Iterable[Tuple[Word, QScalar]]):
 
 def normalize(a: NCPoly, P: Presentation) -> NCPoly:
     """Unique normal form of a modulo the sphere relations (idempotent)."""
-    for w in a.terms:
-        P.check_letters(w)
     return _collect(_word_items(a.terms.items()), P)
 
 

@@ -8,10 +8,12 @@ Grammar (precedence: power > juxtaposition > unary minus > addition):
     factor   := atom ('^' exponent)?
     atom     := RATIONAL | 'q' | GEN | '(' expr ')'
     exponent := ['-'] INT [ '/' INT ]      (halves allowed only on q)
-    GEN      := 'z' DIGIT '*'?
+    GEN      := 'z' INT '*'?
 
 Juxtaposition multiplies; a '*' directly after a generator is the star,
-anywhere else it is multiplication.
+anywhere else it is multiplication.  A generator name takes every digit
+that follows the 'z', so z12 is z_12, never z_1 times 2.  A RATIONAL with
+a zero denominator is a parse error.
 
 Products of monomial factors (numbers, q, generators and their powers) are
 built as words: the words concatenate and the coefficients multiply, so
@@ -45,7 +47,7 @@ class ParseError(ValueError):
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<gen>z\d\*?)|(?P<num>\d+(?:/\d+)?)|(?P<q>q)|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<gen>z\d+\*?)|(?P<num>\d+(?:/\d+)?)|(?P<q>q)|(?P<op>[-+*^()]))"
 )
 
 
@@ -61,6 +63,8 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
         for kind in ("gen", "num", "q", "op"):
             val = m.group(kind)
             if val is not None:
+                if kind == "num" and "/" in val and not int(val.split("/")[1]):
+                    raise ParseError(f"zero denominator in {val!r}", m.start(kind))
                 out.append((kind, val, m.start(kind)))
                 break
         pos = m.end()
@@ -173,7 +177,7 @@ class _Parser:
             return NCPoly.scalar(qpow(1)), kind
         if kind == "gen":
             starred = val.endswith("*")
-            idx = int(val[1])
+            idx = int(val[1:].rstrip("*"))
             if idx > self.P.n:
                 raise ParseError(f"generator z{idx} out of range for n={self.P.n}", pos)
             return NCPoly.gen(idx, starred), kind

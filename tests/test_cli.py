@@ -146,6 +146,16 @@ def test_cli_normalize_parse_error_exit_2():
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["z12 z3", "--n", "3"], "parse error: generator z12 out of range for n=3 (at position 0)\n"),
+    (["1/0", "--n", "1"], "parse error: zero denominator in '1/0' (at position 0)\n"),
+    (["q^1/0", "--n", "1"], "parse error: zero denominator in '1/0' (at position 2)\n"),
+])
+def test_cli_normalize_bad_literals_exit_2(argv, err):
+    """A two-digit generator index past n and a zero denominator are parse errors (exit 2), not exit 3."""
+    assert run_cli("normalize", *argv) == (2, "", err)
+
+
 def test_cli_normalize_deep_nesting_exits_2():
     """5,000 nested parentheses are a parse error (exit 2), not a RecursionError traceback."""
     code, out, err = run_cli("normalize", "(" * 5_000 + "z0" + ")" * 5_000, "--n", "1")

@@ -289,7 +289,7 @@ def test_normal_word_pushes_only_the_letters_before_its_normal_suffix():
                 if sphere and 2 * n in suffix:  # z_n^* z_n is reducible under sphere reduction
                     suffix = [g for g in suffix if g != 2 * n + 1]
                 suffix = tuple(suffix)
-                assert all(P._pair(a, b) is None for a, b in zip(suffix, suffix[1:]))
+                assert all(not P._reducible(a, b) for a, b in zip(suffix, suffix[1:]))
                 got = normalize(NCPoly.word(prefix + suffix), P)
                 want = oracle.combine([(prefix + suffix, ONE)])
                 assert list(got.terms.items()) == list(want.items())
@@ -325,7 +325,7 @@ def test_one_step_crossing_of_lower_index_runs_matches_letter_engine():
             oracle = LetterEngine(P)
             for _ in range(25):
                 w = _normal_word(rng, n, sphere, 12)
-                assert all(P._pair(a, b) is None for a, b in zip(w, w[1:]))
+                assert all(not P._reducible(a, b) for a, b in zip(w, w[1:]))
                 prefix = tuple(rng.randrange(2 * n + 2) for _ in range(rng.randint(1, 3)))
                 got = normalize(NCPoly.word(prefix + w), P)
                 want = oracle.combine([(prefix + w, ONE)])
@@ -365,7 +365,7 @@ def test_closed_form_push_matches_letter_engine(n, run, sphere):
     P = Presentation(n, sphere_reduction=sphere)
     oracle = LetterEngine(P)
     for w in _all_normal_words(n, sphere, run):
-        assert all(P._pair(a, b) is None for a, b in zip(w, w[1:]))
+        assert all(not P._reducible(a, b) for a, b in zip(w, w[1:]))
         for g in range(2 * n + 2):
             got = [(u, QScalar(dict(c), _canonical=True)) for u, c in P._push(g, w)]
             assert got == list(oracle.push(g, w).items())
@@ -501,11 +501,29 @@ def test_mixed_denominators_cancel():
     assert normalize(NCPoly({(0, 2): third, (2, 0): two_thirds * qpow(-1)}), P) == NCPoly.word((0, 2))
 
 
-def test_non_laurent_rule_coefficient_raises(monkeypatch):
-    P = Presentation(1)
-    monkeypatch.setattr(P, "_rewrite_pair", lambda a, b: [(QScalar.from_fraction(Fraction(1, 2)), (b, a))])
-    with pytest.raises(ArithmeticError, match="not a Laurent polynomial"):
-        normalize(NCPoly.word((2, 0)), P)
+@pytest.mark.parametrize("sphere", [True, False], ids=["sphere", "no-sphere"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_reducible_pairs_are_the_rule_table(n, sphere):
+    """_reducible(a, b) holds exactly for the pairs _rewrite_pair rewrites, and every rule is Laurent."""
+    P = Presentation(n, sphere_reduction=sphere)
+    for a in range(2 * n + 2):
+        for b in range(2 * n + 2):
+            rule = P._rewrite_pair(a, b)
+            assert (rule is not None) == P._reducible(a, b), (a, b)
+            assert all(c.is_laurent() for c, _ in rule or ()), (a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_products_reject_letters_outside_the_presentation(n):
+    """mul, mul_sum and star with P reject z_{n+1}, z_{n+1}^* and letter -1 with the error normalize gives."""
+    P = Presentation(n)
+    for g in (letter(n + 1, False), letter(n + 1, True), -1):
+        bad = NCPoly.word((g,))
+        for op in (lambda: mul(bad, NCPoly.gen(0, True), P), lambda: mul(NCPoly.gen(n), bad, P),
+                   lambda: mul_sum([(NCPoly.gen(0), NCPoly.gen(1), None), (NCPoly.one(), bad, qpow(1))], P),
+                   lambda: normalize(bad, P), lambda: star(bad, P)):
+            with pytest.raises(ValueError, match=f"generator index {g >> 1} out of range for n={n}"):
+                op()
 
 
 # -- U_q(su(n+1)) action -----------------------------------------------------

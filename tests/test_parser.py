@@ -163,3 +163,23 @@ def test_group_is_normalized_once_and_its_power_one_mul_per_unit(monkeypatch):
     _count(monkeypatch, calls, ncpoly, "_collect")
     parse_expr("(z1 z1*)^3 z0", 1)
     assert calls == {"_collect": 1 + 3 + 1 + 1}
+
+
+def test_generator_names_take_every_digit():
+    """At n = 10 the printed z10 parses back as z_10, so print_expr output round-trips."""
+    P = Presentation(10, sphere_reduction=False)
+    a = parse_expr("z9 z9*", 10, P)
+    assert a == normalize(NCPoly.word((18, 19)), P)
+    assert print_expr(a) == "z9* z9 + (q^2 - 1) * z10* z10"
+    assert parse_expr(print_expr(a), 10, P) == a
+    assert parse_expr("z10* z10", 10, P) == NCPoly.word((21, 20))
+    with pytest.raises(ParseError, match="generator z12 out of range for n=3") as err:
+        parse_expr("z12 z3", 3)  # z_12, not z_1 times 2
+    assert err.value.pos == 0
+
+
+@pytest.mark.parametrize("text, pos", [("1/0", 0), ("z0 + 3/00", 5), ("q^1/0", 2), ("q^-1/0 z0", 3)])
+def test_zero_denominator_is_a_parse_error(text, pos):
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        parse_expr(text, 1)
+    assert err.value.pos == pos
