@@ -65,16 +65,15 @@ branch of ``_push``.
 
 Rewriting runs on integers.  Every push coefficient is a Laurent polynomial
 in s with integer coefficients, so every normal form of a word is too.  Inside
-``Presentation`` a normal form is an immutable tuple of ``(word, ((e, k),
-...))`` entries, sum of k * s^e * word, and sums are accumulated in
-``{word: {e: k}}`` maps.  ``_collect`` keeps one such sum
-per distinct denominator and builds one canonical QScalar per output word;
-``normalize`` and ``coproduct_act`` convert each input QScalar once, and
-``mul_sum`` multiplies coefficients as (e, k) items, QScalars only for a
-non-unit denominator.  Normal forms are unique, so the coefficient storage
-changes no output.  When the input coefficients share one denominator (every
-Laurent input does), the words also come out in the order of a term-by-term
-add_terms sum.
+``Presentation`` a normal form is a ``{word: {e: k}}`` map, sum of k * s^e *
+word, with ``qcoeff``'s Laurent dicts as values; cached forms are shared and
+never mutated, and sums accumulate into fresh maps through ``qcoeff._lmac``.
+``_collect`` keeps one such sum per distinct denominator and builds one
+canonical QScalar per output word from the input numerators as they are;
+only a product with a non-unit denominator takes a QScalar product.  Normal
+forms are unique, so the coefficient storage changes no output.  When the
+input coefficients share one denominator (every Laurent input does), the
+words also come out in the order of a term-by-term add_terms sum.
 
 Two kernels do all the summing.  ``_add_int`` sums normal forms on integers
 inside ``_collect``, which serves ``normalize``, ``mul_sum`` and the U_q
@@ -91,18 +90,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .qcoeff import ONE, ZERO, QScalar, _lmul, qpow
+from .qcoeff import ONE, ZERO, Laurent, QScalar, _lmac, _lmul, qpow
 
 Word = Tuple[int, ...]
 TermMap = Dict[Word, QScalar]
-LaurentItems = Tuple[Tuple[int, int], ...]  # ((e, k), ...): sum of k * s^e, no zero k
-IntForm = Tuple[Tuple[Word, LaurentItems], ...]  # a normal form with Laurent coefficients
-IntAcc = Dict[Word, Dict[int, int]]  # the same, while it is being summed
+IntForm = Dict[Word, Laurent]  # a normal form with Laurent coefficients
+DenKey = Tuple[Tuple[int, int], ...]  # a canonical denominator as sorted (e, k) items, for _collect's grouping
 
 _Q = qpow(1)
 _QINV = qpow(-1)
 _ONE_MINUS_Q2 = ONE - qpow(2)
-_UNIT: LaurentItems = ((0, 1),)
+_UNIT: Laurent = {0: 1}
+_UNIT_DEN: DenKey = ((0, 1),)
 _MAX_STEPS = 50_000_000  # push steps (letters crossed, terms written) allowed in one _collect
 
 
@@ -230,7 +229,7 @@ class Presentation:
         if p < len(w) and self._reducible(g, w[p]):
             res = self._own_block(g, w, p, e)
         else:
-            res = ((w[:p] + (g,) + w[p:], ((e, 1),)),)
+            res = {w[:p] + (g,) + w[p:]: {e: 1}}
         self._steps += p + len(res)
         if self._steps > _MAX_STEPS:
             raise ArithmeticError("rewrite step budget exceeded (rule system bug?)")
@@ -250,11 +249,11 @@ class Presentation:
             end += 1
         a = end - p  # the run g meets: z_i^*^a, or z_n^a for g = z_n^* under sphere reduction
         rest = w[:p] + w[p + 1:]  # B with one letter fewer
-        c = ((-4 * a, -1), (0, 1))  # 1 - q^{-2a}
+        c = {-4 * a: -1, 0: 1}  # 1 - q^{-2a}
         if not self.sphere_reduction:
             # q^e (L z_i^*^a z_i^{b+1} H + [a]' q^{2b} L z_i^*^{a-1} z_i^b d_i H): the main word, then
             # one word per H block k > i grown by z_k^* z_k
-            out = [(w[:end] + (g,) + w[end:], ((e, 1),))]
+            out = {w[:end] + (g,) + w[end:]: {e: 1}}
             b = end
             while b < len(w) and w[b] == g:
                 b += 1
@@ -262,17 +261,17 @@ class Presentation:
             for k in range(i + 1, self.n + 1):  # x = e + 4b + 4(k - i) + 4(b_{i+1} + ... + b_{k-1})
                 while pos < len(rest) and rest[pos] == 2 * k + 1:
                     pos += 1
-                out.append((rest[:pos] + (2 * k + 1, 2 * k) + rest[pos:], _scaled(c, x, 1)))
+                out[rest[:pos] + (2 * k + 1, 2 * k) + rest[pos:]] = _lmul({x: 1}, c)
                 run = pos
                 while pos < len(rest) and rest[pos] == 2 * k:
                     pos += 1
                 x += 4 * (pos - run) + 4
-            return tuple(out)
+            return out
         # q^e (q^{-2a} L z_i^*^a z_i^{b+1} H + (q^{-2a-2i} - q^{-2i}) (L y_i - L) z_i^*^{a-1} z_i^b H) for i < n
         if i < self.n:
-            out = [(w[:end] + (g,) + w[end:], ((e - 4 * a, 1),))]
+            out = {w[:end] + (g,) + w[end:]: {e - 4 * a: 1}}
         else:  # q^{e-2n} (L - L y_n) times B with one letter fewer
-            out, c = [], _UNIT
+            out, c = {}, _UNIT
         grow = []  # (position of the z_j run, b_j) per L block j < i
         pos = 0
         for j in range(i):
@@ -283,11 +282,11 @@ class Presentation:
                 pos += 1
             grow.append((run, pos - run))
         x = e - 4 * i - 4 * sum(bj for _, bj in grow)
-        out.append((rest, _scaled(c, x, 1)))
+        out[rest] = _lmul({x: 1}, c)
         for j, (run, bj) in enumerate(grow):  # x = e + 4j - 4i - 4(b_j + ... + b_{i-1})
-            out.append((rest[:run] + (2 * j + 1, 2 * j) + rest[run:], _scaled(c, x, -1)))
+            out[rest[:run] + (2 * j + 1, 2 * j) + rest[run:]] = _lmul({x: -1}, c)
             x += 4 * bj + 4
-        return tuple(out)
+        return out
 
     def _normal_word(self, w: Word) -> IntForm:
         cached = self._nf_cache.get(w)
@@ -299,15 +298,15 @@ class Presentation:
         k = max(len(w) - 1, 0)
         while k and not self._reducible(w[k - 1], w[k]):
             k -= 1
-        poly: IntForm = ((w[k:], _UNIT),)
+        poly: IntForm = {w[k:]: _UNIT}
         for g in reversed(w[:k]):
-            if len(poly) == 1 and poly[0][1] == _UNIT:  # one word times 1: the cached push itself
-                poly = self._push(g, poly[0][0])
+            if len(poly) == 1 and _UNIT in poly.values():  # one word times 1: the cached push itself
+                poly = self._push(g, *poly)
             else:
-                acc: IntAcc = {}
-                for u, c in poly:
+                acc: IntForm = {}
+                for u, c in poly.items():
                     _add_int(acc, self._push(g, u), c)
-                poly = _freeze(acc)
+                poly = acc
         self._nf_cache[w] = poly
         return poly
 
@@ -431,47 +430,30 @@ def lincomb(pairs: Iterable[Tuple[NCPoly, QScalar | None]]) -> NCPoly:
     return NCPoly(acc)
 
 
-def _add_int(acc: IntAcc, form: IntForm, c: LaurentItems) -> None:
-    """acc += c * form in place, dropping a word whose coefficient cancels.
+def _add_int(acc: IntForm, form: IntForm, c: Laurent) -> None:
+    """acc += c * form in place, dropping a word whose coefficient cancels; form is only read.
 
     A word keeps its place while its coefficient stays nonzero and is
     appended when it is new, as in add_terms.
     """
-    for w, lau in form:
-        d = acc.setdefault(w, {})
-        for e, k in lau:
-            for ce, ck in c:
-                v = d.get(e + ce, 0) + k * ck
-                if v:
-                    d[e + ce] = v
-                else:
-                    del d[e + ce]
-        if not d:
+    for w, lau in form.items():
+        if not _lmac(acc.setdefault(w, {}), lau, c):
             del acc[w]
 
 
-def _scaled(c: LaurentItems, x: int, k: int) -> LaurentItems:
-    """k * s^x * c."""
-    return tuple((x + ce, k * ck) for ce, ck in c)
-
-
-def _freeze(acc: IntAcc) -> IntForm:
-    return tuple((w, tuple(d.items())) for w, d in acc.items())
-
-
-def _collect(items: Iterable[Tuple[Word, LaurentItems, LaurentItems]], P: Presentation) -> NCPoly:
+def _collect(items: Iterable[Tuple[Word, DenKey, Laurent]], P: Presentation) -> NCPoly:
     """sum of (num / den) * (normal form of w) over the (w, den, num) items (den canonical).
 
     One {word: {e: k}} map per denominator sums on integers, each output word
     gets one canonical QScalar, and sums across denominators go through add_terms.
     """
     P._steps = 0  # the step budget bounds a single operation: one whole sum
-    groups: Dict[LaurentItems, IntAcc] = {}  # denominator -> sum
+    groups: Dict[DenKey, IntForm] = {}  # denominator -> sum
     for w, den, num in items:
         _add_int(groups.setdefault(den, {}), P._normal_word(w), num)
     out: TermMap = {}
     for den, acc in groups.items():
-        if den == _UNIT:
+        if den == _UNIT_DEN:
             terms = {w: QScalar(d, _canonical=True) for w, d in acc.items()}
         else:
             terms = {w: QScalar(d, dict(den)) for w, d in acc.items()}
@@ -483,7 +465,7 @@ def _collect(items: Iterable[Tuple[Word, LaurentItems, LaurentItems]], P: Presen
 
 def _word_items(pairs: Iterable[Tuple[Word, QScalar]]):
     """(w, den, num) items of the nonzero (w, c) pairs, for _collect."""
-    return ((w, tuple(sorted(c.den.items())), tuple(c.num.items())) for w, c in pairs if c.num)
+    return ((w, tuple(sorted(c.den.items())), c.num) for w, c in pairs if c.num)
 
 
 def normalize(a: NCPoly, P: Presentation) -> NCPoly:
@@ -495,7 +477,7 @@ def mul_sum(triples: Iterable[Tuple[NCPoly, NCPoly, QScalar | None]], P: Present
     """Normal form of sum c * a * b over the (a, b, c) triples (c None counts as 1).
 
     Every product of a term of a with a term of b is one integer item of one
-    ``_collect``: Laurent coefficients multiply as (e, k) items, and only a
+    ``_collect``: Laurent numerators multiply as dicts, and only a
     non-unit denominator takes a QScalar product.  The step budget bounds the
     whole sum.  c scales a once per triple.
     """
@@ -506,10 +488,10 @@ def mul_sum(triples: Iterable[Tuple[NCPoly, NCPoly, QScalar | None]], P: Present
                 la = ca.is_laurent()
                 for wb, cb, lb in bt:
                     if la and lb:
-                        yield wa + wb, _UNIT, tuple(_lmul(ca.num, cb.num).items())
+                        yield wa + wb, _UNIT_DEN, _lmul(ca.num, cb.num)
                     else:
                         p = ca * cb
-                        yield wa + wb, tuple(sorted(p.den.items())), tuple(p.num.items())
+                        yield wa + wb, tuple(sorted(p.den.items())), p.num
 
     return _collect(items(), P)
 

@@ -13,7 +13,8 @@ Grammar (precedence: power > juxtaposition > unary minus > addition):
 Juxtaposition multiplies; a '*' directly after a generator is the star,
 anywhere else it is multiplication.  A generator name takes every digit
 that follows the 'z', so z12 is z_12, never z_1 times 2.  A RATIONAL with
-a zero denominator is a parse error.
+a zero denominator is a parse error, and so is a number with more digits than
+Python converts to int (4,300 by default); a generator index that long is out of range.
 
 Products of monomial factors (numbers, q, generators and their powers) are
 built as words: the words concatenate and the coefficients multiply, so
@@ -63,12 +64,20 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
         for kind in ("gen", "num", "q", "op"):
             val = m.group(kind)
             if val is not None:
-                if kind == "num" and "/" in val and not int(val.split("/")[1]):
+                if kind == "num" and "/" in val and not _fraction(val.split("/")[1], m.start(kind)):
                     raise ParseError(f"zero denominator in {val!r}", m.start(kind))
                 out.append((kind, val, m.start(kind)))
                 break
         pos = m.end()
     return out
+
+
+def _fraction(val: str, pos: int) -> Fraction:
+    """Value of a number literal; one past the interpreter's int-conversion digit limit is a ParseError."""
+    try:
+        return Fraction(val)
+    except ValueError:
+        raise ParseError(f"number literal longer than {sys.get_int_max_str_digits()} digits", pos) from None
 
 
 class _Parser:
@@ -163,7 +172,7 @@ class _Parser:
         kind, val, pos = self.take()
         if kind != "num":
             raise ParseError("expected an exponent", pos)
-        f = Fraction(val) * sign
+        f = _fraction(val, pos) * sign
         if f.denominator not in (1, 2) or (f.denominator == 2 and not halves):
             raise ParseError("fractional exponents only as halves of q", pos)
         return f
@@ -172,15 +181,15 @@ class _Parser:
         """The base of a factor and its token kind ('num', 'q', 'gen', or '(' for a group, normalized as a unit)."""
         kind, val, pos = self.take()
         if kind == "num":
-            return NCPoly.scalar(QScalar.from_fraction(Fraction(val))), kind
+            return NCPoly.scalar(QScalar.from_fraction(_fraction(val, pos))), kind
         if kind == "q":
             return NCPoly.scalar(qpow(1)), kind
         if kind == "gen":
             starred = val.endswith("*")
-            idx = int(val[1:].rstrip("*"))
-            if idx > self.P.n:
-                raise ParseError(f"generator z{idx} out of range for n={self.P.n}", pos)
-            return NCPoly.gen(idx, starred), kind
+            digits = val[1:].rstrip("*").lstrip("0") or "0"
+            if len(digits) > len(str(self.P.n)) or int(digits) > self.P.n:  # length first: int() has a digit limit
+                raise ParseError(f"generator z{digits} out of range for n={self.P.n}", pos)
+            return NCPoly.gen(int(digits), starred), kind
         if kind == "op" and val == "(":
             self.depth += 1
             if self.depth > _MAX_NESTING:

@@ -66,6 +66,19 @@ def _lneg(a: Laurent) -> Laurent:
     return {e: -c for e, c in a.items()}
 
 
+def _lmac(out: Laurent, a: Laurent, b: Laurent) -> Laurent:
+    """out += a * b in place, dropping a coefficient that cancels (a and b hold no zeros); returns out."""
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            v = out.get(e, 0) + ca * cb
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+    return out
+
+
 def _lmul(a: Laurent, b: Laurent) -> Laurent:
     if not a or not b:
         return {}
@@ -75,16 +88,7 @@ def _lmul(a: Laurent, b: Laurent) -> Laurent:
     if len(b) == 1:
         (eb, cb), = b.items()
         return {ea + eb: ca * cb for ea, ca in a.items()}
-    out: Laurent = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
+    return _lmac({}, a, b)
 
 
 def _lshift(a: Laurent, k: int) -> Laurent:
@@ -170,14 +174,17 @@ def _divexact(a: list[int], d: list[int]) -> list[int] | None:
 def _reduce(num: Laurent, den: Laurent) -> tuple[Laurent, Laurent]:
     """Bring num/den to canonical form.
 
-    Canonical means: gcd removed, integer content shared out, denominator
-    has lowest exponent 0 and positive leading coefficient; zero is {} / {0:1}.
+    Canonical means: no zero coefficient, gcd removed, integer content
+    shared out, denominator has lowest exponent 0 and positive leading
+    coefficient; zero is {} / {0:1}.
 
     A multi-term denominator is first tried as an exact divisor of the
     numerator in Z[s]; when it divides, the quotient over {0: 1} is the
     canonical form.  Only otherwise does the Fraction-based ``_poly_gcd``
     run.  Both routes give the same canonical form.
     """
+    num = {e: c for e, c in num.items() if c}
+    den = {e: c for e, c in den.items() if c}
     if not den:
         raise ZeroDivisionError("QScalar with zero denominator")
     if not num:

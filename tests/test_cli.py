@@ -156,6 +156,15 @@ def test_cli_normalize_bad_literals_exit_2(argv, err):
     assert run_cli("normalize", *argv) == (2, "", err)
 
 
+@pytest.mark.parametrize("expr, pos", [("z" + "1" * 5_000, 0), ("1" * 5_000 + " z0", 0), ("q^" + "1" * 5_000, 2)],
+                         ids=["generator", "number", "exponent"])
+def test_cli_normalize_long_literal_exits_2(expr, pos):
+    """A literal past Python's 4,300-digit int-conversion limit is a parse error (exit 2), not a bare ValueError."""
+    code, out, err = run_cli("normalize", expr, "--n", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.endswith(f"(at position {pos})\n")
+
+
 def test_cli_normalize_deep_nesting_exits_2():
     """5,000 nested parentheses are a parse error (exit 2), not a RecursionError traceback."""
     code, out, err = run_cli("normalize", "(" * 5_000 + "z0" + ")" * 5_000, "--n", "1")

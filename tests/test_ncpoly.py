@@ -1,5 +1,6 @@
 """Rewriting engine: defining relations, confluence, star, U_q action."""
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -367,7 +368,7 @@ def test_closed_form_push_matches_letter_engine(n, run, sphere):
     for w in _all_normal_words(n, sphere, run):
         assert all(not P._reducible(a, b) for a, b in zip(w, w[1:]))
         for g in range(2 * n + 2):
-            got = [(u, QScalar(dict(c), _canonical=True)) for u, c in P._push(g, w)]
+            got = [(u, QScalar(dict(c), _canonical=True)) for u, c in P._push(g, w).items()]
             assert got == list(oracle.push(g, w).items())
 
 
@@ -415,6 +416,27 @@ def test_mul_sum_equals_lincomb_of_products(n, sphere):
         assert got.terms == want
         if not any(c.den != ONE.den for _, c in items):
             assert list(got.terms) == list(want)  # Laurent coefficients: the term-by-term word order
+
+
+@pytest.mark.parametrize("sphere", [True, False], ids=["sphere", "no-sphere"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_normal_forms_are_never_mutated(n, sphere):
+    """The caches share their dict values with later sums: summing over them leaves every entry as it was."""
+    P = Presentation(n, sphere_reduction=sphere)
+    rng = random.Random(300 * n + sphere)
+    for _ in range(40):
+        normalize(NCPoly.word(rng.randrange(2 * (n + 1)) for _ in range(rng.randint(1, 5))), P)
+    nf, push = copy.deepcopy(P._nf_cache), copy.deepcopy(P._push_cache)
+    words = [NCPoly.word(w) for w in nf] + [NCPoly.word(u) for form in push.values() for u in form]
+    for _ in range(80):
+        a, b, c = rng.choice(words), rng.choice(words), rng.choice(SUM_COEFFS)
+        mul_sum([(a, b, c), (b, a, None), (a, a, -c)], P)
+        normalize(lincomb([(mul_sum([(a, b, None)], P), c), (b, None)]), P)
+        (wa,), (wb,) = a.terms, b.terms
+        normalize(NCPoly({wa + wb: c, wb + wa: ONE - qpow(2)}), P)
+    assert len(P._nf_cache) > len(nf) and len(P._push_cache) > len(push)
+    assert {w: P._nf_cache[w] for w in nf} == nf
+    assert {k: P._push_cache[k] for k in push} == push
 
 
 def test_mul_sum_edge_cases():

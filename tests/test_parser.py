@@ -178,6 +178,25 @@ def test_generator_names_take_every_digit():
     assert err.value.pos == 0
 
 
+LONG = "1" * 5_000  # past Python's default limit of 4,300 digits in an int conversion
+
+
+@pytest.mark.parametrize("text, pos", [(LONG, 0), ("z0 + 2/" + LONG, 5), ("3 q^" + LONG, 4),
+                                       ("z0^" + LONG, 3), ("q^-" + LONG + "/2", 3)],
+                         ids=["number", "denominator", "q-exponent", "power", "negative-half"])
+def test_number_literal_past_the_digit_limit_is_a_parse_error(text, pos):
+    with pytest.raises(ParseError, match=r"number literal longer than \d+ digits") as err:
+        parse_expr(text, 1)
+    assert err.value.pos == pos
+
+
+def test_generator_index_past_the_digit_limit_is_out_of_range():
+    with pytest.raises(ParseError, match=r"generator z1{5000} out of range for n=2") as err:
+        parse_expr("z0 z" + LONG + "*", 2)
+    assert err.value.pos == 3
+    assert parse_expr("z" + "0" * 5_000 + "1", 1) == NCPoly.gen(1)  # leading zeros: z_1
+
+
 @pytest.mark.parametrize("text, pos", [("1/0", 0), ("z0 + 3/00", 5), ("q^1/0", 2), ("q^-1/0 z0", 3)])
 def test_zero_denominator_is_a_parse_error(text, pos):
     with pytest.raises(ParseError, match="zero denominator") as err:

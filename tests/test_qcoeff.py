@@ -215,6 +215,41 @@ def test_reduce_matches_gcd_route(num, den, divisible, c):
     assert qcoeff._reduce(num, den) == _reduce_via_gcd(num, den)
 
 
+def test_zero_coefficients_are_dropped():
+    """Zero coefficients in the input do not survive into the canonical form."""
+    assert QScalar({0: 0}).is_zero()
+    assert QScalar({0: 0}) == ZERO
+    assert QScalar({0: 0, 2: 1}) == qpow(1)
+    assert QScalar({0: 0, 2: 1}).num == {2: 1}
+    x = QScalar({2: 1}, {0: 0, 1: 2})  # s^2 / (2 s) = s / 2
+    assert (x.num, x.den) == ({1: 1}, {0: 2})
+    assert x == QScalar({1: 1}, {0: 2})
+
+
+@pytest.mark.parametrize("den", [{}, {0: 0}, {0: 0, 3: 0}])
+def test_all_zero_denominator_raises(den):
+    with pytest.raises(ZeroDivisionError):
+        QScalar({1: 1}, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_dicts, laurent_dicts, laurent_dicts, st.booleans())
+# o + a*b == 0 exactly, and o + a*b with its top coefficient cancelling
+@example({0: -1, 1: -2, 2: -1}, {0: 1, 1: 1}, {0: 1, 1: 1}, False)
+@example({1: -1, 2: -1}, {0: 1, 1: 1}, {0: 1, 1: 1}, False)
+def test_lmac_is_add_of_product(o, a, b, cancel):
+    """_lmac(out, a, b) is out + a * b in place, with no zero coefficient left."""
+    if cancel:  # o = -a*b: every coefficient cancels
+        o = qcoeff._lneg(qcoeff._lmul(a, b))
+    want = qcoeff._ladd(o, qcoeff._lmul(a, b))
+    out = dict(o)
+    assert qcoeff._lmac(out, a, b) is out
+    assert out == want
+    assert 0 not in out.values()
+    if cancel:
+        assert out == {}
+
+
 def test_exact_quotients_skip_the_gcd(monkeypatch):
     def no_gcd(a, b):
         raise AssertionError("_poly_gcd reached for an exact quotient")
