@@ -380,21 +380,27 @@ class NCPoly:
     # -- rendering ----------------------------------------------------------------
 
     def __str__(self) -> str:
+        """Canonical text in the parser's grammar: sorted words, ``c * w``, a
+        coefficient of more than one term in parentheses, ``-w`` for c = -1."""
         if not self.terms:
             return "0"
-        parts = []
+        out = []
         for w in sorted(self.terms):
             c = self.terms[w]
-            cs = str(c)
-            if c.is_one():
+            if w and c.is_one():
                 term = word_str(w)
-            elif w == ():
-                term = cs if (c.is_monomial() or len(c.num) == 1) else f"({cs})"
             else:
-                head = cs if c.is_monomial() else f"({cs})"
-                term = f"{head} * {word_str(w)}"
-            parts.append(term)
-        return " + ".join(parts).replace("+ -", "- ")
+                cs = f"({c})" if len(c.num) > 1 else str(c)
+                if not w:
+                    term = cs
+                elif cs == "-1":
+                    term = "-" + word_str(w)
+                else:
+                    term = f"{cs} * {word_str(w)}"
+            if out:
+                term = f" - {term[1:]}" if term[0] == "-" else f" + {term}"
+            out.append(term)
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"NCPoly({self})"

@@ -23,6 +23,11 @@ the end, which normal forms being unique makes the same as rewriting after
 every factor.  A parenthesized group is normalized as a unit when it closes;
 a product with a multi-term factor, and the power of a group, go through
 ``mul`` one factor at a time, so a sum is never expanded unreduced.
+
+``print_expr`` is ``str`` of an NCPoly, which writes this grammar and so
+reads back as the same element; it refuses a coefficient with a polynomial
+denominator (ValueError), and a coefficient past the digit limit above is an
+ArithmeticError that names the limit.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import sys
 from fractions import Fraction
 from typing import List, Tuple
 
-from .ncpoly import NCPoly, Presentation, mul, normalize, word_str
+from .ncpoly import NCPoly, Presentation, mul, normalize
 from .qcoeff import ZERO, QScalar, qpow
 
 
@@ -218,55 +223,19 @@ def parse_expr(text: str, n: int, P: Presentation | None = None) -> NCPoly:
     return _Parser(text, P or Presentation(n)).parse()
 
 
-def _exp_str(e2: int) -> str:
-    """Render q^{e2/2} within the grammar (halves as 1/2 etc.)."""
-    f = Fraction(e2, 2)
-    if f.denominator == 1:
-        return f"q^{f.numerator}"
-    return f"q^{f.numerator}/2"
-
-
-def _coeff_str(c: QScalar) -> str:
-    """Grammar-safe rendering of a coefficient with constant denominator."""
-    if len(c.den) != 1 or 0 not in c.den:
-        raise ValueError("coefficient with polynomial denominator cannot be printed in the grammar")
-    d = c.den[0]
-    pieces = []
-    for e in sorted(c.num, reverse=True):
-        a = Fraction(c.num[e], d)
-        mag = abs(a)
-        if e == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = _exp_str(e)
-        else:
-            body = f"{mag} {_exp_str(e)}"
-        pieces.append((a < 0, body))
-    out = ("-" if pieces[0][0] else "") + pieces[0][1]
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
-
-
 def print_expr(a: NCPoly) -> str:
-    """Canonical text form; round-trips through parse_expr."""
-    if not a.terms:
-        return "0"
-    parts = []
-    for w in sorted(a.terms):
-        c = a.terms[w]
-        cs = _coeff_str(c)
-        multi = len(c.num) > 1
-        if not w:
-            parts.append(f"({cs})" if multi else cs)
-        elif cs == "1":
-            parts.append(word_str(w))
-        elif cs == "-1":
-            parts.append("-" + word_str(w))
-        else:
-            head = f"({cs})" if multi else cs
-            parts.append(f"{head} * {word_str(w)}")
-    out = parts[0]
-    for p in parts[1:]:
-        out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-    return out
+    """``str(a)``, the canonical text that parse_expr reads back as a.
+
+    A polynomial denominator is a ValueError (the grammar has no such form);
+    a coefficient longer than Python's int-to-text digit limit is an
+    ArithmeticError that names the limit.
+    """
+    if any(len(c.den) > 1 for c in a.terms.values()):
+        raise ValueError("coefficient with polynomial denominator cannot be printed in the grammar")
+    try:
+        return str(a)
+    except ValueError:  # int-to-text past sys.get_int_max_str_digits()
+        raise ArithmeticError(
+            f"normal form has a coefficient longer than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's integer-to-text limit"
+        ) from None

@@ -396,38 +396,43 @@ class QScalar:
 
     # -- rendering -----------------------------------------------------------
 
-    @staticmethod
-    def _poly_str(p: Laurent) -> str:
-        if not p:
-            return "0"
-        parts = []
-        for e in sorted(p, reverse=True):
-            c = p[e]
-            if e == 0:
-                term = str(abs(c))
-            else:
-                exp = Fraction(e, 2)
-                es = str(exp.numerator) if exp.denominator == 1 else f"{exp.numerator}/2"
-                term = f"q^{es}" if abs(c) == 1 else f"{abs(c)}*q^{es}"
-            if not parts:
-                parts.append(term if c > 0 else "-" + term)
-            else:
-                parts.append((" + " if c > 0 else " - ") + term)
-        return "".join(parts)
-
     def __str__(self) -> str:
-        ns = self._poly_str(self.num)
-        if self.den == _ONE:
-            return ns
-        ds = self._poly_str(self.den)
-        if len(self.num) > 1:
-            ns = f"({ns})"
-        if len(self.den) > 1:
-            ds = f"({ds})"
-        return f"{ns}/{ds}"
+        """The parser's grammar (``2/3 q^3 - q^1/2 + 1``) when the denominator is an integer.
+
+        A polynomial denominator prints as ``(num)/(den)``, which the grammar
+        cannot read; that form is for repr and error messages only.
+        """
+        if len(self.den) == 1:
+            return laurent_str(self.num, self.den[0])
+        return f"({laurent_str(self.num)})/({laurent_str(self.den)})"
 
     def __repr__(self) -> str:
         return f"QScalar({self})"
+
+
+def laurent_str(p: Laurent, d: int = 1) -> str:
+    """p/d (d > 0) as text in the parser's grammar: ``2/3 q^3 - q^1/2 + 1``.
+
+    Terms go by descending power, each a reduced rational magnitude before
+    its power of q (a half power as ``q^k/2``); a magnitude of 1 is left out
+    except on the constant term.
+    """
+    if not p:
+        return "0"
+    out = []
+    for e in sorted(p, reverse=True):
+        c = p[e]
+        if d == 1:
+            mag = str(abs(c))
+        else:
+            g = math.gcd(c, d)
+            mag = str(abs(c) // g) if g == d else f"{abs(c) // g}/{d // g}"
+        if e:
+            power = f"q^{e >> 1}" if e % 2 == 0 else f"q^{e}/2"
+            mag = power if mag == "1" else f"{mag} {power}"
+        sign = "-" if c < 0 else "+"
+        out.append(f" {sign} {mag}" if out else ("-" + mag if c < 0 else mag))
+    return "".join(out)
 
 
 ZERO = QScalar({}, _canonical=True)

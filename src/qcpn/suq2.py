@@ -850,7 +850,15 @@ def haar_symbolic(a: NCPoly, P: Presentation) -> QScalar:
 
 
 def modular_check(a: NCPoly, b: NCPoly, P: Presentation | None = None) -> QScalar:
-    """Exact residual h(ab) - h(eta(b) a) with eta = K_2rho^{-1} |> (twisted trace); P is an n = 1 presentation."""
+    """Exact residual h(ab) - h(eta(b) a) with eta = K_2rho^{-1} |> (twisted trace); P is an n = 1 presentation.
+
+    Domain: b of U(1) charge 0, as many starred as unstarred letters in every
+    term.  On a b of nonzero charge the left-only twist is not the modular
+    automorphism (the residual of (z0, z0*) is (q^2 - q)/(q^2 + 1)), so such
+    a b is a ValueError.
+    """
+    if any(2 * sum(g & 1 for g in w) != len(w) for w in b.terms):
+        raise ValueError("modular_check needs b of U(1) charge 0: each term with as many z_i^* as z_i")
     P = P or Presentation(1)
     eta_b = uq_act(UqGenerator("K2rhoInv"), b, P)
     return haar_symbolic(mul(a, b, P) - mul(eta_b, a, P), P)

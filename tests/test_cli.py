@@ -165,6 +165,15 @@ def test_cli_normalize_long_literal_exits_2(expr, pos):
     assert err.startswith("parse error: ") and err.endswith(f"(at position {pos})\n")
 
 
+def test_cli_normalize_long_coefficient_exits_3():
+    """A normal form whose coefficient is past the int-to-text digit limit exits 3 and names the limit."""
+    ones = "1" * 3_000
+    code, out, err = run_cli("normalize", f"{ones} {ones} z0", "--n", "1")
+    assert (code, out) == (3, "")
+    assert err == (f"error: normal form has a coefficient longer than {sys.get_int_max_str_digits()} digits, "
+                   "the interpreter's integer-to-text limit\n")
+
+
 def test_cli_normalize_deep_nesting_exits_2():
     """5,000 nested parentheses are a parse error (exit 2), not a RecursionError traceback."""
     code, out, err = run_cli("normalize", "(" * 5_000 + "z0" + ")" * 5_000, "--n", "1")

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from qcpn.ncpoly import NCPoly
 from qcpn.parser import parse_expr
 from qcpn.projections import projection
 from qcpn.qcoeff import QPoint, eval_at, qint
@@ -40,15 +41,19 @@ def test_eval_at():
 
 
 def test_matrix_json_round_trip():
-    M = projection(-2, 1)
-    payload = json.loads(M.to_json())
-    assert payload["N"] == -2 and payload["n"] == 1
-    assert payload["indices"] == [list(J) for J in M.indices]
-    for i, row in enumerate(payload["core"]):
-        for j, txt in enumerate(row):
-            assert parse_expr(txt, 1) == M.core[i][j]
-    for u_txt, u in zip(payload["weights"], M.weights):
-        assert u_txt == str(u)
+    """Core entries and weights parse back; at |N| = 3, n = 2 a weight is [3]! = q^3 + 2 q + 2 q^-1 + q^-3."""
+    for N, n in ((-2, 1), (3, 2)):
+        M = projection(N, n)
+        payload = json.loads(M.to_json())
+        assert payload["N"] == N and payload["n"] == n
+        assert payload["indices"] == [list(J) for J in M.indices]
+        for i, row in enumerate(payload["core"]):
+            for j, txt in enumerate(row):
+                assert parse_expr(txt, n) == M.core[i][j]
+        for u_txt, u in zip(payload["weights"], M.weights):
+            assert u_txt == str(u)
+            assert parse_expr(u_txt, n) == NCPoly.scalar(u)
+    assert "q^3 + 2 q^1 + 2 q^-1 + q^-3" in payload["weights"]
 
 
 def test_leftreg_laction_wrappers():

@@ -202,3 +202,40 @@ def test_zero_denominator_is_a_parse_error(text, pos):
     with pytest.raises(ParseError, match="zero denominator") as err:
         parse_expr(text, 1)
     assert err.value.pos == pos
+
+
+COEFFS = [QScalar.from_int(1), QScalar.from_int(-1), QScalar.from_int(2), QScalar.from_fraction(Fraction(1, 3)),
+          QScalar.from_fraction(Fraction(-2, 3)) * qpow(3), qpow(Fraction(1, 2)), qpow(Fraction(-3, 2))]
+
+
+@pytest.mark.parametrize("sphere", [True, False], ids=["sphere", "no-sphere"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_str_is_the_grammar(n, sphere):
+    """str of a normal form with rational and half-power coefficients parses back to it, and is print_expr."""
+    rng = random.Random(10 * n + sphere)
+    P = Presentation(n, sphere_reduction=sphere)
+    for _ in range(30):
+        terms = [(tuple(rng.randrange(2 * n + 2) for _ in range(rng.randint(0, 3))), rng.choice(COEFFS))
+                 for _ in range(rng.randint(1, 4))]
+        p = normalize(ncpoly.lincomb((NCPoly.word(w), c) for w, c in terms), P)
+        assert parse_expr(str(p), n, P) == p
+        assert str(p) == print_expr(p)
+
+
+def test_str_of_a_scalar_is_the_grammar():
+    """A QScalar with an integer denominator prints as text that parse_expr reads back as that scalar."""
+    rng = random.Random(5)
+    for _ in range(50):
+        c = QScalar.from_int(0)
+        for _ in range(rng.randint(1, 4)):
+            c = c + rng.choice(COEFFS) * QScalar.from_fraction(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        assert parse_expr(str(c), 1) == NCPoly.scalar(c)
+    assert str(COEFFS[4] + COEFFS[6] + COEFFS[3]) == "-2/3 q^3 + 1/3 + q^-3/2"
+
+
+def test_polynomial_denominator_is_not_the_grammar():
+    """(num)/(den) is for repr only: print_expr refuses it."""
+    c = QScalar.from_int(1) / (qpow(1) + QScalar.from_int(1))
+    assert str(c) == "(1)/(q^1 + 1)"
+    with pytest.raises(ValueError, match="polynomial denominator"):
+        print_expr(NCPoly.gen(0).scale(c))

@@ -942,6 +942,13 @@ def test_modular_property():
     assert modular_check(A_EL, B_EL).is_zero()
 
 
+@pytest.mark.parametrize("b", [Z0S, mul(mul(Z0S, Z1S, P1), Z1, P1)], ids=["z0*", "z0* z1* z1"])
+def test_modular_check_needs_charge_zero(b):
+    """A b of nonzero U(1) charge is outside the domain of the left-only twist: ValueError, not a residual."""
+    with pytest.raises(ValueError, match="charge 0"):
+        modular_check(Z0, b)
+
+
 @pytest.mark.parametrize(
     "N,expected", [(0, 1), (-1, 2), (-2, 3), (-3, 4), (-4, 5), (1, 0), (2, 0)]
 )
