@@ -150,7 +150,8 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_verify_projections(args) -> Report:
-    _at_least(args, 0, "n", "Nmax")
+    _at_least(args, 1, "n")
+    _at_least(args, 0, "Nmax")
     rep = Report("projection suite", metadata={"n": args.n, "Nmax": args.Nmax})
     P = Presentation(args.n)
     P1 = projection(1, args.n, P) if args.Nmax == 0 else None  # else the loop builds it at N = 1

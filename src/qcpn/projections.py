@@ -30,6 +30,7 @@ from .ncpoly import (
     uq_act,
 )
 from .qcoeff import ZERO, QScalar, qmultinomial, qpow
+from .rep_sphere import compose_sum, fock_image, rule_violations, scale_image
 
 MultiIndex = Tuple[int, ...]
 
@@ -141,26 +142,62 @@ def projection(N: int, n: int, P: Presentation | None = None) -> AlgebraMatrix:
 
 
 def is_projection(M: AlgebraMatrix) -> bool:
-    """Check P_N^2 = P_N, i.e. core * U * core == core (core entries in normal form).
+    """Check P_N^2 = P_N, i.e. core * U * core == core, on exact Fock images.
 
     The core must first be self-adjoint (``is_selfadjoint``); a core that is
-    not is rejected.  Then only the entries with i <= j of C U C are formed,
-    each as one ``mul_sum`` over the core entries as they stand.  The lower
-    triangle follows: star is an antilinear anti-automorphism, Q(s)
-    coefficients are real, and the weights u_l are real and central, so with
-    C = C^dag, for i > j
+    not is rejected.  Then only the entries with i <= j of C U C are
+    decided, each by comparing sum_l u_l img(C_il) o img(C_lj) with
+    img(C_ij), where img is ``rep_sphere.fock_image`` in pi_{n,n} and o is
+    ``rep_sphere.compose_sum``.  The images are taken of the core entries
+    as they stand: no product is rewritten, and nothing is reassociated
+    through Psi^dag Psi = 1.  The lower triangle follows: star is an
+    antilinear anti-automorphism, Q(s) coefficients are real, and the
+    weights u_l are real and central, so with C = C^dag, for i > j
 
         (CUC)_ij = sum_l C_il u_l C_lj = sum_l star(C_li) u_l star(C_jl)
                  = star((CUC)_ji) = star(C_ji) = C_ij.
+
+    The images decide equality in the algebra, for two reasons.
+
+    (i) img is an algebra homomorphism: every rule of
+    ``Presentation._rewrite_pair`` holds on images.  There are finitely many
+    rules at each n, and ``rep_sphere.rule_violations`` checks them all
+    exactly before the first decision at that n.  So img(x) = img(nf(x)) for
+    every x, and sum_l u_l img(C_il) o img(C_lj) is the image of the normal
+    form of (CUC)_ij.
+
+    (ii) img is injective on the span of the normal words.  Let w =
+    z_0^*^{a_0} z_0^{b_0} ... z_n^*^{a_n} z_n^{b_n} be a normal word (a_n b_n
+    = 0 under sphere reduction), of charge c_i = b_i - a_i.  Its image is
+    one monomial times a product of factors 1 - q^{2t} Y_i^2, min(a_i, b_i)
+    of them per i < n (z_i^b raises d_i by b, then z_i^*^a lowers it back
+    over min(a, b) of those edges), so its monomials are all at most the
+    componentwise-maximal one, whose Y_i-exponent is sum_{j>i} (a_j + b_j) +
+    2 min(a_i, b_i).  Within one charge, c_n and a_n b_n = 0 fix a_n and
+    b_n, and then each Y_i-exponent fixes min(a_i, b_i), and with c_i both
+    a_i and b_i, from i = n-1 down.  So distinct normal words of one charge
+    have distinct top monomials.  In a nonzero combination, the word whose
+    top monomial is lexicographically largest is the only one with that
+    monomial: its coefficient survives, and the image is not 0.
+
+    So img((CUC)_ij) = img(C_ij) iff nf((CUC)_ij) = C_ij for a core in
+    normal form.  Injectivity needs the sphere relation, so a presentation
+    without sphere reduction is a ValueError; a coefficient that is not
+    Laurent raises ``rep_sphere.NotLaurentError``.
     """
+    P, core = M.presentation, M.core
+    if not P.sphere_reduction:
+        raise ValueError("is_projection decides P^2 = P on the sphere: the presentation needs sphere reduction")
     if not is_selfadjoint(M):
         return False
-    P, core = M.presentation, M.core
-    k = len(M)
+    n, k = P.n, len(M)
+    if rule_violations(n):
+        raise ArithmeticError(f"the Fock images break the rewrite rules at n={n} (bug)")
+    img = [[fock_image(e, n) for e in row] for row in core]
+    weighted = [[scale_image(img[l][j], M.weights[l]) for j in range(k)] for l in range(k)]  # U * core
     for i in range(k):
-        row = [core[i][l].scale(M.weights[l]) for l in range(k)]  # row i of core * U
         for j in range(i, k):
-            if mul_sum(((row[l], core[l][j], None) for l in range(k)), P) != core[i][j]:
+            if compose_sum((img[i][l], weighted[l][j]) for l in range(k)) != img[i][j]:
                 return False
     return True
 

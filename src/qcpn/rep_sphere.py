@@ -1,4 +1,4 @@
-"""Truncated Fock-type representations pi_{n,k} and the Fredholm pairing.
+"""Fock-type representations pi_{n,k}: truncated operators, the Fredholm pairing, and exact images in pi_{n,n}.
 
 The representation pi_{n,k} of the level-n sphere algebra acts on the
 subspace V^n_k of l^2(N^n) spanned by |m_1..m_n> with m_1 <= ... <= m_k and
@@ -8,6 +8,29 @@ pairing <[F_k], [P_{-N}]> is computed as the trace of the alternating sum of
 pullback representations, which converges geometrically in M: for k >= 2
 the states of the k-dimensional cone past the box weigh in, so the tail
 behaves like M^{k-1} q0^{2M}.
+
+The exact layer represents an element by its action in pi_{n,n} (Hong and
+Szymanski, CMP 232 (2002)), times a torus phase per charge, with no
+truncation and no float.  Label the basis of V^n_n by d_j = m_{j+1} - m_j
+>= 0 (j < n, m_0 = 0) and write Y_j = q^{d_j}.  z_j (j < n) raises d_j by
+one with amplitude q^{m_j} sqrt(1 - q^{2(d_j+1)}), z_j^* lowers it with the
+adjoint amplitude, and z_n, z_n^* multiply by q^{m_n}; q^{m_j} = Y_0...Y_{j-1}.
+A root belongs to one edge (d_j, d_j + 1), so every path from d to d + delta
+carries the same root factor S(d, d + delta), one root per edge between the
+two.  Divide it out and a word w of charge c (c_j = #z_j - #z_j^*, delta =
+c_0..c_{n-1}) acts as e_d -> S(d, d + delta) R_w(Y) e_{d+delta}, with R_w a
+polynomial in Y whose coefficients are Laurent polynomials in s = q^{1/2}.
+
+The image of an element is ``{charge: {Y-exponent tuple: Laurent}}``, the
+sum of c_w R_w over its words.  A product composes: R_{AB}(Y) =
+R_A(q^{delta_B} Y) R_B(Y), times 1 - q^{2t} Y_j^2 for each edge t of
+coordinate j that delta_B and then delta_A both cross (in opposite
+directions, so its root is squared).  The identity holds on every label,
+the labels a step leaves included, where a crossed edge (-1, 0) gives the
+factor 0.  Two elements act alike in pi_{n,n} at every torus phase iff
+their images are equal, because the points Y = q^d are Zariski-dense;
+``projections.is_projection`` states why the images decide equality in the
+algebra.
 """
 
 from __future__ import annotations
@@ -15,15 +38,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, List, Tuple
+from operator import add
+from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from .ncpoly import NCPoly, Presentation, letter_index, letter_starred, normalize
-from .qcoeff import ZERO, QScalar
+from .ncpoly import NCPoly, Presentation, Word, letter_index, letter_starred, lincomb, normalize
+from .qcoeff import ZERO, Laurent, QScalar, _lmac, _lmul
 
 FockIndex = Tuple[int, ...]
+Charge = Tuple[int, ...]  # (#z_j - #z_j^*) for j = 0..n
+Amplitude = Dict[Tuple[int, ...], Laurent]  # reduced amplitude: Y-exponent tuple -> Laurent coefficient
+Image = Dict[Charge, Amplitude]
 
 
 @dataclass
@@ -257,3 +284,117 @@ def fredholm_pairing(N: int, k: int, n: int, M: int, q0: float) -> PairingResult
     r = q0 ** 8
     tail = abs(val - val_small) * r / (1.0 - r)
     return PairingResult(val, math.comb(N, k), tail)
+
+
+# ---------------------------------------------------------------------------
+# exact images in pi_{n,n}
+# ---------------------------------------------------------------------------
+
+
+class NotLaurentError(ArithmeticError):
+    """A coefficient with a denominator in s: exact Fock images hold Laurent coefficients only."""
+
+
+def _laurent(c: QScalar) -> Laurent:
+    if not c.is_laurent():
+        raise NotLaurentError(f"the coefficient {c} is not a Laurent polynomial in s")
+    return c.num
+
+
+def _crossings(b: int, a: int) -> range:
+    """The edges t (edge t joins d_j + t - 1 and d_j + t) crossed both by a step b from d_j and by a step a after it."""
+    return range(max(min(0, b), min(b, b + a)) + 1, min(max(0, b), max(b, b + a)) + 1)
+
+
+def _times_edge(amp: Amplitude, j: int, t: int) -> Amplitude:
+    """amp * (1 - q^{2t} Y_j^2), in a new map."""
+    out = {y: dict(c) for y, c in amp.items()}
+    for y, c in amp.items():
+        y2 = y[:j] + (y[j] + 2,) + y[j + 1:]
+        if not _lmac(out.setdefault(y2, {}), c, {4 * t: -1}):
+            del out[y2]
+    return out
+
+
+def _word_image(w: Word, n: int) -> Tuple[Charge, Amplitude]:
+    """Charge and reduced amplitude of a word, its letters composed from the right."""
+    charge, y, e, edges = [0] * (n + 1), [0] * n, 0, []
+    for g in reversed(w):
+        j, step = g >> 1, -1 if g & 1 else 1
+        if not 0 <= j <= n:
+            raise ValueError(f"generator index {j} out of range for n={n}")
+        # the letter's monomial Y_0...Y_{j-1}, read at the label the letters to its right reach
+        e += 2 * sum(charge[:j])
+        for i in range(j):
+            y[i] += 1
+        if j < n:
+            edges.extend((j, t) for t in _crossings(charge[j], step))
+        charge[j] += step
+    amp = {tuple(y): {e: 1}}
+    for j, t in edges:
+        amp = _times_edge(amp, j, t)
+    return tuple(charge), amp
+
+
+def fock_image(a: NCPoly, n: int) -> Image:
+    """Exact image of a in pi_{n,n} (module docstring); a coefficient with a denominator raises NotLaurentError."""
+    out: Image = {}
+    for w, c in a.terms.items():
+        lc = _laurent(c)
+        charge, amp = _word_image(w, n)
+        acc = out.setdefault(charge, {})
+        for y, lau in amp.items():
+            if not _lmac(acc.setdefault(y, {}), lau, lc):
+                del acc[y]
+    return {ch: amp for ch, amp in out.items() if amp}
+
+
+def scale_image(img: Image, c: QScalar) -> Image:
+    """The image of c * a from the image of a (c Laurent)."""
+    lc = _laurent(c)
+    return {ch: {y: _lmul(lau, lc) for y, lau in amp.items()} for ch, amp in img.items()} if lc else {}
+
+
+def compose_sum(pairs: Iterable[Tuple[Image, Image]]) -> Image:
+    """Image of sum_l a_l b_l from the (image of a_l, image of b_l) pairs; nothing is rewritten.
+
+    R_{ab}(Y) = R_a(q^{delta_b} Y) R_b(Y) times 1 - q^{2t} Y_j^2 for each
+    edge t of coordinate j that delta_b and delta_a cross in opposite
+    directions; ``qcoeff._lmac`` does every coefficient product.
+    """
+    out: Image = {}
+    for A, B in pairs:
+        for ca, ra in A.items():
+            for cb, rb in B.items():
+                acc = out.setdefault(tuple(map(add, ca, cb)), {})
+                for j in range(len(ca) - 1):
+                    for t in _crossings(cb[j], ca[j]):
+                        rb = _times_edge(rb, j, t)
+                for ya, la in ra.items():
+                    sh = 2 * sum(map(int.__mul__, cb[:-1], ya))  # Y -> q^{delta_b} Y in R_a
+                    if sh:
+                        la = {e + sh: k for e, k in la.items()}
+                    for yb, lb in rb.items():
+                        y = tuple(map(add, ya, yb))
+                        if not _lmac(acc.setdefault(y, {}), la, lb):
+                            del acc[y]
+    return {ch: amp for ch, amp in out.items() if amp}
+
+
+@lru_cache(maxsize=None)
+def rule_violations(n: int, sphere_reduction: bool = True) -> Tuple[Tuple[int, int], ...]:
+    """The letter pairs (a, b) whose rewrite rule in ``Presentation._rewrite_pair`` fails on images.
+
+    Empty means the images respect every relation of the level-n
+    presentation, so ``fock_image`` is an algebra homomorphism there.
+    """
+    P = Presentation(n, sphere_reduction)
+    bad = []
+    for a in range(2 * n + 2):
+        for b in range(2 * n + 2):
+            rule = P._rewrite_pair(a, b)
+            if rule is not None:
+                rhs = lincomb((NCPoly.word(w), c) for c, w in rule)
+                if fock_image(NCPoly.word((a, b)), n) != fock_image(rhs, n):
+                    bad.append((a, b))
+    return tuple(bad)

@@ -333,6 +333,7 @@ def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want
         ("verify", "triple", "--j", "3/4", "--L", "12"),
         ("identities", "--kmax", "-1", "--Nmax", "-1"),
         ("verify", "projections", "--n", "1", "--Nmax", "-1"),
+        ("verify", "projections", "--n", "0"),
         ("verify", "equivariance", "--Nmax", "-1"),
         ("chern", "--n", "-1"),
         ("chern", "--n", "4", "--Nmax", "-2"),
@@ -349,7 +350,7 @@ def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want
         ("verify", "triple", "--j", "1/2", "--L", "3", "--csv"),
     ],
     ids=["holo-dim", "verify-triple", "pairing", "tau1", "tau1-reversed-range", "holo-dim-fraction",
-         "verify-triple-quarter", "identities-negative", "projections-negative-Nmax",
+         "verify-triple-quarter", "identities-negative", "projections-negative-Nmax", "projections-n-0",
          "equivariance-negative-Nmax", "chern-negative-n", "chern-negative-Nmax", "relations-n-0",
          "relations-negative-cases", "equivariance-n-0", "pairing-k-above-n", "tau1-negative-N",
          "spectrum-q-1", "holo-dim-q-1", "pairing-k0-q1", "pairing-M-4", "pairing-M-0-k0",

@@ -212,15 +212,15 @@ def test_is_projection_forms_the_upper_triangle_only(N, n, monkeypatch):
     from qcpn import projections
 
     M = projection(N, n)
-    k, calls, original = len(M), [], projections.mul_sum
+    k, calls, original = len(M), [], projections.compose_sum
 
     def counting(*args):
         calls.append(None)
         return original(*args)
 
-    monkeypatch.setattr(projections, "mul_sum", counting)
+    monkeypatch.setattr(projections, "compose_sum", counting)
     assert is_projection(M)
-    assert len(calls) == k * (k + 1) // 2
+    assert len(calls) == k * (k + 1) // 2  # one image comparison per entry with i <= j
 
 
 def _full_square(M):

@@ -2,19 +2,26 @@
 
 import functools
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from qcpn.ncpoly import NCPoly, Presentation, mul, normalize
-from qcpn.projections import psi
+from qcpn.projections import is_projection, projection, psi
+from qcpn.qcoeff import ONE, qpow
 from qcpn.rep_sphere import (
     FockRep,
+    NotLaurentError,
     RepSpec,
     character,
+    compose_sum,
+    fock_image,
     fock_states,
     fredholm_pairing,
     pullback,
+    rule_violations,
+    scale_image,
 )
 
 Q0 = 0.5
@@ -319,3 +326,181 @@ def test_pairing_bit_identical_to_sparse_products(q0):
         for n in range(max(k, 1), 4):
             r = fredholm_pairing(N, k, n, M, q0)
             assert (r.value, r.tail_estimate) == _sparse_pairing_reference(N, k, n, M, q0, memo), (n, N, k, M)
+
+
+# -- exact images in pi_{n,n} -------------------------------------------------------
+
+
+def _rules(P):
+    return {(a, b): rule for a in range(2 * P.n + 2) for b in range(2 * P.n + 2)
+            if (rule := P._rewrite_pair(a, b)) is not None}
+
+
+def test_every_rewrite_rule_holds_on_images():
+    """508 rules at n = 1..6, with and without sphere reduction: the images are a homomorphism."""
+    count = 0
+    for n in range(1, 7):
+        for sphere in (True, False):
+            assert rule_violations(n, sphere) == ()
+            count += len(_rules(Presentation(n, sphere)))
+    assert count == 508
+
+
+@pytest.mark.parametrize("damage", ["first-term-times-q", "last-term-dropped", "constant-times-q"])
+def test_damaged_rules_are_caught_on_images(damage, monkeypatch):
+    """Negative controls: a flipped q-power on the first term, a dropped term, a wrong sphere constant.
+
+    The first two damage every rule (a dropped term only the rules with two
+    or more); the wrong constant hits the rules with an empty word, z_i z_i^*
+    and the sphere rule z_n^* z_n under sphere reduction.
+    """
+    want = {}
+    for n in range(1, 4):
+        for sphere in (True, False):
+            rules = _rules(Presentation(n, sphere))
+            if damage == "first-term-times-q":
+                want[n, sphere] = set(rules)
+            elif damage == "last-term-dropped":
+                want[n, sphere] = {ab for ab, rule in rules.items() if len(rule) > 1}
+            else:
+                want[n, sphere] = {ab for ab, rule in rules.items() if any(not w for _, w in rule)}
+    assert all(want[n, True] for n in range(1, 4))
+    original = Presentation._rewrite_pair
+
+    def damaged(self, a, b):
+        rule = original(self, a, b)
+        if rule is None:
+            return None
+        if damage == "first-term-times-q":
+            return [(rule[0][0] * qpow(1), rule[0][1])] + rule[1:]
+        if damage == "last-term-dropped":
+            return rule[:-1] if len(rule) > 1 else rule
+        return [(c * qpow(1) if not w else c, w) for c, w in rule]
+
+    monkeypatch.setattr(Presentation, "_rewrite_pair", damaged)
+    for (n, sphere), bad in want.items():
+        assert set(rule_violations.__wrapped__(n, sphere)) == bad, (n, sphere)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_words_and_their_normal_forms_have_one_image(n):
+    """250 random words per n, each with the image of its normal form; this oracle reads no rule table."""
+    rng = random.Random(n)
+    P = Presentation(n)
+    for _ in range(250):
+        w = tuple(rng.randrange(2 * n + 2) for _ in range(rng.randint(0, 8)))
+        a = NCPoly.word(w, qpow(rng.randint(-3, 3)))
+        nf = normalize(a, P)
+        assert fock_image(a, n) == fock_image(nf, n), w
+    # the sphere relation maps to 1, and 1 to the unit image
+    unit = {(0,) * (n + 1): {(0,) * n: {0: 1}}}
+    assert fock_image(NCPoly.one(), n) == unit
+    sphere = NCPoly({(2 * j + 1, 2 * j): qpow(2 * j) for j in range(n + 1)})
+    assert fock_image(sphere, n) == unit
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_composed_images_are_the_image_of_the_product(n):
+    """img(a) o img(b) = img(ab) for random sums of words, and compose_sum adds the products."""
+    rng = random.Random(10 + n)
+
+    def rand_poly():
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            terms[tuple(rng.randrange(2 * n + 2) for _ in range(rng.randint(0, 5)))] = qpow(rng.randint(-2, 2))
+        return NCPoly(terms)
+
+    for _ in range(60):
+        a, b, c, d = (rand_poly() for _ in range(4))
+        ab = NCPoly({wa + wb: ca * cb for wa, ca in a.terms.items() for wb, cb in b.terms.items()})
+        assert compose_sum([(fock_image(a, n), fock_image(b, n))]) == fock_image(normalize(ab, Presentation(n)), n)
+        want = fock_image(normalize(mul(a, b, Presentation(n)) + mul(c, d, Presentation(n)).scale(qpow(1)),
+                                    Presentation(n)), n)
+        got = compose_sum([(fock_image(a, n), fock_image(b, n)),
+                           (fock_image(c, n), scale_image(fock_image(d, n), qpow(1)))])
+        assert got == want
+
+
+def _normal_words(n, length):
+    """Every normal word z_0^*^{a_0} z_0^{b_0} ... z_n^*^{a_n} z_n^{b_n} with a_n b_n = 0 and at most length letters."""
+    for ab in itertools.product(range(length + 1), repeat=2 * n + 2):
+        if sum(ab) <= length and ab[-2] * ab[-1] == 0:
+            yield ab, tuple(g for i in range(n + 1) for g, k in ((2 * i + 1, ab[2 * i]), (2 * i, ab[2 * i + 1]))
+                            for _ in range(k))
+
+
+def test_top_monomials_separate_normal_words():
+    """Images of normal words are triangular: distinct (charge, top monomial) pairs, top monomial as stated.
+
+    The top monomial bounds every monomial of the image componentwise, and
+    its Y_i-exponent is sum_{j>i} (a_j + b_j) + 2 min(a_i, b_i).
+    """
+    seen, count = set(), 0
+    for n, length in ((1, 10), (2, 7), (3, 5)):
+        for ab, w in _normal_words(n, length):
+            (charge, amp), = fock_image(NCPoly.word(w), n).items()
+            top = tuple(max(y[i] for y in amp) for i in range(n))
+            assert top in amp and all(all(yi <= ti for yi, ti in zip(y, top)) for y in amp)
+            a, b = ab[0::2], ab[1::2]
+            assert charge == tuple(bi - ai for ai, bi in zip(a, b))
+            assert top == tuple(sum(a[j] + b[j] for j in range(i + 1, n + 1)) + 2 * min(a[i], b[i]) for i in range(n))
+            assert (n, charge, top) not in seen
+            seen.add((n, charge, top))
+            count += 1
+    assert count == 2882
+
+
+def test_non_laurent_coefficient_raises_a_named_error():
+    half = ONE / (ONE + qpow(1))
+    for call in (lambda: fock_image(NCPoly.word((0, 1), half), 1),
+                 lambda: scale_image(fock_image(NCPoly.gen(0), 1), half)):
+        with pytest.raises(NotLaurentError, match="not a Laurent polynomial"):
+            call()
+    assert issubclass(NotLaurentError, ArithmeticError)
+    # a self-adjoint core with such a coefficient reaches the images and raises there
+    from dataclasses import replace
+
+    M = projection(1, 1)
+    core = [row[:] for row in M.core]
+    core[0][1], core[1][0] = core[0][1].scale(half), core[1][0].scale(half)
+    with pytest.raises(NotLaurentError):
+        is_projection(replace(M, core=core))
+
+
+def test_is_projection_needs_sphere_reduction():
+    """Without the sphere relation the images are not injective, so the decision is refused."""
+    with pytest.raises(ValueError, match="sphere reduction"):
+        is_projection(projection(1, 1, Presentation(1, sphere_reduction=False)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_images_evaluate_to_the_float_fock_operators(n):
+    """S(d, d + delta) R_w(q0^d), summed over charges with one delta, is FockRep(n, n).poly(w) on an interior window."""
+    rng = random.Random(20 + n)
+    q0, M = 0.6, 9
+    rep = FockRep(RepSpec(n, n, M, q0))
+    index = {m: i for i, m in enumerate(rep.states)}
+    for _ in range(40):
+        w = tuple(rng.randrange(2 * n + 2) for _ in range(rng.randint(0, 4)))
+        img = fock_image(NCPoly.word(w), n)
+        mat = rep.poly(NCPoly.word(w)).toarray()
+        want = np.zeros_like(mat)
+        for m in rep.states:
+            if max(m) > M - 4:
+                continue
+            d = [m[0]] + [m[j + 1] - m[j] for j in range(n - 1)]
+            for charge, amp in img.items():
+                delta = charge[:n]
+                root = 1.0
+                for j, dj in enumerate(delta):
+                    for t in (range(1, dj + 1) if dj > 0 else range(dj + 1, 1)):
+                        root *= np.sqrt(max(1.0 - q0 ** (2 * (d[j] + t)), 0.0))
+                if root == 0.0:
+                    continue
+                r = sum(sum(k * q0 ** (e / 2) for e, k in lau.items()) * np.prod([q0 ** (d[j] * yj) for j, yj in enumerate(y)])
+                        for y, lau in amp.items())
+                d2 = [dj + delta[j] for j, dj in enumerate(d)]
+                m2 = tuple(itertools.accumulate(d2))
+                want[index[m2], index[m]] += root * r
+        win = rep.interior_window(4)
+        assert np.allclose(mat[np.ix_(win, win)], want[np.ix_(win, win)], atol=1e-13), w
