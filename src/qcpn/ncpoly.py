@@ -374,9 +374,6 @@ class NCPoly:
     def __hash__(self) -> int:
         return hash(frozenset((w, hash(c)) for w, c in self.terms.items()))
 
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     # -- rendering ----------------------------------------------------------------
 
     def __str__(self) -> str:

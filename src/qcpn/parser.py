@@ -203,7 +203,7 @@ class _Parser:
             self.expect_op(")")
             self.depth -= 1
             return normalize(e, self.P), "("
-        raise ParseError(f"unexpected token {val!r}", pos)
+        raise ParseError("unexpected end of input" if kind is None else f"unexpected token {val!r}", pos)
 
 
 def _times(a: NCPoly, b: NCPoly, P: Presentation) -> NCPoly:

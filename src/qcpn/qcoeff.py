@@ -262,9 +262,6 @@ class QScalar:
         """True if the denominator is trivial (a pure Laurent polynomial)."""
         return self.den == _ONE
 
-    def is_monomial(self) -> bool:
-        return len(self.num) == 1 and self.den == _ONE
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "QScalar") -> "QScalar":

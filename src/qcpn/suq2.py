@@ -27,9 +27,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 from scipy import sparse
 
-from .ncpoly import NCPoly, Presentation, UqGenerator, coproduct_act, letter, mul, mul_sum, normalize, star, uq_act
+from .ncpoly import NCPoly, Presentation, UqGenerator, coproduct_act, letter, mul, mul_sum, star, uq_act
 from .qcoeff import ONE, ZERO, QScalar, qint, qpow
-from .rep_sphere import word_operator
+from .rep_sphere import fock_image, rule_violations, word_operator
 
 Lmn = Tuple[int, int, int]  # doubled (2l, 2m, 2n)
 
@@ -823,39 +823,41 @@ def index_numeric(j2: int, L: int, q0: float, tol: float = 1e-8) -> IndexReport:
 
 
 def haar_symbolic(a: NCPoly, P: Presentation) -> QScalar:
-    """Exact Haar state on z-word polynomials at n = 1.
+    """Exact Haar state of S^{2n+1}_q, n = P.n: the torus-averaged weighted trace in pi_{n,n}.
 
-    In the sphere-reduced normal basis the only words of zero weight for
-    both commuting actions are z0*^a z0^a, and
-    h(z0*^a z0^a) = h((alpha^* alpha)^a) = (1-q^2)/(1-q^{2a+2});
-    cross-checked numerically against the vacuum expectation in the tests.
-    The coefficients are summed per a first, so each a costs one division.
+    h(a) = prod_{j=1}^n (1 - q^{2j}) sum_m q^{2(m_1+..+m_n)} <e_m, pi_{n,n}(a) e_m>,
+    averaged over the torus (Vaksman and Soibelman, 1990).  In the d
+    coordinates of ``rep_sphere`` m_k = d_0 + .. + d_{k-1}, so the weight is
+    q^{2(m_1+..+m_n)} = prod_j q^{2(n-j) d_j}: c = (n, .., 1).  The average
+    keeps the charge-0 part {y: c_y} of each word's ``fock_image``, and Y^y
+    sums over d to prod_{j<n} 1/(1 - q^{y_j + 2(n-j)}), one division per
+    distinct y; the words' Q(s) coefficients may have denominators.  h is
+    well defined on the algebra since img(x) = img(nf(x)), which
+    ``rep_sphere.rule_violations`` checks (a violation is an ArithmeticError).
+    It is the Haar state because h(1) = 1 and U_q-invariance,
+    h(X |> a) = eps(X) h(a), determine it; the tests check both.
     """
-    if P.n != 1:
-        raise ValueError("symbolic Haar implemented for n = 1 only")
-    by_a: Dict[int, QScalar] = {}
-    for w, c in normalize(a, P).terms.items():
-        counts = [0, 0, 0, 0]
-        for g in w:
-            counts[g] += 1
-        b0, a0, b1, a1 = counts
-        if a1 or b1 or a0 != b0:
-            continue
-        by_a[a0] = by_a.get(a0, ZERO) + c
-    one_minus_q2 = ONE - qpow(2)
+    n = P.n
+    if rule_violations(n, P.sphere_reduction):
+        raise ArithmeticError(f"the Fock images break the rewrite rules at n={n} (bug)")
+    neutral = (0,) * (n + 1)
+    by_y: Dict[Tuple[int, ...], QScalar] = {}
+    for w, c in a.terms.items():
+        for y, lau in fock_image(NCPoly.word(w), n).get(neutral, {}).items():
+            by_y[y] = by_y.get(y, ZERO) + c * QScalar(lau)
     out = ZERO
-    for a0, c in by_a.items():
-        out = out + c * one_minus_q2 / (ONE - qpow(2 * a0 + 2))
-    return out
+    for y, c in by_y.items():
+        out = out + c / math.prod((ONE - qpow(e + 2 * (n - j)) for j, e in enumerate(y)), start=ONE)
+    return out * math.prod((ONE - qpow(2 * j) for j in range(1, n + 1)), start=ONE)
 
 
 def modular_check(a: NCPoly, b: NCPoly, P: Presentation | None = None) -> QScalar:
-    """Exact residual h(ab) - h(eta(b) a) with eta = K_2rho^{-1} |> (twisted trace); P is an n = 1 presentation.
+    """Exact residual h(ab) - h(eta(b) a) with eta = K_2rho^{-1} |> (twisted trace), at n = P.n (1 if P is None).
 
-    Domain: b of U(1) charge 0, as many starred as unstarred letters in every
-    term.  On a b of nonzero charge the left-only twist is not the modular
-    automorphism (the residual of (z0, z0*) is (q^2 - q)/(q^2 + 1)), so such
-    a b is a ValueError.
+    Domain: any n, and b of total U(1) charge 0, as many starred as
+    unstarred letters in every term.  On a b of nonzero charge the left-only
+    twist is not the modular automorphism (the residual of (z0, z0*) is
+    (q^2 - q)/(q^2 + 1)), so such a b is a ValueError.
     """
     if any(2 * sum(g & 1 for g in w) != len(w) for w in b.terms):
         raise ValueError("modular_check needs b of U(1) charge 0: each term with as many z_i^* as z_i")

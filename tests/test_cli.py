@@ -156,6 +156,12 @@ def test_cli_normalize_bad_literals_exit_2(argv, err):
     assert run_cli("normalize", *argv) == (2, "", err)
 
 
+@pytest.mark.parametrize("expr, pos", [("", 0), ("z0 +", 4), ("(", 1), ("2 *", 3)])
+def test_cli_normalize_end_of_input_exit_2(expr, pos):
+    """Input that stops where a factor is due is a positioned parse error naming the end of input (exit 2)."""
+    assert run_cli("normalize", expr, "--n", "1") == (2, "", f"parse error: unexpected end of input (at position {pos})\n")
+
+
 @pytest.mark.parametrize("expr, pos", [("z" + "1" * 5_000, 0), ("1" * 5_000 + " z0", 0), ("q^" + "1" * 5_000, 2)],
                          ids=["generator", "number", "exponent"])
 def test_cli_normalize_long_literal_exits_2(expr, pos):

@@ -1,10 +1,13 @@
-"""Static checks on src/qcpn with the stdlib ast: no unused imports, no dead private names.
+"""Static checks on src/qcpn with the stdlib ast: no unused imports, no dead private names, no dead definitions.
 
 An import counts as used when its bound name appears as a name anywhere in
 the module, string annotations included.  A private module-level name (one
 leading underscore) counts as referenced when any module of the package
 loads it, imports it or reads it as an attribute.  The names that
 ``__init__`` re-exports in ``__all__`` are exempt from the import check.
+A function, method or class of the package (dunders exempt) counts as used
+when the package, the tests or the benchmark name it the same way, or hold
+it as a whole string constant: the benchmark's tracer wraps methods by name.
 """
 
 import ast
@@ -15,8 +18,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qcpn"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qcpn"
 MODULES = sorted(SRC.glob("*.py"))
+CALLERS = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _tree(path):
@@ -78,9 +83,18 @@ def _private_definitions(tree):
                 yield name, node.lineno
 
 
-def _package_references():
+def _definitions(tree):
+    """(name, line) for every function, method and class, nested ones included, dunders left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, node.lineno
+
+
+def _references(paths):
+    """Every name the modules at paths load, import or read as an attribute."""
     refs = set()
-    for path in MODULES:
+    for path in paths:
         tree = _tree(path)
         refs |= _used_names(tree)
         refs |= {name for name, _ in _imports(tree)}
@@ -99,7 +113,7 @@ def test_no_unused_imports(path):
 
 
 def test_no_unreferenced_private_names():
-    refs = _package_references()
+    refs = _references(MODULES)
     dead = [
         f"{path.name}:{line} {name}"
         for path in MODULES
@@ -107,6 +121,15 @@ def test_no_unreferenced_private_names():
         if name not in refs
     ]
     assert not dead, "private names nothing references: " + ", ".join(dead)
+
+
+def test_every_definition_is_named_elsewhere():
+    """A function, method or class that nothing names is dead code, whatever its visibility."""
+    refs = _references(CALLERS)
+    refs |= {node.value for path in CALLERS for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    dead = [f"{path.name}:{line} {name}" for path in MODULES for name, line in _definitions(_tree(path)) if name not in refs]
+    assert not dead, "definitions nothing names: " + ", ".join(dead)
 
 
 def test_cli_import_leaves_out_slow_scipy_modules():

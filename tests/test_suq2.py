@@ -1,7 +1,9 @@
 """Left-regular machinery, spectral triples, index, Haar, tau_1."""
 
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +11,8 @@ import pytest
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from qcpn.ncpoly import NCPoly, Presentation, UqGenerator, mul, normalize, star, uq_act
-from qcpn.qcoeff import is_positive_at_q, qint, qpow
+from qcpn.ncpoly import NCPoly, Presentation, UqGenerator, letter, mul, normalize, star, uq_act
+from qcpn.qcoeff import ONE, ZERO, QScalar, is_positive_at_q, qint, qpow
 from qcpn.suq2 import (
     SUq2Box,
     _CLOSED_FORM_WT,
@@ -935,6 +937,58 @@ def test_haar_symbolic_matches_vacuum(box):
         assert hv == pytest.approx(hs, abs=1e-12)
 
 
+def _haar_n1_reference(a):
+    """The n = 1 normal-word rule: of the normal words only z0*^k z0^k count, with h = (1 - q^2)/(1 - q^{2k+2})."""
+    by_k = {}
+    for w, c in normalize(a, P1).terms.items():
+        b0, a0, b1, a1 = (w.count(g) for g in range(4))
+        if not (a1 or b1 or a0 != b0):
+            by_k[a0] = by_k.get(a0, ZERO) + c
+    return sum((c * (ONE - qpow(2)) / (ONE - qpow(2 * k + 2)) for k, c in by_k.items()), ZERO)
+
+
+def test_haar_symbolic_equals_the_n1_rule_to_length_6():
+    """The weighted Fock trace is the normal-word rule at n = 1 on all 5,461 words of length <= 6."""
+    words = [w for k in range(7) for w in itertools.product(range(4), repeat=k)]
+    assert len(words) == 5461
+    bad = [w for w in words if haar_symbolic(NCPoly.word(w), P1) != _haar_n1_reference(NCPoly.word(w))]
+    assert not bad, bad[:5]
+
+
+def _random_two_term(rng, P):
+    """A seeded random normal form c1 w1 + c2 w2, words of length <= 4, coefficients in Z[q, q^-1]."""
+    def word():
+        return [rng.randrange(2 * P.n + 2) for _ in range(rng.randint(0, 4))]
+    a = NCPoly.word(word(), qpow(rng.randint(-2, 2))) + NCPoly.word(word(), QScalar.from_int(rng.randint(1, 3)))
+    return normalize(a, P)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_haar_symbolic_is_the_invariant_state(n):
+    """h(1) = 1, h(E_i |> a) = h(F_i |> a) = 0 and h(K_i |> a) = h(a) for i = 1..n on 60 random elements."""
+    P = Presentation(n)
+    assert haar_symbolic(NCPoly.one(), P).is_one()
+    rng = random.Random(30 + n)
+    for _ in range(60):
+        a = _random_two_term(rng, P)
+        h = haar_symbolic(a, P)
+        for i in range(1, n + 1):
+            assert haar_symbolic(uq_act(UqGenerator("E", i), a, P), P).is_zero(), (i, a)
+            assert haar_symbolic(uq_act(UqGenerator("F", i), a, P), P).is_zero(), (i, a)
+            assert haar_symbolic(uq_act(UqGenerator("K", i), a, P), P) == h, (i, a)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_haar_symbolic_is_positive(n):
+    """h(a^* a) > 0 at q0 = 1/2, exactly, on 60 random nonzero elements."""
+    P = Presentation(n)
+    rng = random.Random(40 + n)
+    for _ in range(60):
+        a = _random_two_term(rng, P)
+        assert not a.is_zero()
+        assert haar_symbolic(mul(star(a, P), a, P), P).eval_q_exact(Fraction(1, 2)) > 0, a
+
+
 def test_modular_property():
     assert modular_check(NCPoly.one(), NCPoly.one()).is_zero()
     assert modular_check(A_EL, A_EL).is_zero()
@@ -947,6 +1001,42 @@ def test_modular_check_needs_charge_zero(b):
     """A b of nonzero U(1) charge is outside the domain of the left-only twist: ValueError, not a residual."""
     with pytest.raises(ValueError, match="charge 0"):
         modular_check(Z0, b)
+
+
+def _modular_pair(rng, P):
+    """A random word a and a two-term b of total U(1) charge 0 whose per-index charge is the opposite of a's.
+
+    b's two words hold the same letters in two orders; a holds one letter per unit of charge it needs,
+    plus, half the time, a pair z_j z_j^*.
+    """
+    n = P.n
+    half = [rng.randrange(n + 1) for _ in range(rng.randint(0, 2))]
+    bl = [letter(i, False) for i in half] + [letter(rng.randrange(n + 1), True) for _ in half]
+    rng.shuffle(bl)
+    bl2 = rng.sample(bl, len(bl))
+    charge = Counter()
+    for g in bl:
+        charge[g >> 1] += -1 if g & 1 else 1
+    al = [letter(i, c > 0) for i, c in charge.items() for _ in range(abs(c))]
+    if rng.random() < 0.5:
+        j = rng.randrange(n + 1)
+        al += [letter(j, False), letter(j, True)]
+    rng.shuffle(al)
+    b = NCPoly.word(bl, qpow(rng.randint(-1, 1))) + NCPoly.word(bl2, QScalar.from_int(rng.randint(1, 3)))
+    return normalize(NCPoly.word(al), P), normalize(b, P)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_modular_property_beyond_n1(n):
+    """h(ab) = h(eta(b) a) exactly on 60 random pairs, while the untwisted h(ab) - h(ba) is not always 0."""
+    P = Presentation(n)
+    rng = random.Random(50 + n)
+    untwisted = 0
+    for _ in range(60):
+        a, b = _modular_pair(rng, P)
+        assert modular_check(a, b, P).is_zero(), (a, b)
+        untwisted += not haar_symbolic(mul(a, b, P) - mul(b, a, P), P).is_zero()
+    assert untwisted > 0
 
 
 @pytest.mark.parametrize(
@@ -992,8 +1082,6 @@ def test_tau1_exact():
 
 def _tau1_triple_sum(N):
     """tau_1 as one sum over the k^3 index triples (i0, i1, i2), each core[i0][i1] x[i1][i2] multiplied out."""
-    import itertools
-
     from qcpn.ncpoly import mul_sum
     from qcpn.projections import k2rho_eigenvalues, projection, psi
 
