@@ -78,8 +78,9 @@ words also come out in the order of a term-by-term add_terms sum.
 Two kernels do all the summing.  ``_add_int`` sums normal forms on integers
 inside ``_collect``, which serves ``normalize``, ``mul_sum`` and the U_q
 actions: ``coproduct_act`` streams its (word, coefficient) items straight into
-it.  ``mul_sum`` is the route for every sum of products, sum c * a * b, so
-such a sum is one integer accumulation; ``mul`` is its one-product case.
+it.  ``mul_sum`` makes a sum of products, sum c * a * b, one integer
+accumulation where a normal form is wanted; ``mul`` is its one-product case.
+The Haar state and P^2 = P compose Fock images (``rep_sphere``) instead.
 ``add_terms`` (acc += c * terms, zero coefficients dropped) sums QScalar
 TermMaps: NCPoly addition, ``lincomb`` on top of it (every other sum of
 normal forms in the callers), and ``_collect``'s sum across denominators.

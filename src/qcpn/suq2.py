@@ -27,9 +27,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 from scipy import sparse
 
-from .ncpoly import NCPoly, Presentation, UqGenerator, coproduct_act, letter, mul, mul_sum, star, uq_act
+from .ncpoly import NCPoly, Presentation, UqGenerator, coproduct_act, letter, star, uq_act
 from .qcoeff import ONE, ZERO, QScalar, qint, qpow
-from .rep_sphere import fock_image, rule_violations, word_operator
+from .rep_sphere import Image, compose_sum, fock_image, rule_violations, scale_image, word_operator
 
 Lmn = Tuple[int, int, int]  # doubled (2l, 2m, 2n)
 
@@ -822,6 +822,23 @@ def index_numeric(j2: int, L: int, q0: float, tol: float = 1e-8) -> IndexReport:
 # ---------------------------------------------------------------------------
 
 
+def _cleared_images(elems: List[NCPoly], n: int) -> Tuple[QScalar, List[Image]]:
+    """den, a common denominator of the elements' coefficients, and the Laurent ``fock_image`` of each den * a."""
+    den = math.prod({QScalar(c.den) for a in elems for c in a.terms.values()}, start=ONE)
+    return den, [fock_image(a.scale(den), n) for a in elems]
+
+
+def _haar_trace(img: Image, P: Presentation) -> QScalar:
+    """h of the element whose image in pi_{n,n} is img, n = P.n (``haar_symbolic``)."""
+    n = P.n
+    if rule_violations(n, P.sphere_reduction):
+        raise ArithmeticError(f"the Fock images break the rewrite rules at n={n} (bug)")
+    out = ZERO
+    for y, lau in img.get((0,) * (n + 1), {}).items():
+        out = out + QScalar(lau) / math.prod((ONE - qpow(e + 2 * (n - j)) for j, e in enumerate(y)), start=ONE)
+    return out * math.prod((ONE - qpow(2 * j) for j in range(1, n + 1)), start=ONE)
+
+
 def haar_symbolic(a: NCPoly, P: Presentation) -> QScalar:
     """Exact Haar state of S^{2n+1}_q, n = P.n: the torus-averaged weighted trace in pi_{n,n}.
 
@@ -829,31 +846,23 @@ def haar_symbolic(a: NCPoly, P: Presentation) -> QScalar:
     averaged over the torus (Vaksman and Soibelman, 1990).  In the d
     coordinates of ``rep_sphere`` m_k = d_0 + .. + d_{k-1}, so the weight is
     q^{2(m_1+..+m_n)} = prod_j q^{2(n-j) d_j}: c = (n, .., 1).  The average
-    keeps the charge-0 part {y: c_y} of each word's ``fock_image``, and Y^y
-    sums over d to prod_{j<n} 1/(1 - q^{y_j + 2(n-j)}), one division per
-    distinct y; the words' Q(s) coefficients may have denominators.  h is
+    keeps the charge-0 part {y: c_y} of an image, and Y^y sums over d to
+    prod_{j<n} 1/(1 - q^{y_j + 2(n-j)}).  h is linear: it traces the one
+    ``fock_image`` of den * a (den clears a's Q(s) denominators) over den, and
+    ``modular_check`` and ``tau1_pairing`` trace ``compose_sum``s of images.  h is
     well defined on the algebra since img(x) = img(nf(x)), which
     ``rep_sphere.rule_violations`` checks (a violation is an ArithmeticError).
     It is the Haar state because h(1) = 1 and U_q-invariance,
     h(X |> a) = eps(X) h(a), determine it; the tests check both.
     """
-    n = P.n
-    if rule_violations(n, P.sphere_reduction):
-        raise ArithmeticError(f"the Fock images break the rewrite rules at n={n} (bug)")
-    neutral = (0,) * (n + 1)
-    by_y: Dict[Tuple[int, ...], QScalar] = {}
-    for w, c in a.terms.items():
-        for y, lau in fock_image(NCPoly.word(w), n).get(neutral, {}).items():
-            by_y[y] = by_y.get(y, ZERO) + c * QScalar(lau)
-    out = ZERO
-    for y, c in by_y.items():
-        out = out + c / math.prod((ONE - qpow(e + 2 * (n - j)) for j, e in enumerate(y)), start=ONE)
-    return out * math.prod((ONE - qpow(2 * j) for j in range(1, n + 1)), start=ONE)
+    den, (img,) = _cleared_images([a], P.n)
+    return _haar_trace(img, P) / den
 
 
 def modular_check(a: NCPoly, b: NCPoly, P: Presentation | None = None) -> QScalar:
     """Exact residual h(ab) - h(eta(b) a) with eta = K_2rho^{-1} |> (twisted trace), at n = P.n (1 if P is None).
 
+    It traces one ``compose_sum`` of Fock images, img(a) o img(b) - img(eta(b)) o img(a).
     Domain: any n, and b of total U(1) charge 0, as many starred as
     unstarred letters in every term.  On a b of nonzero charge the left-only
     twist is not the modular automorphism (the residual of (z0, z0*) is
@@ -862,8 +871,8 @@ def modular_check(a: NCPoly, b: NCPoly, P: Presentation | None = None) -> QScala
     if any(2 * sum(g & 1 for g in w) != len(w) for w in b.terms):
         raise ValueError("modular_check needs b of U(1) charge 0: each term with as many z_i^* as z_i")
     P = P or Presentation(1)
-    eta_b = uq_act(UqGenerator("K2rhoInv"), b, P)
-    return haar_symbolic(mul(a, b, P) - mul(eta_b, a, P), P)
+    den, (ia, ib, ie) = _cleared_images([a, b, -uq_act(UqGenerator("K2rhoInv"), b, P)], P.n)
+    return _haar_trace(compose_sum(((ia, ib), (ie, ia))), P) / (den * den)
 
 
 @dataclass
@@ -904,8 +913,8 @@ def tau1_pairing(N: int, P: Presentation | None = None) -> QScalar:
     associativity alone the sum over (i0, i1, i2) is
     sum_{i0,i1} u_{i0} u_{i1} rho_{i0}^{-1} core[i0][i1] (XY)[i1][i0] with
     (XY)[i1][i0] = sum_{i2} u_{i2} x[i1][i2] y[i2][i0]: k^2 sums of k
-    products, then one sum of k^2, one polynomial with the Haar state
-    applied to it once.  P is an n = 1 presentation (a new one if None).
+    products, then one sum of k^2, composed on the Fock images of the core, x
+    and y entries and traced once.  P is an n = 1 presentation (a new one if None).
     Target value: q^{-4} [N].  Defined for N >= 0 only: ValueError otherwise.
     """
     from .projections import k2rho_eigenvalues, projection, psi
@@ -917,15 +926,15 @@ def tau1_pairing(N: int, P: Presentation | None = None) -> QScalar:
     k = len(M)
     rho_inv = [x.inv() for x in k2rho_eigenvalues(psi(N, 1, P))]
     y = [[dbar(M.core[i][j], P) for j in range(k)] for i in range(k)]
-    # x[i][j] = (dbar core[i][j]^*)^*, where core[i][j]^* = core[j][i] as P_N is selfadjoint
-    x = [[star(y[j][i], P) for j in range(k)] for i in range(k)]
+    # x[i][j] = img (dbar core[i][j]^*)^*, where core[i][j]^* = core[j][i] as P_N is selfadjoint
+    x = [[fock_image(star(y[j][i], P), P.n) for j in range(k)] for i in range(k)]
     u = M.weights
-    xy = [[mul_sum(((x[i1][i2], y[i2][i0], u[i2]) for i2 in range(k)), P) for i0 in range(k)] for i1 in range(k)]
-    triples = (
-        (M.core[i0][i1], xy[i1][i0], u[i0] * u[i1] * rho_inv[i0])
+    uy = [[scale_image(fock_image(y[i2][i0], P.n), u[i2]) for i0 in range(k)] for i2 in range(k)]
+    xy = [[compose_sum((x[i1][i2], uy[i2][i0]) for i2 in range(k)) for i0 in range(k)] for i1 in range(k)]
+    return _haar_trace(compose_sum(
+        (fock_image(M.core[i0][i1], P.n), scale_image(xy[i1][i0], u[i0] * u[i1] * rho_inv[i0]))
         for i0, i1 in itertools.product(range(k), repeat=2)
-    )
-    return haar_symbolic(mul_sum(triples, P), P)
+    ), P)
 
 
 # ---------------------------------------------------------------------------

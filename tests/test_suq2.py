@@ -11,7 +11,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from qcpn.ncpoly import NCPoly, Presentation, UqGenerator, letter, mul, normalize, star, uq_act
+from qcpn.ncpoly import NCPoly, Presentation, UqGenerator, letter, lincomb, mul, normalize, star, uq_act
 from qcpn.qcoeff import ONE, ZERO, QScalar, is_positive_at_q, qint, qpow
 from qcpn.suq2 import (
     SUq2Box,
@@ -308,15 +308,17 @@ def test_triple_suite_builds_no_box_operator(monkeypatch):
 
 
 def test_triple_suite_takes_no_word_product(monkeypatch):
-    """The float suite reads the K-weights off the closed forms: it runs with mul, uq_act and Presentation unusable."""
-    from qcpn import suq2
+    """The float suite reads the K-weights off the closed forms: it runs with the product rewriter
+    (ncpoly.mul_sum, behind mul), uq_act and Presentation unusable."""
+    from qcpn import ncpoly, suq2
 
     want = triple_axiom_suite(3, 8, 0.3)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("triple_axiom_suite took a symbolic step")
 
-    for name in ("mul", "uq_act", "Presentation"):
+    monkeypatch.setattr(ncpoly, "mul_sum", forbidden)
+    for name in ("uq_act", "Presentation"):
         monkeypatch.setattr(suq2, name, forbidden)
     assert triple_axiom_suite(3, 8, 0.3) == want
 
@@ -1026,6 +1028,28 @@ def _modular_pair(rng, P):
     return normalize(NCPoly.word(al), P), normalize(b, P)
 
 
+_DENOMINATORS = (QScalar.from_fraction(Fraction(1, 3)), (ONE + qpow(2)).inv(), qpow(1) / (ONE - qpow(4)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_haar_and_modular_check_are_linear_over_q_of_s(n):
+    """Coefficients with denominators: h(c a) = c h(a) for c in {1/3, 1/(1 + q^2), q/(1 - q^4)}, also on a sum
+    with three denominators, and modular_check of scaled pairs is exactly 0."""
+    P = Presentation(n)
+    rng = random.Random(60 + n)
+    for _ in range(10):
+        terms = [_random_two_term(rng, P) for _ in _DENOMINATORS]
+        hs = [haar_symbolic(a, P) for a in terms]
+        for a, h in zip(terms, hs):
+            for c in _DENOMINATORS:
+                assert haar_symbolic(a.scale(c), P) == c * h, (a, c)
+        mixed = lincomb(zip(terms, _DENOMINATORS))
+        assert haar_symbolic(mixed, P) == sum((c * h for c, h in zip(_DENOMINATORS, hs)), ZERO)
+        a, b = _modular_pair(rng, P)
+        for ca, cb in itertools.product(_DENOMINATORS, repeat=2):
+            assert modular_check(a.scale(ca), b.scale(cb), P).is_zero(), (a, b, ca, cb)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_modular_property_beyond_n1(n):
     """h(ab) = h(eta(b) a) exactly on 60 random pairs, while the untwisted h(ab) - h(ba) is not always 0."""
@@ -1076,7 +1100,7 @@ def test_tau1_values(N, scale):
 
 
 def test_tau1_exact():
-    for N in range(5):
+    for N in range(9):
         assert tau1_pairing(N) == qpow(-4) * qint(N)
 
 
@@ -1112,6 +1136,33 @@ def test_tau1_exact_to_N5_on_one_presentation():
         assert tau1_pairing(N, P) == qpow(-4) * qint(N)
     assert modular_check(A_EL, B_EL, P).is_zero()
     assert modular_check(B_EL, star(B_EL, P1), P).is_zero()
+
+
+def test_tau1_and_modular_check_rewrite_no_product(monkeypatch):
+    """tau_1 for N <= 3 and modular_check on the pairs of qcpn tau1 compose Fock images: no mul_sum or mul call.
+
+    P_N is built before counting: its core, the products m_i m_j^* in the algebra, stays ncpoly's."""
+    from qcpn import ncpoly, projections, suq2
+
+    P = Presentation(1)
+    built = {N: projections.projection(N, 1, P) for N in range(4)}
+    monkeypatch.setattr(projections, "projection", lambda N, n, P: built[N])
+    calls = []
+
+    def counting(original):
+        def wrapped(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(ncpoly, "mul_sum", counting(ncpoly.mul_sum))
+    for name in ("mul_sum", "mul"):
+        monkeypatch.setattr(suq2, name, counting(getattr(suq2, name, None)), raising=False)
+    for N in range(4):
+        assert tau1_pairing(N, P) == qpow(-4) * qint(N)
+    for a, b in ((A_EL, A_EL), (B_EL, star(B_EL, P1)), (A_EL, B_EL)):
+        assert modular_check(a, b, P).is_zero()
+    assert calls == []
 
 
 @pytest.mark.parametrize("N", [-1, -2, -3])
