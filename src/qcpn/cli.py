@@ -245,6 +245,7 @@ def cmd_verify_triple(args) -> Report:
 
 
 def cmd_pairing(args) -> Report:
+    _at_least(args, 1, "n")
     rep = Report(
         "Fredholm pairings <[F_k],[P_-N]>",
         metadata={"n": args.n, "q0": args.q, "M": args.M},

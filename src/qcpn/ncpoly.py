@@ -75,15 +75,20 @@ forms are unique, so the coefficient storage changes no output.  When the
 input coefficients share one denominator (every Laurent input does), the
 words also come out in the order of a term-by-term add_terms sum.
 
-Two kernels do all the summing.  ``_add_int`` sums normal forms on integers
-inside ``_collect``, which serves ``normalize``, ``mul_sum`` and the U_q
-actions: ``coproduct_act`` streams its (word, coefficient) items straight into
-it.  ``mul_sum`` makes a sum of products, sum c * a * b, one integer
+Two kernels do all the summing.  ``_add_int`` sums Laurent numerators
+inside ``_collect``, and every sum of normal forms streams its (word,
+denominator, numerator) items into it: ``normalize``, ``mul_sum``, the U_q
+actions and ``lincomb``.  ``coproduct_act`` reads integer image tables, each
+letter's image a +-s^e monomial, so its items are a term's numerator shifted
+and signed.  ``mul_sum`` makes a sum of products, sum c * a * b, one integer
 accumulation where a normal form is wanted; ``mul`` is its one-product case.
-The Haar state and P^2 = P compose Fock images (``rep_sphere``) instead.
-``add_terms`` (acc += c * terms, zero coefficients dropped) sums QScalar
-TermMaps: NCPoly addition, ``lincomb`` on top of it (every other sum of
-normal forms in the callers), and ``_collect``'s sum across denominators.
+``lincomb`` shares its product rule (``_product_items``: ``_lmul`` for
+Laurent x Laurent, a QScalar product otherwise) and takes each word as its
+own normal form.  The Haar state and P^2 = P compose Fock images
+(``rep_sphere``) instead.  ``add_terms`` (acc += c * terms, zero
+coefficients dropped) sums QScalar TermMaps whose denominators differ, which
+no integer map can hold: it stays for NCPoly addition and for ``_collect``'s
+merge across denominators.
 """
 
 from __future__ import annotations
@@ -423,15 +428,16 @@ def add_terms(acc: TermMap, terms: TermMap, c: QScalar | None = None) -> TermMap
 def lincomb(pairs: Iterable[Tuple[NCPoly, QScalar | None]]) -> NCPoly:
     """sum of c * a over the (a, c) pairs (c None counts as 1).
 
-    The normal words are a basis and the sum drops zero coefficients, so a
-    linear combination of normal forms (outputs of mul, normalize, star with
-    a presentation, uq_act) is itself the normal form: it needs no further
+    The sum is one ``_collect`` with each word as its own normal form, and
+    c * a is the product a * (c 1) of ``mul_sum``: Laurent coefficients
+    multiply and add on integers, with no QScalar operation.  The normal
+    words are a basis and the sum drops zero coefficients, so a linear
+    combination of normal forms (outputs of mul, normalize, star with a
+    presentation, uq_act) is itself the normal form: it needs no further
     normalize.
     """
-    acc: TermMap = {}
-    for a, c in pairs:
-        add_terms(acc, a.terms, c)
-    return NCPoly(acc)
+    scaled = ((a, NCPoly.one() if c is None else NCPoly.scalar(c), None) for a, c in pairs)
+    return _collect(_product_items(scaled), None)
 
 
 def _add_int(acc: IntForm, form: IntForm, c: Laurent) -> None:
@@ -445,16 +451,26 @@ def _add_int(acc: IntForm, form: IntForm, c: Laurent) -> None:
             del acc[w]
 
 
-def _collect(items: Iterable[Tuple[Word, DenKey, Laurent]], P: Presentation) -> NCPoly:
+def _word_form(w: Word) -> IntForm:
+    """w as its own normal form, for ``lincomb``."""
+    return {w: _UNIT}
+
+
+def _collect(items: Iterable[Tuple[Word, DenKey, Laurent]], P: Presentation | None) -> NCPoly:
     """sum of (num / den) * (normal form of w) over the (w, den, num) items (den canonical).
 
     One {word: {e: k}} map per denominator sums on integers, each output word
-    gets one canonical QScalar, and sums across denominators go through add_terms.
+    gets one canonical QScalar, and sums across denominators go through
+    add_terms.  With P None every word is its own normal form.
     """
-    P._steps = 0  # the step budget bounds a single operation: one whole sum
+    if P is None:
+        normal_word = _word_form
+    else:
+        P._steps = 0  # the step budget bounds a single operation: one whole sum
+        normal_word = P._normal_word
     groups: Dict[DenKey, IntForm] = {}  # denominator -> sum
     for w, den, num in items:
-        _add_int(groups.setdefault(den, {}), P._normal_word(w), num)
+        _add_int(groups.setdefault(den, {}), normal_word(w), num)
     out: TermMap = {}
     for den, acc in groups.items():
         if den == _UNIT_DEN:
@@ -467,37 +483,36 @@ def _collect(items: Iterable[Tuple[Word, DenKey, Laurent]], P: Presentation) -> 
     return NCPoly(out)
 
 
-def _word_items(pairs: Iterable[Tuple[Word, QScalar]]):
-    """(w, den, num) items of the nonzero (w, c) pairs, for _collect."""
-    return ((w, tuple(sorted(c.den.items())), c.num) for w, c in pairs if c.num)
-
-
 def normalize(a: NCPoly, P: Presentation) -> NCPoly:
     """Unique normal form of a modulo the sphere relations (idempotent)."""
-    return _collect(_word_items(a.terms.items()), P)
+    return _collect(((w, tuple(sorted(c.den.items())), c.num) for w, c in a.terms.items() if c.num), P)
+
+
+def _product_items(triples: Iterable[Tuple[NCPoly, NCPoly, QScalar | None]]):
+    """(wa + wb, den, num) items of c * a * b over the (a, b, c) triples, one per pair of terms, for _collect.
+
+    Laurent numerators multiply as dicts, and only a non-unit denominator
+    takes a QScalar product.  c scales a once per triple.
+    """
+    for a, b, c in triples:
+        bt = [(wb, cb, cb.is_laurent()) for wb, cb in b.terms.items()]
+        for wa, ca in (a if c is None else a.scale(c)).terms.items():
+            la = ca.is_laurent()
+            for wb, cb, lb in bt:
+                if la and lb:
+                    yield wa + wb, _UNIT_DEN, _lmul(ca.num, cb.num)
+                else:
+                    p = ca * cb
+                    yield wa + wb, tuple(sorted(p.den.items())), p.num
 
 
 def mul_sum(triples: Iterable[Tuple[NCPoly, NCPoly, QScalar | None]], P: Presentation) -> NCPoly:
     """Normal form of sum c * a * b over the (a, b, c) triples (c None counts as 1).
 
     Every product of a term of a with a term of b is one integer item of one
-    ``_collect``: Laurent numerators multiply as dicts, and only a
-    non-unit denominator takes a QScalar product.  The step budget bounds the
-    whole sum.  c scales a once per triple.
+    ``_collect`` (``_product_items``).  The step budget bounds the whole sum.
     """
-    def items():
-        for a, b, c in triples:
-            bt = [(wb, cb, cb.is_laurent()) for wb, cb in b.terms.items()]
-            for wa, ca in (a if c is None else a.scale(c)).terms.items():
-                la = ca.is_laurent()
-                for wb, cb, lb in bt:
-                    if la and lb:
-                        yield wa + wb, _UNIT_DEN, _lmul(ca.num, cb.num)
-                    else:
-                        p = ca * cb
-                        yield wa + wb, tuple(sorted(p.den.items())), p.num
-
-    return _collect(items(), P)
+    return _collect(_product_items(triples), P)
 
 
 def mul(a: NCPoly, b: NCPoly, P: Presentation) -> NCPoly:
@@ -543,37 +558,41 @@ def _k_weight(i: int, n: int) -> List[int]:
 
 
 def coproduct_act(
-    a: NCPoly, P: Presentation, weight: Sequence[int], image: Dict[int, Tuple[QScalar, int]] | None = None
+    a: NCPoly, P: Presentation, weight: Sequence[int], image: Dict[int, Tuple[int, int, int]] | None = None
 ) -> NCPoly:
     """Action on a of a grouplike K, or of an X with coproduct X (x) K + K^{-1} (x) X.
 
     weight[g] is the exponent w with K |> g = s^w g.  Without image the
-    result is K |> a; otherwise image[g] = (coeff, g2) means X |> g = coeff g2,
-    X kills the letters missing from image, and X acts on a word letter by
-    letter with K^{-1} weights to the left of the acted letter and K weights
-    to its right.  The (word, coefficient) items stream into ``_collect``, so
-    the words come out in the order of a term-by-term sum of their normal
-    forms, as in ``mul``.
+    result is K |> a; otherwise image[g] = (g2, sign, e) means X |> g =
+    sign s^e g2, X kills the letters missing from image, and X acts on a word
+    letter by letter with K^{-1} weights to the left of the acted letter and
+    K weights to its right.  Every item is therefore a term of a times +-s^k:
+    its denominator stays, and its numerator is shifted by k and signed, on
+    integers.  The (word, denominator, numerator) items stream into
+    ``_collect``, so the words come out in the order of a term-by-term sum of
+    their normal forms, as in ``mul``.
     """
     for w in a.terms:
         P.check_letters(w)
 
-    def items() -> Iterator[Tuple[Word, QScalar]]:
+    def items() -> Iterator[Tuple[Word, DenKey, Laurent]]:
         for w, c in a.terms.items():
+            den, num = tuple(sorted(c.den.items())), c.num
             ws = [weight[g] for g in w]
             total = sum(ws)
             if image is None:
-                yield w, c * QScalar.s_pow(total)
+                yield w, den, {e + total: k for e, k in num.items()}
                 continue
             left = 0
             for p, g in enumerate(w):
                 hit = image.get(g)
                 if hit is not None:
-                    coeff, g2 = hit
-                    yield w[:p] + (g2,) + w[p + 1:], c * coeff * QScalar.s_pow(total - ws[p] - 2 * left)
+                    g2, sign, e = hit
+                    shift = e + total - ws[p] - 2 * left
+                    yield w[:p] + (g2,) + w[p + 1:], den, {x + shift: sign * k for x, k in num.items()}
                 left += ws[p]
 
-    return _collect(_word_items(items()), P)
+    return _collect(items(), P)
 
 
 def uq_act(x: UqGenerator, a: NCPoly, P: Presentation) -> NCPoly:
@@ -599,6 +618,6 @@ def uq_act(x: UqGenerator, a: NCPoly, P: Presentation) -> NCPoly:
         return coproduct_act(a, P, [-w for w in weight])
     lo, hi = letter(n - i, False), letter(n + 1 - i, False)  # z_{n-i} and z_{n+1-i}
     if x.kind == "E":  # E_i |> z_{n+1-i} = z_{n-i},  E_i |> z_{n-i}^* = -q z_{n+1-i}^*
-        return coproduct_act(a, P, weight, {hi: (ONE, lo), lo + 1: (-_Q, hi + 1)})
+        return coproduct_act(a, P, weight, {hi: (lo, 1, 0), lo + 1: (hi + 1, -1, 2)})
     # F_i |> z_{n-i} = z_{n+1-i},  F_i |> z_{n+1-i}^* = -q^{-1} z_{n-i}^*
-    return coproduct_act(a, P, weight, {lo: (ONE, hi), hi + 1: (-_QINV, lo + 1)})
+    return coproduct_act(a, P, weight, {lo: (hi, 1, 0), hi + 1: (lo + 1, -1, -2)})

@@ -133,12 +133,16 @@ def psi_dagger_psi(av: AlgebraVector) -> NCPoly:
 
 def projection(N: int, n: int, P: Presentation | None = None) -> AlgebraMatrix:
     """P_N = Psi_N Psi_N^dag in factored form (core_IJ = nf(m_I m_J^*))."""
-    av = psi(N, n, P)
+    return _projection(psi(N, n, P))
+
+
+def _projection(av: AlgebraVector) -> AlgebraMatrix:
+    """P_N = Psi_N Psi_N^dag for a Psi_N already built."""
     P = av.presentation
     k = len(av)
     stars = [star(m) for m in av.monomials]
     core = [[mul(av.monomials[i], stars[j], P) for j in range(k)] for i in range(k)]
-    return AlgebraMatrix(N, P, av.indices, core, av.weights)
+    return AlgebraMatrix(av.N, P, av.indices, core, av.weights)
 
 
 def is_projection(M: AlgebraMatrix) -> bool:
@@ -350,8 +354,9 @@ def equivariance_residuals(
     diagonal matrix, so the residual vanishes iff the original one does.
     Each generator's value is the matrix of normalized residual entries
     (empty == equivariant): each entry is one linear combination of normal
-    forms.  Psi_N, P_N, the component representation and every x |> p are
-    built once for all of gens, over P (a fresh Presentation(n) if None).
+    forms.  Psi_N, P_N, the component representation, every sigma(y)^t and
+    every x |> p are built once for all of gens, over P (a fresh
+    Presentation(n) if None).
     """
     for x in gens:
         if x.kind not in _STAR:
@@ -360,15 +365,18 @@ def equivariance_residuals(
             raise ValueError(f"U_q generator index {x.i} out of range 1..{n}")
     av = psi(N, n, P)
     P = av.presentation
-    M = projection(N, n, P)
+    M = _projection(av)
     rep = UqMatrixRep(av)
     rho = k2rho_eigenvalues(av)
     k = len(av)
     pmat = [[M.scaled_entry(i, j) for j in range(k)] for i in range(k)]
     acted: Dict[UqGenerator, List[List[NCPoly]]] = {}
+    sigmas: Dict[UqGenerator, List[List[QScalar]]] = {}
 
     def sigma_t(y: UqGenerator) -> List[List[QScalar]]:
-        return diag_conj(rho, rep.matrix(gen_star(y)), inverse=True)
+        if y not in sigmas:
+            sigmas[y] = diag_conj(rho, rep.matrix(gen_star(y)), inverse=True)
+        return sigmas[y]
 
     def act(gen: UqGenerator) -> List[List[NCPoly]]:
         if gen not in acted:

@@ -315,8 +315,10 @@ class SUq2Box:
 _Z0, _Z1 = letter(0, False), letter(1, False)
 _Z0S, _Z1S = letter(0, True), letter(1, True)
 
-_LE_TABLE = {_Z0: (-ONE, _Z1S), _Z1: (qpow(-1), _Z0S)}
-_LF_TABLE = {_Z0S: (qpow(1), _Z1), _Z1S: (-ONE, _Z0)}
+# g: (g2, sign, e) for L |> g = sign s^e g2 (s = q^{1/2}): L_E |> z_0 = -z_1^*, L_E |> z_1 = q^{-1} z_0^*,
+# L_F |> z_0^* = q z_1, L_F |> z_1^* = -z_0
+_LE_TABLE = {_Z0: (_Z1S, -1, 0), _Z1: (_Z0S, 1, -2)}
+_LF_TABLE = {_Z0S: (_Z1, 1, 2), _Z1S: (_Z0, -1, 0)}
 _LK_WEIGHT = (-1, 1, -1, 1)  # L_K |> g = s^w g: q^{-1/2} on z_i, q^{1/2} on z_i^*
 
 

@@ -354,18 +354,21 @@ def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want
         ("pairing", "--n", "2", "--N", "0..2", "--k", "0..2", "--M", "4", "--q", "0.9"),
         ("pairing", "--n", "2", "--N", "0..2", "--k", "0..0", "--M", "0", "--csv"),
         ("verify", "triple", "--j", "1/2", "--L", "3", "--csv"),
+        ("pairing", "--n", "0"),
     ],
     ids=["holo-dim", "verify-triple", "pairing", "tau1", "tau1-reversed-range", "holo-dim-fraction",
          "verify-triple-quarter", "identities-negative", "projections-negative-Nmax", "projections-n-0",
          "equivariance-negative-Nmax", "chern-negative-n", "chern-negative-Nmax", "relations-n-0",
          "relations-negative-cases", "equivariance-n-0", "pairing-k-above-n", "tau1-negative-N",
          "spectrum-q-1", "holo-dim-q-1", "pairing-k0-q1", "pairing-M-4", "pairing-M-0-k0",
-         "verify-triple-empty-window"],
+         "verify-triple-empty-window", "pairing-n-0"],
 )
 def test_cli_input_errors_exit_2(argv):
     code, _, err = run_cli(*argv)
     assert code == 2
     assert err.startswith("error:")
+    if "--n" in argv and argv[argv.index("--n") + 1] == "0":  # every command that takes --n rejects 0 alike
+        assert err == "error: --n must be at least 1, got 0\n"
 
 
 def test_cli_normalize_same_index_run_does_not_recurse():

@@ -29,6 +29,7 @@ CASES = [
     ("verify_relations.json", "verify relations --n 2 --cases 40 --seed 3 --json", 0),
     ("verify_equivariance.json", "verify equivariance --n 1 --Nmax 2 --json", 0),
     ("verify_equivariance_n2.json", "verify equivariance --n 2 --Nmax 2 --json", 0),
+    ("verify_equivariance_n1_N5.json", "verify equivariance --n 1 --Nmax 5 --json", 0),  # the benchmark's job
     ("tau1.csv", "tau1 --N 0..2 --csv", 0),
     ("tau1_N0_5.json", "tau1 --N 0..5 --json", 0),
     ("index.json", "index --j 1/2..5/2 --json", 1),  # index_numeric disagrees from j = 3/2 on

@@ -660,6 +660,11 @@ def test_action_rejects_generator_index_outside_1_to_n(kind):
 # -- the table action against the engine it replaced ---------------------------
 
 
+# the n = 1 L_E / L_F letter images as (coefficient, letter): L_E |> z_0 = -z_1^*, L_E |> z_1 = q^{-1} z_0^*,
+# L_F |> z_0^* = q z_1, L_F |> z_1^* = -z_0
+_L_TABLES = {"E": {0: (-ONE, 3), 2: (qpow(-1), 1)}, "F": {1: (qpow(1), 2), 3: (-ONE, 0)}}
+
+
 class ParentAction:
     """The U_q action before its letter tables, kept as an oracle.
 
@@ -735,12 +740,14 @@ class ParentAction:
         lk = lambda g: Fraction(1, 2) if (g & 1) else Fraction(-1, 2)
         if kind == "K":
             return self.coproduct(a, lk)
-        table = {"E": suq2._LE_TABLE, "F": suq2._LF_TABLE}[kind]
-        return self.coproduct(a, lambda g: -lk(g), table.get)
+        return self.coproduct(a, lambda g: -lk(g), _L_TABLES[kind].get)
 
     def streamed(self):
         """sum of c * (normal form of w) over the recorded items, term by term."""
-        return lincomb((normalize(NCPoly.word(w), self.P), c) for w, c in self.items)
+        acc = {}
+        for w, c in self.items:
+            add_terms(acc, normalize(NCPoly.word(w), self.P).terms, c)
+        return NCPoly(acc)
 
 
 def _assert_same_action(got, oracle, want):
@@ -786,3 +793,105 @@ def test_streamed_word_order_when_a_partial_sum_cancels():
     got = uq_act(UqGenerator("E", 1), a, P)
     assert got.terms == want.terms
     assert list(got.terms) == list(oracle.streamed().terms) != list(want.terms)
+
+
+# -- the U_q actions on integers against the QScalar route they replaced -------
+
+
+def _coproduct_reference(a, P, weight, image=None):
+    """coproduct_act as it was on QScalars: image[g] = (coeff, g2), and every item a QScalar product."""
+    for w in a.terms:
+        P.check_letters(w)
+
+    def items():
+        for w, c in a.terms.items():
+            ws = [weight[g] for g in w]
+            total = sum(ws)
+            if image is None:
+                yield w, c * QScalar.s_pow(total)
+                continue
+            left = 0
+            for p, g in enumerate(w):
+                hit = image.get(g)
+                if hit is not None:
+                    coeff, g2 = hit
+                    yield w[:p] + (g2,) + w[p + 1:], c * coeff * QScalar.s_pow(total - ws[p] - 2 * left)
+                left += ws[p]
+
+    return ncpoly._collect(((w, tuple(sorted(c.den.items())), c.num) for w, c in items() if c.num), P)
+
+
+def _uq_reference(x, a, P):
+    """uq_act as it was: the E/F images as QScalar coefficients, through _coproduct_reference."""
+    n, i = P.n, x.i
+    if x.kind in ("K2rho", "K2rhoInv"):
+        sign = -1 if x.kind == "K2rhoInv" else 1
+        tables = [(2 * j * (n + 1 - j), ncpoly._k_weight(j, n)) for j in range(1, n + 1)]
+        return _coproduct_reference(a, P, [sign * sum(c * t[g] for c, t in tables) for g in range(2 * n + 2)])
+    weight = ncpoly._k_weight(i, n)
+    if x.kind == "K":
+        return _coproduct_reference(a, P, weight)
+    if x.kind == "Kinv":
+        return _coproduct_reference(a, P, [-w for w in weight])
+    lo, hi = 2 * (n - i), 2 * (n + 1 - i)
+    if x.kind == "E":
+        return _coproduct_reference(a, P, weight, {hi: (ONE, lo), lo + 1: (-qpow(1), hi + 1)})
+    return _coproduct_reference(a, P, weight, {lo: (ONE, hi), hi + 1: (-qpow(-1), lo + 1)})
+
+
+def _l_reference(kind, a, P):
+    if kind == "K":
+        return _coproduct_reference(a, P, suq2._LK_WEIGHT)
+    return _coproduct_reference(a, P, [-w for w in suq2._LK_WEIGHT], _L_TABLES[kind])
+
+
+# 1/3 and 1/(1 + q^2) put non-unit denominators into the acted-on terms
+ACTION_COEFFS = [ONE, -qpow(1), ONE - qpow(2), qpow(Fraction(-1, 2)), QScalar.from_fraction(Fraction(1, 3)),
+                 (ONE + qpow(2)).inv(), -(ONE + qpow(2)).inv() * qpow(Fraction(3, 2))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integer_action_equals_the_qscalar_route(n):
+    """uq_act (and l_act at n = 1) equals the per-letter QScalar route exactly, denominators included."""
+    P = Presentation(n)
+    rng = random.Random(320 + n)
+    denominators = set()
+    for _ in range(30):
+        a = normalize(_rand_poly(P, rng, ACTION_COEFFS), P)
+        denominators |= {tuple(sorted(c.den.items())) for c in a.terms.values()}
+        for kind in ("E", "F", "K", "Kinv", "K2rho"):
+            for i in range(1, n + 1):
+                x = UqGenerator(kind, i)
+                assert uq_act(x, a, P).terms == _uq_reference(x, a, P).terms, (x, a)
+        if n == 1:
+            for kind in ("E", "F", "K"):
+                assert l_act(kind, a, P).terms == _l_reference(kind, a, P).terms, (kind, a)
+    assert {((0, 3),), ((0, 1), (4, 1))} <= denominators  # 3 and 1 + q^2 reach the actions
+
+
+def _count_qscalar_ops(monkeypatch):
+    calls = {"__mul__": 0, "__add__": 0}
+    for name in calls:
+        original = getattr(QScalar, name)
+
+        def counting(self, other, name=name, original=original):
+            calls[name] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(QScalar, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_actions_and_lincomb_take_no_qscalar_operation_on_laurent_input(n, monkeypatch):
+    """On Laurent coefficients uq_act and lincomb multiply and add numerators only: QScalar * and + are never called."""
+    P = Presentation(n)
+    rng = random.Random(330 + n)
+    inputs = [normalize(_rand_poly(P, rng, SUM_COEFFS[:4]), P) for _ in range(20)]
+    scales = [None] + SUM_COEFFS[:4]
+    want = [[uq_act(UqGenerator(kind, i), a, P) for kind in KINDS for i in range(1, n + 1)] for a in inputs]
+    calls = _count_qscalar_ops(monkeypatch)
+    got = [[uq_act(UqGenerator(kind, i), a, P) for kind in KINDS for i in range(1, n + 1)] for a in inputs]
+    total = lincomb((b, scales[k % len(scales)]) for k, b in enumerate(itertools.chain(*got)))
+    assert calls == {"__mul__": 0, "__add__": 0}
+    assert got == want and total.terms

@@ -263,6 +263,31 @@ def test_equivariance_residuals_match_one_generator_at_a_time(N, n):
             assert all(e.is_zero() for row in batch[g] for e in row)
 
 
+@pytest.mark.parametrize("N,n", [(2, 1), (-1, 2)])
+def test_equivariance_residuals_build_psi_and_each_sigma_once(N, n, monkeypatch):
+    """One call builds Psi_N once (P_N reuses it) and conjugates sigma(y)^t once per generator y."""
+    from qcpn import projections
+
+    gens = [UqGenerator(k, i) for i in range(1, n + 1) for k in ("E", "F", "K", "Kinv")]
+    want = equivariance_residuals(N, n, gens)
+    built, conjugated = [], []
+    psi0, diag_conj0 = projections.psi, projections.diag_conj
+
+    def counting_psi(*args, **kwargs):
+        built.append(args[0])
+        return psi0(*args, **kwargs)
+
+    def counting_diag_conj(d, A, inverse=False):
+        conjugated.append(id(A))
+        return diag_conj0(d, A, inverse)
+
+    monkeypatch.setattr(projections, "psi", counting_psi)
+    monkeypatch.setattr(projections, "diag_conj", counting_diag_conj)
+    assert equivariance_residuals(N, n, gens) == want
+    assert built == [N]
+    assert len(conjugated) == len(set(conjugated)) == len(gens)
+
+
 @pytest.mark.parametrize("bad", [UqGenerator("K2rho"), UqGenerator("E", 2)], ids=str)
 def test_equivariance_residuals_validate_every_generator_first(bad, monkeypatch):
     from qcpn import projections
