@@ -236,16 +236,14 @@ def weight_matrix(N: int, n: int) -> List[QScalar]:
 
 
 def k2rho_eigenvalues(av: AlgebraVector) -> List[QScalar]:
-    """Eigenvalues rho_J of K_2rho on the components of Psi_N."""
-    out = []
-    for m in av.monomials:
-        res = uq_act(UqGenerator("K2rho"), m, av.presentation)
-        (w, c), = m.terms.items()
-        ev = res.terms.get(w, ZERO) / c
-        if (res - m.scale(ev)).terms:
-            raise ArithmeticError("component is not a K_2rho eigenvector (bug)")
-        out.append(ev)
-    return out
+    """Eigenvalues rho_J of K_2rho on the components of Psi_N: the diagonal of sigma(K_2rho).
+
+    A nonzero off-diagonal entry (a component that is no eigenvector) raises ArithmeticError.
+    """
+    K = UqMatrixRep(av).matrix(UqGenerator("K2rho"))
+    if any(not c.is_zero() for i, row in enumerate(K) for j, c in enumerate(row) if i != j):
+        raise ArithmeticError("component is not a K_2rho eigenvector (bug)")
+    return [K[i][i] for i in range(len(K))]
 
 
 class UqMatrixRep:
@@ -253,23 +251,22 @@ class UqMatrixRep:
 
     sigma(x)_{J'J} is defined by x |> m_J = sum_{J'} sigma(x)_{J'J} m_{J'};
     it satisfies the U_q(su(n+1)) relations and is a constant diagonal
-    conjugate of the representation on the normalized components.
+    conjugate of the representation on the normalized components.  Entries
+    are word coefficients times the inverse prefactors of the m_{J'}, taken
+    once per component, so ``matrix`` divides nothing.  rho is the diagonal
+    of sigma(K_2rho) (``k2rho_eigenvalues``).
     """
 
     def __init__(self, av: AlgebraVector):
         self.av = av
         self._word_pos = {next(iter(m.terms)): i for i, m in enumerate(av.monomials)}
-        self._prefactor = [next(iter(m.terms.values())) for m in av.monomials]
-        self._cache: Dict[UqGenerator, List[List[QScalar]]] = {}
+        self._inv_prefactor = [next(iter(m.terms.values())).inv() for m in av.monomials]
 
     @property
     def dimension(self) -> int:
         return len(self.av)
 
     def matrix(self, x: UqGenerator) -> List[List[QScalar]]:
-        cached = self._cache.get(x)
-        if cached is not None:
-            return cached
         k = len(self.av)
         out = [[ZERO] * k for _ in range(k)]
         for j, m in enumerate(self.av.monomials):
@@ -278,8 +275,7 @@ class UqMatrixRep:
                 if w not in self._word_pos:
                     raise ArithmeticError("action does not close on the component span")
                 jp = self._word_pos[w]
-                out[jp][j] = c / self._prefactor[jp]
-        self._cache[x] = out
+                out[jp][j] = c * self._inv_prefactor[jp]
         return out
 
 
@@ -310,17 +306,10 @@ def mat_eq(A, B) -> bool:
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
-def diag_conj(d: Sequence[QScalar], A: Sequence[Sequence[QScalar]], inverse: bool = False) -> List[List[QScalar]]:
-    """d A d^{-1} (or d^{-1} A d) for a diagonal d."""
-    k = len(A)
-    out = [[ZERO] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if A[i][j].is_zero():
-                continue
-            f = d[j] / d[i] if inverse else d[i] / d[j]
-            out[i][j] = A[i][j] * f
-    return out
+def diag_conj(d: Sequence[QScalar], A: Sequence[Sequence[QScalar]]) -> List[List[QScalar]]:
+    """d A d^{-1} for a diagonal d, from one inverse vector (pass d^{-1} for d^{-1} A d)."""
+    d_inv = [x.inv() for x in d]
+    return [[a if a.is_zero() else d[i] * a * d_inv[j] for j, a in enumerate(row)] for i, row in enumerate(A)]
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +338,15 @@ def equivariance_residuals(
     """Residual of the covariance identity for (P'_N, sigma^N), entrywise, per generator.
 
     Works with the diagonally rescaled pair p = U*core and
-    sigma(y)^t = rho^{-1} sigma_comp(y^*) rho, where rho is the diagonal of
-    K_2rho eigenvalues; this is the normalized pair conjugated by a constant
-    diagonal matrix, so the residual vanishes iff the original one does.
-    Each generator's value is the matrix of normalized residual entries
-    (empty == equivariant): each entry is one linear combination of normal
-    forms.  Psi_N, P_N, the component representation, every sigma(y)^t and
-    every x |> p are built once for all of gens, over P (a fresh
-    Presentation(n) if None).
+    sigma(y)^t = diag_conj(rho^{-1}, sigma_comp(y^*)) = rho^{-1} sigma_comp(y^*) rho,
+    where rho is the diagonal of sigma_comp(K_2rho); this is the normalized
+    pair conjugated by a constant diagonal matrix, so the residual vanishes
+    iff the original one does.  Each generator's value is the matrix of
+    normalized residual entries (empty == equivariant): each entry is one
+    linear combination of normal forms.  Psi_N, P_N, the component
+    representation, every sigma(y)^t (one ``matrix`` call each) and every
+    x |> p are built once for all of gens, over P (a fresh Presentation(n)
+    if None).
     """
     for x in gens:
         if x.kind not in _STAR:
@@ -367,7 +357,7 @@ def equivariance_residuals(
     P = av.presentation
     M = _projection(av)
     rep = UqMatrixRep(av)
-    rho = k2rho_eigenvalues(av)
+    rho_inv = [r.inv() for r in k2rho_eigenvalues(av)]
     k = len(av)
     pmat = [[M.scaled_entry(i, j) for j in range(k)] for i in range(k)]
     acted: Dict[UqGenerator, List[List[NCPoly]]] = {}
@@ -375,7 +365,7 @@ def equivariance_residuals(
 
     def sigma_t(y: UqGenerator) -> List[List[QScalar]]:
         if y not in sigmas:
-            sigmas[y] = diag_conj(rho, rep.matrix(gen_star(y)), inverse=True)
+            sigmas[y] = diag_conj(rho_inv, rep.matrix(gen_star(y)))
         return sigmas[y]
 
     def act(gen: UqGenerator) -> List[List[NCPoly]]:
@@ -413,11 +403,10 @@ def check_rn_conjugation(N: int, n: int, x: UqGenerator) -> bool:
     the conjugation implement S^{-2} rather than S^2.
     """
     av = psi(N, n)
-    rep = UqMatrixRep(av)
     rho = k2rho_eigenvalues(av)
-    cs, gs = gen_antipode(x)
-    ci, gi = gen_antipode(x, inverse=True)
-    lhs = diag_conj(rho, mat_transpose(rep.matrix(gs)))
-    lhs = [[cs * e for e in row] for row in lhs]
-    rhs = [[ci * e for e in row] for row in mat_transpose(rep.matrix(gi))]
+    cs, g = gen_antipode(x)
+    ci, _ = gen_antipode(x, inverse=True)  # S^{-1}(x) is a multiple of the same generator g
+    sigma_t = mat_transpose(UqMatrixRep(av).matrix(g))
+    lhs = [[cs * e for e in row] for row in diag_conj(rho, sigma_t)]
+    rhs = [[ci * e for e in row] for row in sigma_t]
     return mat_eq(lhs, rhs)

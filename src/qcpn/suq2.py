@@ -919,14 +919,14 @@ def tau1_pairing(N: int, P: Presentation | None = None) -> QScalar:
     and y entries and traced once.  P is an n = 1 presentation (a new one if None).
     Target value: q^{-4} [N].  Defined for N >= 0 only: ValueError otherwise.
     """
-    from .projections import k2rho_eigenvalues, projection, psi
+    from .projections import _projection, k2rho_eigenvalues, psi
 
     if N < 0:
         raise ValueError(f"tau1 pairing needs N >= 0, got {N}")
-    P = P or Presentation(1)
-    M = projection(N, 1, P)
+    av = psi(N, 1, P)
+    P, M = av.presentation, _projection(av)
     k = len(M)
-    rho_inv = [x.inv() for x in k2rho_eigenvalues(psi(N, 1, P))]
+    rho_inv = [x.inv() for x in k2rho_eigenvalues(av)]
     y = [[dbar(M.core[i][j], P) for j in range(k)] for i in range(k)]
     # x[i][j] = img (dbar core[i][j]^*)^*, where core[i][j]^* = core[j][i] as P_N is selfadjoint
     x = [[fock_image(star(y[j][i], P), P.n) for j in range(k)] for i in range(k)]

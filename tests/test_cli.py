@@ -355,13 +355,19 @@ def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want
         ("pairing", "--n", "2", "--N", "0..2", "--k", "0..0", "--M", "0", "--csv"),
         ("verify", "triple", "--j", "1/2", "--L", "3", "--csv"),
         ("pairing", "--n", "0"),
+        ("normalize", "z0", "--n", "0"),
+        ("pairing", "--n", "1", "--N", "0..0", "--k", "0..0", "--M", "5", "--tol", "nan"),
+        ("pairing", "--n", "1", "--N", "0..0", "--k", "0..0", "--M", "5", "--tol", "-1"),
+        ("pairing", "--n", "1", "--N", "1..1", "--k", "1..1", "--M", "6", "--q", "0.9", "--tol", "inf"),
+        ("verify", "triple", "--j", "1/2", "--L", "12", "--tol", "-1"),
     ],
     ids=["holo-dim", "verify-triple", "pairing", "tau1", "tau1-reversed-range", "holo-dim-fraction",
          "verify-triple-quarter", "identities-negative", "projections-negative-Nmax", "projections-n-0",
          "equivariance-negative-Nmax", "chern-negative-n", "chern-negative-Nmax", "relations-n-0",
          "relations-negative-cases", "equivariance-n-0", "pairing-k-above-n", "tau1-negative-N",
          "spectrum-q-1", "holo-dim-q-1", "pairing-k0-q1", "pairing-M-4", "pairing-M-0-k0",
-         "verify-triple-empty-window", "pairing-n-0"],
+         "verify-triple-empty-window", "pairing-n-0", "normalize-n-0", "pairing-tol-nan", "pairing-tol-negative",
+         "pairing-tol-inf", "verify-triple-tol-negative"],
 )
 def test_cli_input_errors_exit_2(argv):
     code, _, err = run_cli(*argv)
@@ -369,6 +375,8 @@ def test_cli_input_errors_exit_2(argv):
     assert err.startswith("error:")
     if "--n" in argv and argv[argv.index("--n") + 1] == "0":  # every command that takes --n rejects 0 alike
         assert err == "error: --n must be at least 1, got 0\n"
+    if "--tol" in argv:  # NaN would fail every record, inf pass every one, and a negative tol flag every tail
+        assert err == f"error: --tol must be a finite positive number, got {float(argv[argv.index('--tol') + 1])}\n"
 
 
 def test_cli_normalize_same_index_run_does_not_recurse():

@@ -1,5 +1,6 @@
 """Psi_N, P_N, R_N, sigma^N and the covariance identity."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from qcpn.ncpoly import NCPoly, Presentation, UqGenerator, mul, mul_sum, normalize, star, uq_act
 from qcpn.projections import (
+    UqMatrixRep,
     check_equivariance,
     equivariance_residuals,
     check_rn_conjugation,
@@ -23,7 +25,7 @@ from qcpn.projections import (
     sigma_rep,
     weight_matrix,
 )
-from qcpn.qcoeff import ONE, qint, qpow
+from qcpn.qcoeff import ONE, QScalar, qint, qpow
 
 GENS = [UqGenerator(k, 1) for k in ("E", "F", "K", "Kinv")]
 
@@ -124,6 +126,14 @@ def test_weight_matrix():
     for J, ev in zip(av.indices, rho):
         expo = sum(i * (n + 1 - i) * (J[i - 1] - J[i]) for i in range(1, n + 1))
         assert ev == qpow(expo)
+
+
+def test_k2rho_eigenvalues_reject_an_off_diagonal_entry():
+    """rho is the diagonal of sigma(K_2rho): two components on one word put an entry off it."""
+    av = psi(1, 1)
+    m = av.monomials[0]
+    with pytest.raises(ArithmeticError, match="eigenvector"):
+        k2rho_eigenvalues(replace(av, monomials=[m, m.scale(qpow(1))]))
 
 
 def test_sigma_rep_examples():
@@ -265,27 +275,57 @@ def test_equivariance_residuals_match_one_generator_at_a_time(N, n):
 
 @pytest.mark.parametrize("N,n", [(2, 1), (-1, 2)])
 def test_equivariance_residuals_build_psi_and_each_sigma_once(N, n, monkeypatch):
-    """One call builds Psi_N once (P_N reuses it) and conjugates sigma(y)^t once per generator y."""
+    """One call builds Psi_N once (P_N reuses it) and conjugates sigma(y)^t once per generator y.
+
+    The calls are recorded with the matrices they return or receive, so each
+    conjugation is matched to the generator whose sigma it conjugates."""
     from qcpn import projections
 
     gens = [UqGenerator(k, i) for i in range(1, n + 1) for k in ("E", "F", "K", "Kinv")]
     want = equivariance_residuals(N, n, gens)
-    built, conjugated = [], []
-    psi0, diag_conj0 = projections.psi, projections.diag_conj
+    built, matrices, conjugated = [], [], []
+    psi0, matrix0, diag_conj0 = projections.psi, UqMatrixRep.matrix, projections.diag_conj
 
     def counting_psi(*args, **kwargs):
         built.append(args[0])
         return psi0(*args, **kwargs)
 
-    def counting_diag_conj(d, A, inverse=False):
-        conjugated.append(id(A))
-        return diag_conj0(d, A, inverse)
+    def recording_matrix(self, x):
+        A = matrix0(self, x)
+        matrices.append((x, A))
+        return A
+
+    def recording_diag_conj(d, A):
+        conjugated.append([x for x, B in matrices if B is A])
+        return diag_conj0(d, A)
 
     monkeypatch.setattr(projections, "psi", counting_psi)
-    monkeypatch.setattr(projections, "diag_conj", counting_diag_conj)
+    monkeypatch.setattr(UqMatrixRep, "matrix", recording_matrix)
+    monkeypatch.setattr(projections, "diag_conj", recording_diag_conj)
     assert equivariance_residuals(N, n, gens) == want
     assert built == [N]
-    assert len(conjugated) == len(set(conjugated)) == len(gens)
+    assert Counter(x for x, _ in matrices) == Counter(gens + [UqGenerator("K2rho")])
+    assert all(len(xs) == 1 for xs in conjugated)
+    assert Counter(xs[0] for xs in conjugated) == Counter(gens)  # sigma(y^*) for each y: every generator once
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_component_matrices_divide_nothing(n, monkeypatch):
+    """sigma(x) for E_i, F_i, K_i, K_i^-1 and K_2rho multiplies by inverse prefactors taken when
+    the representation is built: no QScalar division."""
+    gens = [UqGenerator(k, i) for i in range(1, n + 1) for k in ("E", "F", "K", "Kinv")] + [UqGenerator("K2rho")]
+    vectors = [psi(N, n) for N in (-2, 0, 2)]
+    want = [[UqMatrixRep(av).matrix(x) for x in gens] for av in vectors]
+    reps = [UqMatrixRep(av) for av in vectors]  # the inverse prefactors are taken here, before counting
+    divisions, div0 = [], QScalar.__truediv__
+
+    def counting_div(a, b):
+        divisions.append((a, b))
+        return div0(a, b)
+
+    monkeypatch.setattr(QScalar, "__truediv__", counting_div)
+    assert [[rep.matrix(x) for x in gens] for rep in reps] == want
+    assert divisions == []
 
 
 @pytest.mark.parametrize("bad", [UqGenerator("K2rho"), UqGenerator("E", 2)], ids=str)

@@ -1146,7 +1146,7 @@ def test_tau1_and_modular_check_rewrite_no_product(monkeypatch):
 
     P = Presentation(1)
     built = {N: projections.projection(N, 1, P) for N in range(4)}
-    monkeypatch.setattr(projections, "projection", lambda N, n, P: built[N])
+    monkeypatch.setattr(projections, "_projection", lambda av: built[av.N])
     calls = []
 
     def counting(original):
@@ -1163,6 +1163,23 @@ def test_tau1_and_modular_check_rewrite_no_product(monkeypatch):
     for a, b in ((A_EL, A_EL), (B_EL, star(B_EL, P1)), (A_EL, B_EL)):
         assert modular_check(a, b, P).is_zero()
     assert calls == []
+
+
+def test_tau1_builds_psi_once_per_N(monkeypatch):
+    """P_N and rho come from one Psi_N: projections.psi runs once per N."""
+    from qcpn import projections
+
+    built, psi0 = [], projections.psi
+
+    def counting_psi(*args, **kwargs):
+        built.append(args[0])
+        return psi0(*args, **kwargs)
+
+    monkeypatch.setattr(projections, "psi", counting_psi)
+    P = Presentation(1)
+    for N in range(4):
+        assert tau1_pairing(N, P) == qpow(-4) * qint(N)
+    assert built == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("N", [-1, -2, -3])
