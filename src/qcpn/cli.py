@@ -261,9 +261,10 @@ def cmd_pairing(args) -> Report:
     )
     unstable = False
     Ns, ks = _int_range(args.N, "--N"), _int_range(args.k, "--k")
+    results = rep_sphere.fredholm_pairings(Ns, ks, args.n, args.M, args.q)
     for N in Ns:
         for k in ks:
-            r = rep_sphere.fredholm_pairing(N, k, args.n, args.M, args.q)
+            r = results[N, k]
             rep.add(PairingRecord("pairing", {"N": N, "k": k}, r.value, r.target, r.error, args.tol))
             if r.tail_estimate > args.tol:
                 unstable = True

@@ -203,13 +203,8 @@ class PairingResult:
         return abs(self.value - self.target)
 
 
-@lru_cache(maxsize=1)
-def _trace_terms(N: int, n: int, q0: float) -> Tuple[Tuple[float, Tuple[int, ...]], ...]:
-    """(u_I c_I^2 at q0, word w_I) for each summand u_I m_I m_I^* of Tr P_{-N}, where m_I = c_I w_I.
-
-    Only the last N is kept: `qcpn pairing` loops over k inside N, so its
-    sweep builds Psi_{-N} once per N.
-    """
+def _trace_terms(N: int, n: int, q0: float) -> List[Tuple[float, Word]]:
+    """(u_I c_I^2 at q0, word w_I) for each summand u_I m_I m_I^* of Tr P_{-N}, where m_I = c_I w_I."""
     from .projections import psi
 
     av = psi(-N, n)
@@ -217,11 +212,37 @@ def _trace_terms(N: int, n: int, q0: float) -> Tuple[Tuple[float, Tuple[int, ...
     for m, u in zip(av.monomials, av.weights):
         (w, c), = m.terms.items()
         terms.append((u.evalf_stable(q0) * c.evalf_stable(q0) ** 2, w))
-    return tuple(terms)
+    return terms
+
+
+# The most labels (M+1)^k of a box {0..M}^k that the pairing builds a representation on.  It admits
+# M = 199 at k = 3 and M = 52 at k = 4; each such sweep over N = 0..n runs in a 2 GB address space.
+MAX_BOX_LABELS = 8_000_000
+
+
+def _check_pairing(N: int, k: int, n: int, M: int, q0: float) -> None:
+    if N < 0:
+        raise ValueError("pairing is stated for P_{-N} with N >= 0")
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n for F_k, got k={k} with n={n}")
+    if not 0.0 < q0 < 1.0:
+        raise ValueError("q0 must lie in (0,1) for the Fock representations")
+    if M < 5:
+        raise ValueError("truncation M must be >= 5: the tail estimate compares the boxes M and M - 4")
+    if (M + 1) ** k > MAX_BOX_LABELS:
+        raise ValueError(f"the box {{0..M}}^k has (M+1)^k = {(M + 1) ** k} labels at M = {M}, k = {k}, "
+                         f"more than the limit {MAX_BOX_LABELS}")
 
 
 def fredholm_pairing(N: int, k: int, n: int, M: int, q0: float) -> PairingResult:
-    """Pairing <[F_k], [P_{-N}]> = Tr((pi_+^{(k)} - pi_-^{(k)})(Tr P_{-N})).
+    """Pairing <[F_k], [P_{-N}]>: one record of ``fredholm_pairings``."""
+    return fredholm_pairings([N], [k], n, M, q0)[N, k]
+
+
+def fredholm_pairings(
+    Ns: Iterable[int], ks: Iterable[int], n: int, M: int, q0: float
+) -> Dict[Tuple[int, int], PairingResult]:
+    """Pairings <[F_k], [P_{-N}]> = Tr((pi_+^{(k)} - pi_-^{(k)})(Tr P_{-N})) for every N in Ns and k in ks.
 
     N >= 0 indexes the line-bundle projection P_{-N}; the target value is the
     binomial coefficient C(N, k).  Tr P_{-N} is kept in the factored form
@@ -233,57 +254,60 @@ def fredholm_pairing(N: int, k: int, n: int, M: int, q0: float) -> PairingResult
     Each letter is a weighted shift (FockRep.shift), so a word m_I maps a
     state to one state: its amplitude is composed right to left on index
     arrays, and the trace over a box sums the squares of the paths that end
-    in it.  Letters only raise labels, so one representation on the box
-    M + N serves both the box M and the box M - 4.
+    in it.  Letters only raise labels, so a path that ends in the box M
+    never leaves it: one representation pi_{k,j} on the box M serves every
+    N, for the box M and the box M - 4 alike.  Each is built once per call
+    and freed after its j; Psi_{-N} is built once per N.
 
     The series converges like q0^{2M} (times M^{k-1} for k >= 2): the
     default q0 = 0.5 with M = 40 is far below every stated tolerance, but
     q0 near 1 needs a much larger box (e.g. q0 = 0.9 wants M ~ 100 for
     1e-8).  tail_estimate is a heuristic, not a bound: it forward-projects a
     pure geometric tail from the M - 4 comparison, and for k >= 2 it runs
-    low by up to 15x.
+    low by up to 15x.  A box of more than MAX_BOX_LABELS labels is refused
+    before anything is built.
     """
-    if N < 0:
-        raise ValueError("pairing is stated for P_{-N} with N >= 0")
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n for F_k, got k={k} with n={n}")
-    if not 0.0 < q0 < 1.0:
-        raise ValueError("q0 must lie in (0,1) for the Fock representations")
-    if M < 5:
-        raise ValueError("truncation M must be >= 5: the tail estimate compares the boxes M and M - 4")
-    terms = [(wt, w) for wt, w in _trace_terms(N, n, q0) if all(letter_index(g) <= k for g in w)]
+    Ns, ks = list(Ns), list(ks)
+    for N in Ns:
+        for k in ks:
+            _check_pairing(N, k, n, M, q0)
+    all_terms = {N: _trace_terms(N, n, q0) for N in dict.fromkeys(Ns)}
 
-    if k == 0:
-        # character representation a -> a (+) 0: value sum of surviving weights
-        val = sum(wt for wt, _ in terms)
-        return PairingResult(val, math.comb(N, k), 0.0)
-
-    totals = [0.0, 0.0]
-    for j in range(k + 1):
-        rep = FockRep(RepSpec(k, j, M + N, q0))
-        # one sentinel state past the basis, mapped to itself with amplitude 0, holds the dead paths
-        shifts = [[np.append(x, dead) for x, dead in zip(rep.shift(i), (-1, 0.0))] for i in range(k + 1)]
-        keeps = [np.append(np.all(rep.labels <= box, axis=0), False) for box in (M, M - 4)]
-        contrib = [0.0, 0.0]
-        for wt, w in terms:
-            idx, amp = np.arange(rep.dimension), np.ones(rep.dimension)
-            for g in reversed(w):
-                tgt, a = shifts[letter_index(g)]
-                amp = a[idx] * amp
-                idx = tgt[idx]
-            # the entries of the generators' sparse product: a lone letter keeps its stored zeros,
-            # a product of two or more drops exact zeros
-            live = idx >= 0 if len(w) < 2 else amp != 0.0
-            for b, keep in enumerate(keeps):
-                contrib[b] += wt * float(np.sum(amp[live & keep[idx]] ** 2))
-        for b in range(2):
-            totals[b] += contrib[b] if j % 2 == 0 else -contrib[b]
-
-    val, val_small = totals
-    # forward-project the geometric tail beyond M from the last 4-step gain
-    r = q0 ** 8
-    tail = abs(val - val_small) * r / (1.0 - r)
-    return PairingResult(val, math.comb(N, k), tail)
+    out = {}
+    for k in dict.fromkeys(ks):
+        terms = {N: [(wt, w) for wt, w in t if all(letter_index(g) <= k for g in w)] for N, t in all_terms.items()}
+        if k == 0:
+            # character representation a -> a (+) 0: value sum of surviving weights
+            out.update({(N, k): PairingResult(sum(wt for wt, _ in t), math.comb(N, k), 0.0) for N, t in terms.items()})
+            continue
+        totals = {N: [0.0, 0.0] for N in terms}
+        for j in range(k + 1):
+            rep = FockRep(RepSpec(k, j, M, q0))
+            # one sentinel state past the basis, mapped to itself with amplitude 0, holds the dead paths
+            shifts = [[np.append(x, dead) for x, dead in zip(rep.shift(i), (-1, 0.0))] for i in range(k + 1)]
+            # every live path ends in the box M; keep_small marks the box M - 4
+            keep_small = np.append(np.all(rep.labels <= M - 4, axis=0), False)
+            for N, t in terms.items():
+                contrib = [0.0, 0.0]
+                for wt, w in t:
+                    idx, amp = np.arange(rep.dimension), np.ones(rep.dimension)
+                    for g in reversed(w):
+                        tgt, a = shifts[letter_index(g)]
+                        amp = a[idx] * amp
+                        idx = tgt[idx]
+                    # the entries of the generators' sparse product: a lone letter keeps its stored zeros,
+                    # a product of two or more drops exact zeros
+                    live = idx >= 0 if len(w) < 2 else amp != 0.0
+                    contrib[0] += wt * float(np.sum(amp[live] ** 2))
+                    contrib[1] += wt * float(np.sum(amp[live & keep_small[idx]] ** 2))
+                for b in range(2):
+                    totals[N][b] += contrib[b] if j % 2 == 0 else -contrib[b]
+            del rep, shifts, keep_small
+        for N, (val, val_small) in totals.items():
+            # forward-project the geometric tail beyond M from the last 4-step gain
+            r = q0 ** 8
+            out[N, k] = PairingResult(val, math.comb(N, k), abs(val - val_small) * r / (1.0 - r))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,7 @@ def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want
         ("pairing", "--n", "1", "--N", "0..0", "--k", "0..0", "--M", "5", "--tol", "-1"),
         ("pairing", "--n", "1", "--N", "1..1", "--k", "1..1", "--M", "6", "--q", "0.9", "--tol", "inf"),
         ("verify", "triple", "--j", "1/2", "--L", "12", "--tol", "-1"),
+        ("pairing", "--n", "3", "--N", "1", "--k", "3", "--M", "1000"),
     ],
     ids=["holo-dim", "verify-triple", "pairing", "tau1", "tau1-reversed-range", "holo-dim-fraction",
          "verify-triple-quarter", "identities-negative", "projections-negative-Nmax", "projections-n-0",
@@ -367,7 +368,7 @@ def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want
          "relations-negative-cases", "equivariance-n-0", "pairing-k-above-n", "tau1-negative-N",
          "spectrum-q-1", "holo-dim-q-1", "pairing-k0-q1", "pairing-M-4", "pairing-M-0-k0",
          "verify-triple-empty-window", "pairing-n-0", "normalize-n-0", "pairing-tol-nan", "pairing-tol-negative",
-         "pairing-tol-inf", "verify-triple-tol-negative"],
+         "pairing-tol-inf", "verify-triple-tol-negative", "pairing-box-too-large"],
 )
 def test_cli_input_errors_exit_2(argv):
     code, _, err = run_cli(*argv)
@@ -377,6 +378,9 @@ def test_cli_input_errors_exit_2(argv):
         assert err == "error: --n must be at least 1, got 0\n"
     if "--tol" in argv:  # NaN would fail every record, inf pass every one, and a negative tol flag every tail
         assert err == f"error: --tol must be a finite positive number, got {float(argv[argv.index('--tol') + 1])}\n"
+    if "1000" in argv:  # the box is refused before anything is allocated, not with a MemoryError
+        assert err == ("error: the box {0..M}^k has (M+1)^k = 1003003001 labels at M = 1000, k = 3, "
+                       "more than the limit 8000000\n")
 
 
 def test_cli_normalize_same_index_run_does_not_recurse():
@@ -532,7 +536,7 @@ def test_readme_cli_examples_parse(tmp_path, monkeypatch):
 
 def test_pairing_builds_psi_once_per_n(monkeypatch):
     """pairing over N = 0..3 and k = 0..3 builds Psi_{-N} 4 times, once per N, not once per (N, k)."""
-    from qcpn import projections, rep_sphere
+    from qcpn import projections
 
     calls, original = [], projections.psi
 
@@ -540,11 +544,27 @@ def test_pairing_builds_psi_once_per_n(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    rep_sphere._trace_terms.cache_clear()
     monkeypatch.setattr(projections, "psi", counting)
     code, _, err = run_cli("pairing", "--n", "3", "--N", "0..3", "--k", "0..3", "--M", "30", "--json")
     assert (code, err) == (0, "")
     assert sorted(calls) == [(-N, 3) for N in (3, 2, 1, 0)]
+
+
+def test_pairing_sweep_builds_each_representation_once(monkeypatch):
+    """pairing over N = 0..3 and k = 0..3 builds pi_{k,j} once per (k, j) on the box M, not once per (N, k, j)."""
+    from qcpn import rep_sphere
+
+    specs, original = [], rep_sphere.FockRep.__init__
+
+    def counting(self, spec):
+        specs.append(spec)
+        original(self, spec)
+
+    monkeypatch.setattr(rep_sphere.FockRep, "__init__", counting)
+    code, _, err = run_cli("pairing", "--n", "3", "--N", "0..3", "--k", "0..3", "--M", "30", "--json")
+    assert (code, err) == (0, "")
+    # RepSpec(k, j, M, q0) names pi_{k,j} by its fields n = k and k = j
+    assert [(s.n, s.k, s.M) for s in specs] == [(k, j, 30) for k in (1, 2, 3) for j in range(k + 1)]
 
 
 @pytest.mark.parametrize("Nmax, built", [(2, [-2, -1, 0, 1, 2]), (0, [0, 1])])

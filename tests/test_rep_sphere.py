@@ -19,6 +19,7 @@ from qcpn.rep_sphere import (
     fock_image,
     fock_states,
     fredholm_pairing,
+    fredholm_pairings,
     pullback,
     rule_violations,
     scale_image,
@@ -326,6 +327,18 @@ def test_pairing_bit_identical_to_sparse_products(q0):
         for n in range(max(k, 1), 4):
             r = fredholm_pairing(N, k, n, M, q0)
             assert (r.value, r.tail_estimate) == _sparse_pairing_reference(N, k, n, M, q0, memo), (n, N, k, M)
+
+
+@pytest.mark.parametrize("q0", [0.3, 0.9])
+@pytest.mark.parametrize("M", [5, 12])
+def test_pairing_sweep_equals_single_records(q0, M):
+    """One sweep over unsorted, repeated N and k gives every record bit for bit as its own call does."""
+    Ns, ks = (3, 1, 1), (2, 0, 3)
+    sweep = fredholm_pairings(Ns, ks, 3, M, q0)
+    assert set(sweep) == set(itertools.product(Ns, ks))
+    for (N, k), r in sweep.items():
+        single = fredholm_pairing(N, k, 3, M, q0)
+        assert (r.value, r.tail_estimate, r.target) == (single.value, single.tail_estimate, single.target), (N, k)
 
 
 # -- exact images in pi_{n,n} -------------------------------------------------------
