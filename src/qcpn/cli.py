@@ -32,8 +32,8 @@ from . import identities, rep_sphere, suq2
 from .ncpoly import NCPoly, Presentation, UqGenerator, mul, mul_sum, normalize, star
 from .parser import ParseError, parse_expr, print_expr
 from .projections import (
+    _selfadjoint_is_idempotent,
     equivariance_residuals,
-    is_projection,
     is_selfadjoint,
     projection,
     psi,
@@ -165,8 +165,9 @@ def cmd_verify_projections(args) -> Report:
     for N in range(-args.Nmax, args.Nmax + 1):
         rep.add(_exact("psi_dag_psi", {"N": N}, psi_dagger_psi(psi(N, args.n, P)) == NCPoly.one()))
         M = projection(N, args.n, P)
-        rep.add(_exact("P^2=P", {"N": N}, is_projection(M)))
-        rep.add(_exact("P=P^dag", {"N": N}, is_selfadjoint(M)))
+        selfadjoint = is_selfadjoint(M)  # is_projection's gate, decided once
+        rep.add(_exact("P^2=P", {"N": N}, selfadjoint and _selfadjoint_is_idempotent(M)))
+        rep.add(_exact("P=P^dag", {"N": N}, selfadjoint))
         if N == 1:
             P1 = M
     rep.add(_exact("qtrace_P1", {"n": args.n}, qtrace(P1) == NCPoly.one()))

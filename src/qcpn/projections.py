@@ -189,15 +189,17 @@ def is_projection(M: AlgebraMatrix) -> bool:
     without sphere reduction is a ValueError; a coefficient that is not
     Laurent raises ``rep_sphere.NotLaurentError``.
     """
-    P, core = M.presentation, M.core
-    if not P.sphere_reduction:
+    if not M.presentation.sphere_reduction:
         raise ValueError("is_projection decides P^2 = P on the sphere: the presentation needs sphere reduction")
-    if not is_selfadjoint(M):
-        return False
-    n, k = P.n, len(M)
+    return is_selfadjoint(M) and _selfadjoint_is_idempotent(M)
+
+
+def _selfadjoint_is_idempotent(M: AlgebraMatrix) -> bool:
+    """P^2 = P for a core already known to be self-adjoint, decided on the images (``is_projection``)."""
+    n, k = M.presentation.n, len(M)
     if rule_violations(n):
         raise ArithmeticError(f"the Fock images break the rewrite rules at n={n} (bug)")
-    img = [[fock_image(e, n) for e in row] for row in core]
+    img = [[fock_image(e, n) for e in row] for row in M.core]
     weighted = [[scale_image(img[l][j], M.weights[l]) for j in range(k)] for l in range(k)]  # U * core
     for i in range(k):
         for j in range(i, k):

@@ -91,6 +91,9 @@ class FockRep:
         self.labels = _cone_labels(spec)  # (n, dimension)
         # flat indices of the labels in the box {0..M}^n; they ascend, as the labels are in lexicographic order
         self._flat = np.ravel_multi_index(self.labels, (spec.M + 1,) * spec.n)
+        # q0 ** e for every exponent e <= 2M + 2 that ``shift`` reads (none at k = 0): the scalar
+        # powers, so amplitudes match the scalar formulas bit for bit
+        self._qpow = np.array([spec.q0 ** e for e in range(2 * spec.M + 3 if spec.k else 0)])
         self._gen_cache: Dict[Tuple[int, bool], sparse.csr_matrix] = {}
 
     @cached_property
@@ -121,14 +124,12 @@ class FockRep:
         state even where the amplitude underflows to 0.0; the shifting letters
         drop amplitude 0.0.
         """
-        n, k, M, q0 = self.spec.n, self.spec.k, self.spec.M, self.spec.q0
+        n, k, M = self.spec.n, self.spec.k, self.spec.M
         tgt = np.full(self.dimension, -1)
         amp = np.zeros(self.dimension)
         if i > k:  # z_i = 0 for i > k
             return tgt, amp
-        # the scalar powers q0 ** e, so amplitudes match the scalar formulas bit for bit
-        qpow = np.array([q0 ** e for e in range(2 * M + 3)])
-        m = self.labels[:k]
+        qpow, m = self._qpow, self.labels[:k]
         if i == k:
             # z_0 at k = 0 is the projection onto strictly decreasing strings; z_k multiplies by q0^{m_k}
             amp[:] = 1.0 if k == 0 else qpow[m[k - 1]]

@@ -29,7 +29,7 @@ from scipy import sparse
 
 from .ncpoly import NCPoly, Presentation, UqGenerator, coproduct_act, letter, star, uq_act
 from .qcoeff import ONE, ZERO, QScalar, qint, qpow
-from .rep_sphere import Image, compose_sum, fock_image, rule_violations, scale_image, word_operator
+from .rep_sphere import MAX_BOX_LABELS, Image, compose_sum, fock_image, rule_violations, scale_image, word_operator
 
 Lmn = Tuple[int, int, int]  # doubled (2l, 2m, 2n)
 
@@ -39,11 +39,19 @@ def _shell_offset(l2: np.ndarray) -> np.ndarray:
     return l2 * (l2 + 1) * (2 * l2 + 1) // 6
 
 
+def _pow(q0: float, x: float) -> float:
+    """q0 ** x, or inf where it overflows the float range (only x < 0 can, as 0 < q0 < 1)."""
+    try:
+        return q0 ** x
+    except OverflowError:
+        return math.inf
+
+
 def _brk(q0: float, x: float) -> float:
-    """Numeric q-bracket [x] at q0."""
+    """Numeric q-bracket [x] at q0; +-inf, with the sign of x, where q0 ** -|x| overflows."""
     if x == 0:
         return 0.0
-    return (q0 ** x - q0 ** (-x)) / (q0 - 1.0 / q0)
+    return (_pow(q0, x) - _pow(q0, -x)) / (q0 - 1.0 / q0)
 
 
 def _ladder_args(kind: str, l2, n2):
@@ -61,12 +69,17 @@ class SUq2Box:
 
     The basis is ordered by l, then m, then n.  ``lmn`` holds its doubled
     labels as a (3, dim) integer array; ``_locate`` maps labels back to
-    basis indices.
+    basis indices.  A box of more than ``MAX_BOX_LABELS`` states is refused
+    (ValueError) before anything is allocated.
     """
 
     def __init__(self, L: int, q0: float):
         if not (0.0 < q0 < 1.0):
             raise ValueError("q0 must lie in (0,1)")
+        states = (2 * L + 1) * (2 * L + 2) * (4 * L + 3) // 6  # the sum of (l2 + 1)^2 for l2 <= 2L
+        if states > MAX_BOX_LABELS:
+            raise ValueError(f"the box l <= L = {L} has (2L+1)(2L+2)(4L+3)/6 = {states} states, "
+                             f"more than the limit {MAX_BOX_LABELS}")
         self.L = L
         self.q0 = q0
         shell = np.arange(2 * L + 1)
@@ -77,10 +90,11 @@ class SUq2Box:
         self.vac = 0  # |0,0,0> is the whole l = 0 shell
         # q0^x and [x] at every half-integer |x| <= 3L + 4 (the largest operator
         # exponent), indexed by 2x + _half0; the scalar values, so the vectorised
-        # amplitudes equal the displayed formulas bit for bit
+        # amplitudes equal the displayed formulas bit for bit.  Where they overflow
+        # they are +-inf, which ``_assemble`` refuses only in an entry it keeps.
         self._half0 = 6 * L + 8
         xs = [k / 2 for k in range(-self._half0, self._half0 + 1)]
-        self._qpow = np.array([q0 ** x for x in xs])
+        self._qpow = np.array([_pow(q0, x) for x in xs])
         self._qbrk = np.array([_brk(q0, x) for x in xs])
         self._ops: Dict[str, sparse.csr_matrix] = {}
 
@@ -110,17 +124,22 @@ class SUq2Box:
         are the positions of the basis ``lmn`` and the matrix is square,
         otherwise they are box indices, (box dim, number of columns).  Zero
         amplitudes and targets past the truncation wall or outside the basis
-        are dropped; amplitudes at dropped targets may be inf or nan.
+        are dropped; amplitudes at dropped targets may be inf or nan.  A kept
+        amplitude that is not finite (a q0-power past the float range) raises
+        ArithmeticError.
         """
         l2, m2, n2 = lmn
         rows, cols, vals = [], [], []
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             terms = entries(l2 / 2.0, m2 / 2.0, n2 / 2.0)
         for (dl2, dm2, dn2), amp in terms:
             tgt = self._locate(l2 + dl2, m2 + dm2, n2 + dn2)
             if pos is not None:
                 tgt = np.where(tgt >= 0, pos[tgt], -1)
             keep = (tgt >= 0) & (amp != 0.0)
+            if not np.all(np.isfinite(amp[keep])):
+                raise ArithmeticError(f"an operator entry on the box l <= L = {self.L} overflows the float range "
+                                      f"at q0 = {self.q0}")
             rows.append(tgt[keep])
             cols.append(np.flatnonzero(keep))
             vals.append(amp[keep])
@@ -892,12 +911,18 @@ def holo_dim(N: int, L: int, q0: float) -> HoloReport:
     n = -N/2, where L_F translates labels n -> n + 1.  The kernel is spanned by the
     states whose radicand has a zero argument, which must sit at l = |N|/2, away from
     the wall.  Only the slice is built; its float links, the entries of ``SUq2Box.lf()``
-    bit for bit, give the margins.
+    bit for bit, give the margins (inf where they overflow the float range).  A slice of
+    more than ``MAX_BOX_LABELS`` states is refused (ValueError) before anything is built.
     """
     if 2 * L < abs(N) + 6:
         raise ValueError("truncation too small")
     if not (0.0 < q0 < 1.0):
         raise ValueError("q0 must lie in (0,1)")
+    shells = (2 * L - abs(N)) // 2 + 1  # l2 = |N|, |N| + 2, .., 2L, with l2 + 1 states each
+    states = shells * (abs(N) + shells)
+    if states > MAX_BOX_LABELS:
+        raise ValueError(f"the slice n = -N/2 of the box l <= L has {states} states at N = {N}, L = {L}, "
+                         f"more than the limit {MAX_BOX_LABELS}")
     l2 = np.repeat(np.arange(abs(N), 2 * L + 1, 2), np.arange(abs(N) + 1, 2 * L + 2, 2))  # each l once per m
     a, b = _ladder_args("F", l2, -N)
     zero = (a == 0) | (b == 0)
@@ -1009,15 +1034,24 @@ def triple_axiom_suite(j2: int, L: int, q0: float) -> Dict[str, float]:
     so A carries none of the cancellation of its sphere-reduced normal form
     q^{-2} - q^{-2} z0^* z0, and the residuals stay at rounding level: at most
     4.0e-15 for j <= 5/2, L <= 19 and q0 in {0.3, 0.5, 0.8}.
-    ``commutator_norm_drift[a]`` is the relative change of ||[D, a]|| on the
-    interior window from the L box to the L + 3 box, a proxy for
-    boundedness.  Both norms are exact (``_block_norm``, which asserts the
-    block structure it relies on), so the drift measures the truncation
-    only: 2.5e-8 for B at j = 1/2, L = 16, q0 = 0.5.  A window that holds
-    no state of H_j is an input error (ValueError).
+
+    One triple is built, on the box L + 3, and the residuals are read on the
+    window l <= L - 3.  Every product there sums over states with l <= L - 2,
+    so the wall does not reach it: the window entries are those of any box
+    l <= L or larger.  ``commutator_norm_drift[a]`` is the relative change of
+    the exact norm of [D, a] (``_block_norm``, which asserts the block
+    structure it relies on) from that window to the window l <= L, a proxy
+    for boundedness.  Both windows are exact, so the drift is not a
+    truncation error: it is how much the window norm still grows with the
+    window, as ||[D, B]|| rises with l toward a supremum that no finite
+    window reaches (2.5e-8 for B at j = 1/2, L = 16, q0 = 0.5).  L must
+    satisfy 2L >= 2j + 4, and a window l <= L - 3 that holds no state of
+    H_j is an input error (ValueError).
     """
-    st = build_triple(j2, L, q0)
-    win = st.interior(3)
+    st = build_triple(j2, L + 3, q0)
+    if 2 * L < j2 + 4:
+        raise ValueError("truncation L too small for this j")
+    win = st.interior(6)
     if not len(win):
         raise ValueError(f"the interior window l <= L - 3 = {L - 3} holds no state of H_j at j = {j2}/2")
     D = st.dirac()
@@ -1046,14 +1080,10 @@ def triple_axiom_suite(j2: int, L: int, q0: float) -> Dict[str, float]:
             res[f"order0[{na},{nb}]"] = _maxabs(ma @ jb - jb @ ma, win)
             res[f"order1[{na},{nb}]"] = _maxabs(da @ jb - jb @ da, win)
 
-    # boundedness proxy: the operator norm of [D, a] must be stable in L
-    big = build_triple(j2, L + 3, q0)
-    Db, winb = big.dirac(), big.interior(3)
-    for nm, ab in _closed_forms(big).items():
-        norms = [
-            _block_norm(comm.tocsr()[np.ix_(w, w)], tri.labels[:, w], j2)
-            for tri, comm, w in ((st, das[nm], win), (big, Db @ ab - ab @ Db, winb))
-        ]
+    # boundedness proxy: the operator norm of [D, a] must be stable as the window grows to l <= L
+    wide = st.interior(3)
+    for nm, da in das.items():
+        norms = [_block_norm(da.tocsr()[np.ix_(w, w)], st.labels[:, w], j2) for w in (win, wide)]
         res[f"commutator_norm_drift[{nm}]"] = abs(norms[1] - norms[0]) / max(norms[0], 1e-12)
     return res
 
@@ -1108,7 +1138,9 @@ def dirac_spectrum_check(j2: int, L: int, q0: float) -> Tuple[int, List[Tuple[fl
 
     D swaps the two slots of each pair (n, n + 1): L_F maps the lower member up, L_E the upper one
     down.  With no state failing, D^2 is diagonal, exactly [l-n][l+n+1] on the lower member and
-    [l-n+1][l+n] on the upper; the spectrum lists these as (eigenvalue, multiplicity).
+    [l-n+1][l+n] on the upper; the spectrum lists these as (eigenvalue, multiplicity).  Each
+    eigenvalue is the square of an entry of D_j, so where one would overflow the float range,
+    assembling D_j has raised ArithmeticError already.
     """
     st = build_triple(j2, L, q0)
     l2, _, n2 = st.labels

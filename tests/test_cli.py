@@ -327,6 +327,19 @@ def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want
         assert want in out
 
 
+# boxes refused on their state counts before anything is allocated, with the exact messages;
+# verify triple builds the box L + 3
+_BOX_TOO_LARGE = {
+    ("spectrum", "--j", "1/2", "--L", "400"):
+        "error: the box l <= L = 400 has (2L+1)(2L+2)(4L+3)/6 = 171628401 states, more than the limit 8000000\n",
+    ("verify", "triple", "--j", "1/2", "--L", "400"):
+        "error: the box l <= L = 403 has (2L+1)(2L+2)(4L+3)/6 = 175511740 states, more than the limit 8000000\n",
+    ("holo-dim", "--N=0", "--L", "100000"):
+        "error: the slice n = -N/2 of the box l <= L has 10000200001 states at N = 0, L = 100000, "
+        "more than the limit 8000000\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -361,6 +374,7 @@ def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want
         ("pairing", "--n", "1", "--N", "1..1", "--k", "1..1", "--M", "6", "--q", "0.9", "--tol", "inf"),
         ("verify", "triple", "--j", "1/2", "--L", "12", "--tol", "-1"),
         ("pairing", "--n", "3", "--N", "1", "--k", "3", "--M", "1000"),
+        *_BOX_TOO_LARGE,
     ],
     ids=["holo-dim", "verify-triple", "pairing", "tau1", "tau1-reversed-range", "holo-dim-fraction",
          "verify-triple-quarter", "identities-negative", "projections-negative-Nmax", "projections-n-0",
@@ -368,7 +382,8 @@ def test_cli_config_spellings_and_errors(tmp_path, monkeypatch, argv, text, want
          "relations-negative-cases", "equivariance-n-0", "pairing-k-above-n", "tau1-negative-N",
          "spectrum-q-1", "holo-dim-q-1", "pairing-k0-q1", "pairing-M-4", "pairing-M-0-k0",
          "verify-triple-empty-window", "pairing-n-0", "normalize-n-0", "pairing-tol-nan", "pairing-tol-negative",
-         "pairing-tol-inf", "verify-triple-tol-negative", "pairing-box-too-large"],
+         "pairing-tol-inf", "verify-triple-tol-negative", "pairing-box-too-large", "spectrum-box-too-large",
+         "verify-triple-box-too-large", "holo-dim-slice-too-large"],
 )
 def test_cli_input_errors_exit_2(argv):
     code, _, err = run_cli(*argv)
@@ -381,6 +396,21 @@ def test_cli_input_errors_exit_2(argv):
     if "1000" in argv:  # the box is refused before anything is allocated, not with a MemoryError
         assert err == ("error: the box {0..M}^k has (M+1)^k = 1003003001 labels at M = 1000, k = 3, "
                        "more than the limit 8000000\n")
+    if argv in _BOX_TOO_LARGE:
+        assert err == _BOX_TOO_LARGE[argv]
+
+
+def test_cli_q_powers_past_the_float_range():
+    """Powers and brackets past the float range are +-inf, which only a kept entry may not read: spectrum
+    (q0 = 0.1) and holo-dim (only its unprinted margins overflow) pass; verify triple assembles an
+    overflowing entry of A on the box L + 3 = 108 and exits 3 naming q0 and L."""
+    for argv in (("spectrum", "--j", "1/2", "--L", "110", "--q", "0.1", "--json"),
+                 ("holo-dim", "--N=-2..0", "--L", "1030", "--json")):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, ""), argv
+        assert all(r["pass"] for r in json.loads(out)["records"]), argv
+    code, _, err = run_cli("verify", "triple", "--j", "1/2", "--L", "105", "--q", "0.1")
+    assert (code, err) == (3, "error: an operator entry on the box l <= L = 108 overflows the float range at q0 = 0.1\n")
 
 
 def test_cli_normalize_same_index_run_does_not_recurse():
@@ -411,6 +441,23 @@ def test_cli_normalize_letter_across_a_long_lower_index_run():
     """z1 crosses z0^12000 in one q-power step: no recursion per letter, so no exit 3."""
     code, out, err = run_cli("normalize", "z1 z0^12000", "--n", "1")
     assert (code, out, err) == (0, "q^12000 * z0^12000 z1\n", "")
+
+
+def test_cli_verify_projections_decides_selfadjointness_once_per_N(monkeypatch):
+    """Each N runs one is_selfadjoint, which gates P^2 = P and is the P = P^dag record."""
+    from qcpn import projections
+
+    calls, original = [], projections.is_selfadjoint
+
+    def counting(M):
+        calls.append(M.N)
+        return original(M)
+
+    monkeypatch.setattr(projections, "is_selfadjoint", counting)
+    monkeypatch.setattr(cli, "is_selfadjoint", counting)
+    code, out, _ = run_cli("verify", "projections", "--n", "1", "--Nmax", "2", "--json")
+    assert code == 0 and len(json.loads(out)["records"]) == 3 * 5 + 1
+    assert calls == [-2, -1, 0, 1, 2]
 
 
 def test_cli_verify_equivariance_n3():

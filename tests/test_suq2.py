@@ -61,6 +61,26 @@ def box():
     return SUq2Box(9, Q0)
 
 
+def test_box_tables_hold_overflow_as_inf():
+    """Past the float range the q0-power table holds +inf and the bracket table +-inf with the sign of x;
+    every other entry is the scalar q0 ** x."""
+    box = SUq2Box(110, 0.1)
+    xs = np.arange(-box._half0, box._half0 + 1) / 2
+    over = xs < -308  # 0.1 ** -308 = 1e308 is the last finite power
+    assert over.any() and np.all(box._qpow[over] == np.inf)
+    assert box._qpow[~over].tolist() == [0.1 ** x for x in xs[~over].tolist()]
+    big = np.abs(xs) > 308
+    assert np.all(box._qbrk[big] == np.sign(xs[big]) * np.inf)
+    assert np.all(np.isfinite(box._qbrk[~big]))
+
+
+def test_box_refuses_more_states_than_the_limit():
+    """L = 143 has 7,921,200 states, L = 144 has 8,087,665: the larger is refused before anything is built."""
+    with pytest.raises(ValueError, match=r"^the box l <= L = 144 has \(2L\+1\)\(2L\+2\)\(4L\+3\)/6 = 8087665 states, "
+                                         r"more than the limit 8000000$"):
+        SUq2Box(144, 0.5)
+
+
 def test_ab_match_generator_products(box):
     win = box.interior(2)
     d = (box.a_op() - box.generator("beta*") @ box.beta()).tocsr()
@@ -303,7 +323,7 @@ def test_triple_suite_builds_no_box_operator(monkeypatch):
 
     monkeypatch.setattr(SUq2Box, "__init__", recording)
     triple_axiom_suite(3, 16, 0.3)
-    assert [b.L for b in boxes] == [16, 19]
+    assert [b.L for b in boxes] == [19]
     assert all(b._ops == {} for b in boxes)
 
 
@@ -321,6 +341,59 @@ def test_triple_suite_takes_no_word_product(monkeypatch):
     for name in ("uq_act", "Presentation"):
         monkeypatch.setattr(suq2, name, forbidden)
     assert triple_axiom_suite(3, 8, 0.3) == want
+
+
+def _two_triple_reference(j2, L, q0):
+    """The suite as it was on two boxes: residuals on the box L, the drift from its window to the box L + 3's."""
+    st = build_triple(j2, L, q0)
+    win = st.interior(3)
+    if not len(win):
+        raise ValueError(f"the interior window l <= L - 3 = {L - 3} holds no state of H_j at j = {j2}/2")
+    D, G, J = st.dirac(), st.grading(), st.real_structure()
+    eye = sparse.identity(st.dim, format="csr")
+    res = {
+        "J2+1": _maxabs(J @ J + eye, win),
+        "JD-DJ": _maxabs(J @ D - D @ J, win),
+        "Jg+gJ": _maxabs(J @ G + G @ J, win),
+        "g2-1": _maxabs(G @ G - eye, win),
+        "gD+Dg": _maxabs(G @ D + D @ G, win),
+    }
+    reps = _closed_forms(st)
+    th = st.assemble(st.box._theta_terms)
+    rights = {nm: qpow(-_CLOSED_FORM_WT[nm]).evalf_stable(q0) * (th @ mb @ th) for nm, mb in reps.items()}
+    jbs = {nb: J @ mb @ J.transpose() for nb, mb in reps.items()}
+    for nb, jb in jbs.items():
+        res[f"JbJ-rightmult[{nb}]"] = _maxabs(jb - rights[nb], win)
+    das = {na: D @ ma - ma @ D for na, ma in reps.items()}
+    for na, ma in reps.items():
+        for nb, jb in jbs.items():
+            res[f"order0[{na},{nb}]"] = _maxabs(ma @ jb - jb @ ma, win)
+            res[f"order1[{na},{nb}]"] = _maxabs(das[na] @ jb - jb @ das[na], win)
+    big = build_triple(j2, L + 3, q0)
+    Db, winb = big.dirac(), big.interior(3)
+    for nm, ab in _closed_forms(big).items():
+        norms = [
+            _block_norm(comm.tocsr()[np.ix_(w, w)], tri.labels[:, w], j2)
+            for tri, comm, w in ((st, das[nm], win), (big, Db @ ab - ab @ Db, winb))
+        ]
+        res[f"commutator_norm_drift[{nm}]"] = abs(norms[1] - norms[0]) / max(norms[0], 1e-12)
+    return res
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@pytest.mark.parametrize("j2", [1, 3, 5, 7])
+def test_triple_suite_on_one_box_equals_two_boxes(j2):
+    """On the one box L + 3 the suite gives the two-box dicts exactly, and the same ValueError where it rejects."""
+    for L in (4, 5, 6, 8, 11, 16, 23, 30):
+        for q0 in (0.1, 0.3, 0.5, 0.8, 0.9):
+            assert _outcome(triple_axiom_suite, j2, L, q0) == _outcome(_two_triple_reference, j2, L, q0), (L, q0)
 
 
 @pytest.mark.parametrize("j2", [1, 3])
@@ -1080,6 +1153,15 @@ def test_holo_dim_kernel_never_reaches_the_wall():
             for q0 in (0.1, 0.5, 0.9):
                 r = holo_dim(N, L, q0)
                 assert (r.boundary_safe, r.largest_dropped) == (True, 0.0), (N, L, q0)
+
+
+@pytest.mark.parametrize("N, L, states", [(0, 2828, 2829 ** 2), (-3, 2828, 2827 * 2830), (3, 2828, 2827 * 2830)])
+def test_holo_dim_refuses_a_slice_past_the_limit(N, L, states):
+    """The slice holds the sum of l2 + 1 over l2 = |N|, |N| + 2, .., 2L states; at L = 2828 that passes
+    8,000,000 (by one shell) and is refused before anything is built."""
+    with pytest.raises(ValueError, match=rf"has {states} states at N = {N}, L = {L}, more than the limit 8000000$"):
+        holo_dim(N, L, Q0)
+    assert holo_dim(N, 12, Q0).dimension == (abs(N) + 1 if N <= 0 else 0)
 
 
 def test_dbar_kills_holomorphic_generators():
