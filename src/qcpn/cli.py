@@ -32,10 +32,10 @@ from . import identities, rep_sphere, suq2
 from .ncpoly import NCPoly, Presentation, UqGenerator, mul, mul_sum, normalize, star
 from .parser import ParseError, parse_expr, print_expr
 from .projections import (
+    _projection,
     _selfadjoint_is_idempotent,
     equivariance_residuals,
     is_selfadjoint,
-    projection,
     psi,
     psi_dagger_psi,
     qtrace,
@@ -161,10 +161,11 @@ def cmd_verify_projections(args) -> Report:
     _at_least(args, 0, "Nmax")
     rep = Report("projection suite", metadata={"n": args.n, "Nmax": args.Nmax})
     P = Presentation(args.n)
-    P1 = projection(1, args.n, P) if args.Nmax == 0 else None  # else the loop builds it at N = 1
+    P1 = _projection(psi(1, args.n, P)) if args.Nmax == 0 else None  # else the loop builds it at N = 1
     for N in range(-args.Nmax, args.Nmax + 1):
-        rep.add(_exact("psi_dag_psi", {"N": N}, psi_dagger_psi(psi(N, args.n, P)) == NCPoly.one()))
-        M = projection(N, args.n, P)
+        av = psi(N, args.n, P)  # one Psi_N for both checks
+        rep.add(_exact("psi_dag_psi", {"N": N}, psi_dagger_psi(av) == NCPoly.one()))
+        M = _projection(av)
         selfadjoint = is_selfadjoint(M)  # is_projection's gate, decided once
         rep.add(_exact("P^2=P", {"N": N}, selfadjoint and _selfadjoint_is_idempotent(M)))
         rep.add(_exact("P=P^dag", {"N": N}, selfadjoint))

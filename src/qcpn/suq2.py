@@ -22,6 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -37,6 +38,14 @@ Lmn = Tuple[int, int, int]  # doubled (2l, 2m, 2n)
 def _shell_offset(l2: np.ndarray) -> np.ndarray:
     """Basis index of the first state of shell l2: the sum of (k+1)^2 for k < l2."""
     return l2 * (l2 + 1) * (2 * l2 + 1) // 6
+
+
+def _slice_labels(n2: int, L: int) -> np.ndarray:
+    """Doubled labels (3, count) of the slice 2n = n2 of the box l <= L, in box order (by l, then m):
+    shell 2l = |n2| + 2k holds |n2| + 2k + 1 states and starts at position k(|n2| + k)."""
+    a, shells = abs(n2), np.arange(max((2 * L - abs(n2)) // 2 + 1, 0))
+    k = np.repeat(shells, a + 1 + 2 * shells)  # each state's shell 2l = a + 2k; 2m = 2 (position in it) - 2l
+    return np.stack([a + 2 * k, 2 * (np.arange(len(k)) - k * (a + k)) - a - 2 * k, np.full_like(k, n2)])
 
 
 def _pow(q0: float, x: float) -> float:
@@ -68,9 +77,9 @@ class SUq2Box:
     """Truncated left-regular representation of A(SU_q(2)) with l <= L.
 
     The basis is ordered by l, then m, then n.  ``lmn`` holds its doubled
-    labels as a (3, dim) integer array; ``_locate`` maps labels back to
-    basis indices.  A box of more than ``MAX_BOX_LABELS`` states is refused
-    (ValueError) before anything is allocated.
+    labels as a (3, dim) integer array, built on first use; ``_locate`` maps
+    labels back to basis indices.  A box of more than ``MAX_BOX_LABELS``
+    states is refused (ValueError) before anything is allocated.
     """
 
     def __init__(self, L: int, q0: float):
@@ -82,11 +91,7 @@ class SUq2Box:
                              f"more than the limit {MAX_BOX_LABELS}")
         self.L = L
         self.q0 = q0
-        shell = np.arange(2 * L + 1)
-        l2 = np.repeat(shell, (shell + 1) ** 2)
-        pos = np.arange(len(l2)) - _shell_offset(l2)
-        self.lmn = np.stack([l2, 2 * (pos // (l2 + 1)) - l2, 2 * (pos % (l2 + 1)) - l2])
-        self.dim = len(l2)
+        self.dim = states
         self.vac = 0  # |0,0,0> is the whole l = 0 shell
         # q0^x and [x] at every half-integer |x| <= 3L + 4 (the largest operator
         # exponent), indexed by 2x + _half0; the scalar values, so the vectorised
@@ -97,6 +102,12 @@ class SUq2Box:
         self._qpow = np.array([_pow(q0, x) for x in xs])
         self._qbrk = np.array([_brk(q0, x) for x in xs])
         self._ops: Dict[str, sparse.csr_matrix] = {}
+
+    @cached_property
+    def lmn(self) -> np.ndarray:
+        l2 = np.repeat(np.arange(2 * self.L + 1), np.arange(1, 2 * self.L + 2) ** 2)
+        pos = np.arange(self.dim) - _shell_offset(l2)
+        return np.stack([l2, 2 * (pos // (l2 + 1)) - l2, 2 * (pos % (l2 + 1)) - l2])
 
     def _q(self, x: np.ndarray) -> np.ndarray:
         """q0 ** x at a half-integer array x."""
@@ -114,28 +125,24 @@ class SUq2Box:
     # -- generic builder -------------------------------------------------------
 
     def _assemble(self, entries: Callable[..., List[Tuple[Lmn, np.ndarray]]], lmn: np.ndarray,
-                  pos: Optional[np.ndarray] = None) -> sparse.csr_matrix:
+                  locate: Optional[Callable[..., np.ndarray]] = None) -> sparse.csr_matrix:
         """The operator with amplitudes ``entries`` on the states with doubled labels ``lmn``, one per column.
 
         ``entries(l, m, n)`` receives the labels as float arrays and returns
         (shift, amplitude) terms: each column |l,m,n> maps to the doubled label
-        plus ``shift`` with that amplitude.  A target is located in the box;
-        when ``pos`` (box index -> position, -1 outside) is given, the rows
-        are the positions of the basis ``lmn`` and the matrix is square,
-        otherwise they are box indices, (box dim, number of columns).  Zero
-        amplitudes and targets past the truncation wall or outside the basis
-        are dropped; amplitudes at dropped targets may be inf or nan.  A kept
-        amplitude that is not finite (a q0-power past the float range) raises
-        ArithmeticError.
+        plus ``shift`` with that amplitude.  ``locate`` (labels -> position in
+        the basis ``lmn``, -1 outside) gives the rows of a square matrix; without
+        it they are box indices (``_locate``), (box dim, number of columns).  Zero
+        amplitudes and targets past the wall or outside the basis are dropped;
+        amplitudes at dropped targets may be inf or nan.  A kept amplitude that
+        is not finite (a q0-power past the float range) raises ArithmeticError.
         """
         l2, m2, n2 = lmn
         rows, cols, vals = [], [], []
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             terms = entries(l2 / 2.0, m2 / 2.0, n2 / 2.0)
         for (dl2, dm2, dn2), amp in terms:
-            tgt = self._locate(l2 + dl2, m2 + dm2, n2 + dn2)
-            if pos is not None:
-                tgt = np.where(tgt >= 0, pos[tgt], -1)
+            tgt = (locate or self._locate)(l2 + dl2, m2 + dm2, n2 + dn2)
             keep = (tgt >= 0) & (amp != 0.0)
             if not np.all(np.isfinite(amp[keep])):
                 raise ArithmeticError(f"an operator entry on the box l <= L = {self.L} overflows the float range "
@@ -143,7 +150,7 @@ class SUq2Box:
             rows.append(tgt[keep])
             cols.append(np.flatnonzero(keep))
             vals.append(amp[keep])
-        shape = (lmn.shape[1] if pos is not None else self.dim, lmn.shape[1])
+        shape = (lmn.shape[1] if locate else self.dim, lmn.shape[1])
         return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
 
     def _build(self, name: str, entries: Callable[..., List[Tuple[Lmn, np.ndarray]]]) -> sparse.csr_matrix:
@@ -324,7 +331,7 @@ class SUq2Box:
 
     def gamma_slice(self, N: int) -> np.ndarray:
         """Basis indices of (truncated) Gamma_N: states with n = -N/2, ascending."""
-        return np.flatnonzero(self.lmn[2] == -N)
+        return self._locate(*_slice_labels(-N, self.L))
 
 
 # ---------------------------------------------------------------------------
@@ -378,22 +385,20 @@ def _hplus(j2, n2):
 class SpectralTriple:
     """(A(CP^1_q), H_j, D_j, gamma_j, J_j) on the truncated box.
 
-    H_j = (+)_{n=-j..j} W_n.  Its basis is the box states of slot n = -j,
-    then of n = -j + 1, ..., up to n = j, each slot in box order (l, then m):
-    position k of H_j is box state ``sel[k]``, with doubled labels
-    ``labels[:, k]``, and ``pos`` maps a box index back to its position
-    (-1 outside H_j).  Slot n lies in H_j^+ or H_j^- as ``_hplus`` says.
-    D_j, J_j and the closed forms (``assemble``) are built on H_j alone from
-    these labels; no operator on the rest of the box is built.  J is stored
-    as a real matrix to be applied together with complex conjugation (all
-    our data is real).
+    H_j = (+)_{n=-j..j} W_n.  Its basis is the box states of slot n = -j, then
+    of n = -j + 1, ..., up to n = j, each slot in box order (``_slice_labels``):
+    position k of H_j has doubled labels ``labels[:, k]`` and is box state
+    ``sel[k]``, and ``_locate`` maps labels back to positions (-1 outside H_j).
+    Slot n lies in H_j^+ or H_j^- as ``_hplus`` says.  D_j, J_j and the closed
+    forms (``assemble``) are built on H_j alone from these labels; nothing of
+    box size is built.  J is stored as a real matrix to be applied together
+    with complex conjugation (all our data is real).
     """
 
     j2: int  # 2j, odd
     box: SUq2Box
     sel: np.ndarray = field(init=False)  # box index of each basis vector of H_j
     labels: np.ndarray = field(init=False)  # (3, dim) doubled (l, m, n)
-    pos: np.ndarray = field(init=False)  # position in H_j of each box index, -1 outside
     dim: int = field(init=False)
 
     def __post_init__(self):
@@ -401,15 +406,21 @@ class SpectralTriple:
             raise ValueError("j must be a positive half-integer")
         if 2 * self.box.L < self.j2 + 4:
             raise ValueError("truncation L too small for this j")
-        self.sel = np.concatenate([self.box.gamma_slice(-n2) for n2 in range(-self.j2, self.j2 + 1, 2)])
-        self.labels = self.box.lmn[:, self.sel]
-        self.dim = len(self.sel)
-        self.pos = np.full(self.box.dim, -1)
-        self.pos[self.sel] = np.arange(self.dim)
+        slots = [_slice_labels(n2, self.box.L) for n2 in range(-self.j2, self.j2 + 1, 2)]
+        self._start = np.cumsum([0] + [s.shape[1] for s in slots])  # position of each slot's first state
+        self.labels = np.concatenate(slots, axis=1)
+        self.sel = self.box._locate(*self.labels)
+        self.dim = self.labels.shape[1]
+
+    def _locate(self, l2: np.ndarray, m2: np.ndarray, n2: np.ndarray) -> np.ndarray:
+        """Position in H_j of each doubled label, or -1 past the wall or off H_j."""
+        a, slot, k = np.abs(n2), (n2 + self.j2) // 2, (l2 - np.abs(n2)) // 2
+        ok = (a <= self.j2) & (2 * slot == n2 + self.j2) & (a <= l2) & (l2 <= 2 * self.box.L) & (np.abs(m2) <= l2)
+        return np.where(ok, self._start[np.clip(slot, 0, self.j2)] + k * (a + k) + (m2 + l2) // 2, -1)
 
     def assemble(self, entries) -> sparse.csr_matrix:
         """The operator with the box amplitudes ``entries`` (e.g. ``box._a_terms``) on H_j alone."""
-        return self.box._assemble(entries, self.labels, self.pos)
+        return self.box._assemble(entries, self.labels, self._locate)
 
     def dirac(self) -> sparse.csr_matrix:
         """D_j: L_E on the columns of H_j^+ (slot n to n - 1), L_F on those of H_j^- (n to n + 1).
@@ -690,9 +701,8 @@ def _p_operator(box: SUq2Box) -> sparse.csr_matrix:
 
 
 def _sector_labels(top2: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Doubled labels (2l, 2m) of the integer sectors with 2l <= top2, ordered by l, then m."""
-    l2 = np.repeat(np.arange(0, top2 + 1, 2), np.arange(1, top2 + 2, 2))
-    return l2, 2 * (np.arange(len(l2)) - (l2 // 2) ** 2) - l2
+    """Doubled labels (2l, 2m) of the integer sectors with 2l <= top2, ordered by l, then m: the slice n = 0."""
+    return tuple(_slice_labels(0, top2 // 2)[:2])
 
 
 def _sector_columns(box: SUq2Box, sec_l: np.ndarray, sec_m: np.ndarray, slots: List[int]):
@@ -910,9 +920,9 @@ def holo_dim(N: int, L: int, q0: float) -> HoloReport:
     The connection is q^{N/2-1} (.) <| F, realized as -q^{N/2-2} L_F on the slice
     n = -N/2, where L_F translates labels n -> n + 1.  The kernel is spanned by the
     states whose radicand has a zero argument, which must sit at l = |N|/2, away from
-    the wall.  Only the slice is built; its float links, the entries of ``SUq2Box.lf()``
-    bit for bit, give the margins (inf where they overflow the float range).  A slice of
-    more than ``MAX_BOX_LABELS`` states is refused (ValueError) before anything is built.
+    the wall.  A link depends on l only, so the margins are one float link per shell, the
+    entry of ``SUq2Box.lf()`` bit for bit (inf past the float range), and a shell counts
+    2l + 1 states.  A slice of more than ``MAX_BOX_LABELS`` states is refused (ValueError).
     """
     if 2 * L < abs(N) + 6:
         raise ValueError("truncation too small")
@@ -923,11 +933,11 @@ def holo_dim(N: int, L: int, q0: float) -> HoloReport:
     if states > MAX_BOX_LABELS:
         raise ValueError(f"the slice n = -N/2 of the box l <= L has {states} states at N = {N}, L = {L}, "
                          f"more than the limit {MAX_BOX_LABELS}")
-    l2 = np.repeat(np.arange(abs(N), 2 * L + 1, 2), np.arange(abs(N) + 1, 2 * L + 2, 2))  # each l once per m
+    l2 = np.arange(abs(N), 2 * L + 1, 2)  # one link per shell, which holds l2 + 1 states
     a, b = _ladder_args("F", l2, -N)
     zero = (a == 0) | (b == 0)
     links = np.sqrt([_brk(q0, x / 2) * _brk(q0, y / 2) for x, y in zip(a.tolist(), b.tolist())])
-    return HoloReport(int(zero.sum()), bool(np.all(l2[zero] == abs(N))),
+    return HoloReport(int((l2 + 1)[zero].sum()), bool(np.all(l2[zero] == abs(N))),
                       float(links[~zero].min(initial=float("inf"))), float(links[zero].max(initial=0.0)))
 
 
@@ -1104,8 +1114,7 @@ def index_regularized_trace(j2: int, L: int, q0: float) -> float:
     p22 = box.a_op().diagonal()
     total = 0.0
     for n2 in range(-j2, j2 + 1, 2):
-        sl = box.gamma_slice(-n2)
-        sl = sl[box.lmn[0][sl] <= 2 * L - 4]
+        sl = box._locate(*_slice_labels(n2, L - 2))  # the slot n on l <= L - 2
         tr = float(np.sum(p11[sl]) + np.sum(p22[sl]))
         total += tr if _hplus(j2, n2) else -tr
     return total

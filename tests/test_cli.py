@@ -616,17 +616,24 @@ def test_pairing_sweep_builds_each_representation_once(monkeypatch):
 
 @pytest.mark.parametrize("Nmax, built", [(2, [-2, -1, 0, 1, 2]), (0, [0, 1])])
 def test_verify_projections_builds_each_projection_once(monkeypatch, Nmax, built):
-    """qtrace_P1 reuses the loop's P_1; only at Nmax = 0 is P_1 built for it alone."""
-    calls, original = [], cli.projection
+    """One Psi_N per N serves psi_dag_psi and P_N; qtrace_P1 reuses the loop's P_1, and only at Nmax = 0
+    are Psi_1 and P_1 built for it alone."""
+    psis, projs = [], []
+    psi, projection = cli.psi, cli._projection
 
-    def counting(N, n, P=None):
-        calls.append(N)
-        return original(N, n, P)
+    def counting_psi(N, n, P=None):
+        psis.append(N)
+        return psi(N, n, P)
 
-    monkeypatch.setattr(cli, "projection", counting)
+    def counting_projection(av):
+        projs.append(av.N)
+        return projection(av)
+
+    monkeypatch.setattr(cli, "psi", counting_psi)
+    monkeypatch.setattr(cli, "_projection", counting_projection)
     code, out, err = run_cli("verify", "projections", "--n", "2", "--Nmax", str(Nmax), "--json")
     assert (code, err) == (0, "")
-    assert sorted(calls) == built
+    assert sorted(psis) == sorted(projs) == built
     assert json.loads(out)["records"][-1]["name"] == "qtrace_P1"
 
 

@@ -14,6 +14,7 @@ from scipy.sparse import csgraph
 from qcpn.ncpoly import NCPoly, Presentation, UqGenerator, letter, lincomb, mul, normalize, star, uq_act
 from qcpn.qcoeff import ONE, ZERO, QScalar, is_positive_at_q, qint, qpow
 from qcpn.suq2 import (
+    HoloReport,
     SUq2Box,
     _CLOSED_FORM_WT,
     _block_norm,
@@ -21,6 +22,7 @@ from qcpn.suq2 import (
     _brk,
     _hplus,
     _hplus_slots,
+    _ladder_args,
     _maxabs,
     build_triple,
     casimir_block_check,
@@ -489,6 +491,45 @@ def test_grading_eigenvalues():
     expected = [1.0 if ((st.j2 + n2) // 2 + 1) % 2 == 0 else -1.0 for n2 in st.labels[2].tolist()]
     assert G.nnz == st.dim
     assert G.diagonal().tolist() == expected
+
+
+@pytest.mark.parametrize("j2, L", [(1, 5), (3, 8), (7, 12)])
+def test_triple_locator_is_the_inverse_of_its_labels(j2, L):
+    """_locate reads each label of H_j back to its position; a box label off H_j or past the wall, or no
+    label at all, gives -1."""
+    st = build_triple(j2, L, Q0)
+    assert np.array_equal(st._locate(*st.labels), np.arange(st.dim))
+    where = {lmn: k for k, lmn in enumerate(zip(*st.labels.tolist()))}
+    wide = SUq2Box(L + 2, Q0).lmn  # the wall shells 2L + 1 .. 2L + 4, and the slots |n| > j
+    want = [where.get(lmn, -1) for lmn in zip(*wide.tolist())]
+    assert st._locate(*wide).tolist() == want and want.count(-1) == wide.shape[1] - st.dim
+    # columns: l < 0, |m| > l, |n| > l, an even 2n, |n| > j
+    off = np.array([[-1, 1, 3, 1, 1], [1, 5, 1, 0, 0], [1, 1, 5, 0, -j2 - 2]])
+    assert st._locate(*off).tolist() == [-1] * 5
+
+
+@pytest.mark.parametrize("j2, L", [(1, 16), (3, 16)])
+def test_triple_holds_nothing_of_box_size(monkeypatch, j2, L):
+    """After the suite's operators and the spectrum check, neither the triple nor its box holds an array
+    or matrix with as many entries as the box has states."""
+    from qcpn import suq2
+
+    built, original = [], suq2.build_triple
+
+    def keep(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(suq2, "build_triple", keep)
+    triple_axiom_suite(j2, L, Q0)
+    dirac_spectrum_check(j2, L, Q0)
+    assert len(built) == 2
+    for st in built:
+        big = [name for owner in (st, st.box) for name, value in vars(owner).items()
+               for v in (value.values() if isinstance(value, dict) else [value])
+               if (isinstance(v, np.ndarray) and v.size >= st.box.dim)
+               or (sparse.issparse(v) and max(v.shape) >= st.box.dim)]
+        assert big == [] and st.dim < st.box.dim // 10, big
 
 
 @pytest.mark.parametrize("j2, L", [(1, 5), (3, 8), (7, 12)])
@@ -1153,6 +1194,31 @@ def test_holo_dim_kernel_never_reaches_the_wall():
             for q0 in (0.1, 0.5, 0.9):
                 r = holo_dim(N, L, q0)
                 assert (r.boundary_safe, r.largest_dropped) == (True, 0.0), (N, L, q0)
+
+
+def _per_state_holo(N, L, q0):
+    """holo_dim's earlier body: the slice with one entry per state, two scalar brackets each."""
+    l2 = np.repeat(np.arange(abs(N), 2 * L + 1, 2), np.arange(abs(N) + 1, 2 * L + 2, 2))  # each l once per m
+    a, b = _ladder_args("F", l2, -N)
+    zero = (a == 0) | (b == 0)
+    links = np.sqrt([_brk(q0, x / 2) * _brk(q0, y / 2) for x, y in zip(a.tolist(), b.tolist())])
+    return HoloReport(int(zero.sum()), bool(np.all(l2[zero] == abs(N))),
+                      float(links[~zero].min(initial=float("inf"))), float(links[zero].max(initial=0.0)))
+
+
+def test_holo_dim_per_shell_equals_per_state():
+    """One link per shell gives the per-state report on all four fields, bit for bit, also where the
+    brackets overflow: at q0 = 0.1 and L = 320, at q0 = 0.5 and L = 1030, and at N = -620, where the
+    kernel link is 0 * inf = nan (a nan field must be nan on both sides)."""
+    cases = [(N, L, q0) for N in range(-10, 4) for q0 in (0.1, 0.5, 0.9) for L in ((abs(N) + 7) // 2, 16)]
+    cases += [(N, 320, 0.1) for N in (-10, -3, 0, 3)] + [(0, 1030, 0.5), (-2, 1030, 0.5), (-620, 313, 0.1)]
+    overflow = 0
+    for N, L, q0 in cases:
+        got, want = holo_dim(N, L, q0), _per_state_holo(N, L, q0)
+        assert all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in
+                   zip(vars(got).values(), vars(want).values())), (N, L, q0, got, want)
+        overflow += _brk(q0, L + 1) == math.inf  # [L + 1], a bracket of the top shell at N = 0
+    assert overflow == 7
 
 
 @pytest.mark.parametrize("N, L, states", [(0, 2828, 2829 ** 2), (-3, 2828, 2827 * 2830), (3, 2828, 2827 * 2830)])
