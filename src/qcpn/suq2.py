@@ -35,17 +35,27 @@ from .rep_sphere import MAX_BOX_LABELS, Image, compose_sum, fock_image, rule_vio
 Lmn = Tuple[int, int, int]  # doubled (2l, 2m, 2n)
 
 
-def _shell_offset(l2: np.ndarray) -> np.ndarray:
-    """Basis index of the first state of shell l2: the sum of (k+1)^2 for k < l2."""
-    return l2 * (l2 + 1) * (2 * l2 + 1) // 6
-
-
 def _slice_labels(n2: int, L: int) -> np.ndarray:
-    """Doubled labels (3, count) of the slice 2n = n2 of the box l <= L, in box order (by l, then m):
-    shell 2l = |n2| + 2k holds |n2| + 2k + 1 states and starts at position k(|n2| + k)."""
+    """Doubled labels (3, count) of the slice 2n = n2 of the box l <= L, by l, then m, as every label set lays
+    out its slices (``_slice_run``): shell 2l = |n2| + 2k holds |n2| + 2k + 1 states from position k(|n2| + k)."""
     a, shells = abs(n2), np.arange(max((2 * L - abs(n2)) // 2 + 1, 0))
     k = np.repeat(shells, a + 1 + 2 * shells)  # each state's shell 2l = a + 2k; 2m = 2 (position in it) - 2l
     return np.stack([a + 2 * k, 2 * (np.arange(len(k)) - k * (a + k)) - a - 2 * k, np.full_like(k, n2)])
+
+
+def _slice_run(n2s: range, L: int) -> Callable[..., np.ndarray]:
+    """Locator of the slices 2n in ``n2s`` (|2n| <= 2L) of the box l <= L, in turn, each as ``_slice_labels``
+    orders it: doubled labels -> position, or -1 off those slices, past the wall or where |m| > l."""
+    a = np.abs(np.asarray(n2s))
+    s = (2 * L - a) // 2 + 1  # shells of each slice, which holds s(|2n| + s) states
+    first = np.full(4 * L + 1, -1)  # position of the first state of slice 2n = -2L..2L, -1 off the run
+    first[np.asarray(n2s) + 2 * L] = np.cumsum(s * (a + s)) - s * (a + s)
+
+    def locate(l2: np.ndarray, m2: np.ndarray, n2: np.ndarray) -> np.ndarray:
+        at = first[np.clip(n2 + 2 * L, 0, 4 * L)]  # shell 2l starts k(|2n| + k) = (l2^2 - n2^2)/4 further on
+        ok = (at >= 0) & (np.abs(n2) <= l2) & (l2 <= 2 * L) & (np.abs(m2) <= l2)
+        return np.where(ok, at + (l2 * l2 - n2 * n2) // 4 + (m2 + l2) // 2, -1)
+    return locate
 
 
 def _pow(q0: float, x: float) -> float:
@@ -76,8 +86,9 @@ def _qint_sign(*args2: int) -> int:
 class SUq2Box:
     """Truncated left-regular representation of A(SU_q(2)) with l <= L.
 
-    The basis is ordered by l, then m, then n.  ``lmn`` holds its doubled
-    labels as a (3, dim) integer array, built on first use; ``_locate`` maps
+    The basis is the slices 2n = -2L, ..., 2L in turn, each by l, then m
+    (``_slice_labels``).  ``lmn`` holds its doubled labels as a (3, dim)
+    integer array, built on first use; ``_locate`` (a ``_slice_run``) maps
     labels back to basis indices.  A box of more than ``MAX_BOX_LABELS``
     states is refused (ValueError) before anything is allocated.
     """
@@ -92,7 +103,8 @@ class SUq2Box:
         self.L = L
         self.q0 = q0
         self.dim = states
-        self.vac = 0  # |0,0,0> is the whole l = 0 shell
+        self._locate = _slice_run(range(-2 * L, 2 * L + 1), L)
+        self.vac = int(self._locate(0, 0, 0))  # |0,0,0>, the first state of the slice n = 0
         # q0^x and [x] at every half-integer |x| <= 3L + 4 (the largest operator
         # exponent), indexed by 2x + _half0; the scalar values, so the vectorised
         # amplitudes equal the displayed formulas bit for bit.  Where they overflow
@@ -105,9 +117,7 @@ class SUq2Box:
 
     @cached_property
     def lmn(self) -> np.ndarray:
-        l2 = np.repeat(np.arange(2 * self.L + 1), np.arange(1, 2 * self.L + 2) ** 2)
-        pos = np.arange(self.dim) - _shell_offset(l2)
-        return np.stack([l2, 2 * (pos // (l2 + 1)) - l2, 2 * (pos % (l2 + 1)) - l2])
+        return np.concatenate([_slice_labels(n2, self.L) for n2 in range(-2 * self.L, 2 * self.L + 1)], axis=1)
 
     def _q(self, x: np.ndarray) -> np.ndarray:
         """q0 ** x at a half-integer array x."""
@@ -117,11 +127,6 @@ class SUq2Box:
         """The q-bracket [x] at a half-integer array x."""
         return self._qbrk[(2 * x).astype(np.intp) + self._half0]
 
-    def _locate(self, l2: np.ndarray, m2: np.ndarray, n2: np.ndarray) -> np.ndarray:
-        """Basis index of each doubled label, or -1 past the wall or off the shell."""
-        ok = (l2 >= 0) & (l2 <= 2 * self.L) & (np.abs(m2) <= l2) & (np.abs(n2) <= l2)
-        return np.where(ok, _shell_offset(l2) + (m2 + l2) // 2 * (l2 + 1) + (n2 + l2) // 2, -1)
-
     # -- generic builder -------------------------------------------------------
 
     def _assemble(self, entries: Callable[..., List[Tuple[Lmn, np.ndarray]]], lmn: np.ndarray,
@@ -130,12 +135,13 @@ class SUq2Box:
 
         ``entries(l, m, n)`` receives the labels as float arrays and returns
         (shift, amplitude) terms: each column |l,m,n> maps to the doubled label
-        plus ``shift`` with that amplitude.  ``locate`` (labels -> position in
-        the basis ``lmn``, -1 outside) gives the rows of a square matrix; without
-        it they are box indices (``_locate``), (box dim, number of columns).  Zero
-        amplitudes and targets past the wall or outside the basis are dropped;
-        amplitudes at dropped targets may be inf or nan.  A kept amplitude that
-        is not finite (a q0-power past the float range) raises ArithmeticError.
+        plus ``shift`` with that amplitude.  ``locate`` (a ``_slice_run``:
+        labels -> position in the basis ``lmn``, -1 outside) gives the rows of
+        a square matrix; without it they are box indices (``_locate``), (box
+        dim, number of columns).  Zero amplitudes and targets past the wall or
+        outside the basis are dropped; amplitudes at dropped targets may be inf
+        or nan.  A kept amplitude that is not finite (a q0-power past the float
+        range) raises ArithmeticError.
         """
         l2, m2, n2 = lmn
         rows, cols, vals = [], [], []
@@ -385,10 +391,10 @@ def _hplus(j2, n2):
 class SpectralTriple:
     """(A(CP^1_q), H_j, D_j, gamma_j, J_j) on the truncated box.
 
-    H_j = (+)_{n=-j..j} W_n.  Its basis is the box states of slot n = -j, then
-    of n = -j + 1, ..., up to n = j, each slot in box order (``_slice_labels``):
-    position k of H_j has doubled labels ``labels[:, k]`` and is box state
-    ``sel[k]``, and ``_locate`` maps labels back to positions (-1 outside H_j).
+    H_j = (+)_{n=-j..j} W_n, laid out as the box: the slots n = -j, ..., j in
+    turn, each in ``_slice_labels`` order.  Position k has doubled labels
+    ``labels[:, k]`` and is box state ``sel[k]``; ``_locate``, a ``_slice_run``
+    as is ``SUq2Box._locate``, maps labels back to positions (-1 off H_j).
     Slot n lies in H_j^+ or H_j^- as ``_hplus`` says.  D_j, J_j and the closed
     forms (``assemble``) are built on H_j alone from these labels; nothing of
     box size is built.  J is stored as a real matrix to be applied together
@@ -406,17 +412,11 @@ class SpectralTriple:
             raise ValueError("j must be a positive half-integer")
         if 2 * self.box.L < self.j2 + 4:
             raise ValueError("truncation L too small for this j")
-        slots = [_slice_labels(n2, self.box.L) for n2 in range(-self.j2, self.j2 + 1, 2)]
-        self._start = np.cumsum([0] + [s.shape[1] for s in slots])  # position of each slot's first state
-        self.labels = np.concatenate(slots, axis=1)
+        slots = range(-self.j2, self.j2 + 1, 2)
+        self.labels = np.concatenate([_slice_labels(n2, self.box.L) for n2 in slots], axis=1)
+        self._locate = _slice_run(slots, self.box.L)
         self.sel = self.box._locate(*self.labels)
         self.dim = self.labels.shape[1]
-
-    def _locate(self, l2: np.ndarray, m2: np.ndarray, n2: np.ndarray) -> np.ndarray:
-        """Position in H_j of each doubled label, or -1 past the wall or off H_j."""
-        a, slot, k = np.abs(n2), (n2 + self.j2) // 2, (l2 - np.abs(n2)) // 2
-        ok = (a <= self.j2) & (2 * slot == n2 + self.j2) & (a <= l2) & (l2 <= 2 * self.box.L) & (np.abs(m2) <= l2)
-        return np.where(ok, self._start[np.clip(slot, 0, self.j2)] + k * (a + k) + (m2 + l2) // 2, -1)
 
     def assemble(self, entries) -> sparse.csr_matrix:
         """The operator with the box amplitudes ``entries`` (e.g. ``box._a_terms``) on H_j alone."""
@@ -917,12 +917,12 @@ class HoloReport:
 def holo_dim(N: int, L: int, q0: float) -> HoloReport:
     """Kernel dimension of the holomorphic connection on Gamma_N, decided on the labels.
 
-    The connection is q^{N/2-1} (.) <| F, realized as -q^{N/2-2} L_F on the slice
-    n = -N/2, where L_F translates labels n -> n + 1.  The kernel is spanned by the
-    states whose radicand has a zero argument, which must sit at l = |N|/2, away from
-    the wall.  A link depends on l only, so the margins are one float link per shell, the
-    entry of ``SUq2Box.lf()`` bit for bit (inf past the float range), and a shell counts
-    2l + 1 states.  A slice of more than ``MAX_BOX_LABELS`` states is refused (ValueError).
+    The connection is q^{N/2-1} (.) <| F, realized as -q^{N/2-2} L_F on the slice n = -N/2, where L_F
+    translates labels n -> n + 1.  The kernel is spanned by the states whose radicand has a zero argument,
+    which must sit at l = |N|/2, away from the wall.  A link depends on l only, so the margins are one float
+    link per shell, 0.0 on the kernel by its label and elsewhere the entry of ``SUq2Box.lf()`` bit for bit
+    (inf past the float range), and a shell counts 2l + 1 states.  A slice of more than ``MAX_BOX_LABELS``
+    states is refused (ValueError).
     """
     if 2 * L < abs(N) + 6:
         raise ValueError("truncation too small")
@@ -936,7 +936,7 @@ def holo_dim(N: int, L: int, q0: float) -> HoloReport:
     l2 = np.arange(abs(N), 2 * L + 1, 2)  # one link per shell, which holds l2 + 1 states
     a, b = _ladder_args("F", l2, -N)
     zero = (a == 0) | (b == 0)
-    links = np.sqrt([_brk(q0, x / 2) * _brk(q0, y / 2) for x, y in zip(a.tolist(), b.tolist())])
+    links = np.where(zero, 0.0, np.sqrt([_brk(q0, x / 2) * _brk(q0, y / 2) for x, y in zip(a.tolist(), b.tolist())]))
     return HoloReport(int((l2 + 1)[zero].sum()), bool(np.all(l2[zero] == abs(N))),
                       float(links[~zero].min(initial=float("inf"))), float(links[zero].max(initial=0.0)))
 
@@ -1058,9 +1058,9 @@ def triple_axiom_suite(j2: int, L: int, q0: float) -> Dict[str, float]:
     satisfy 2L >= 2j + 4, and a window l <= L - 3 that holds no state of
     H_j is an input error (ValueError).
     """
-    st = build_triple(j2, L + 3, q0)
     if 2 * L < j2 + 4:
         raise ValueError("truncation L too small for this j")
+    st = build_triple(j2, L + 3, q0)
     win = st.interior(6)
     if not len(win):
         raise ValueError(f"the interior window l <= L - 3 = {L - 3} holds no state of H_j at j = {j2}/2")

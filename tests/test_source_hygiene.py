@@ -1,4 +1,5 @@
-"""Static checks on src/qcpn with the stdlib ast: no unused imports, no dead private names, no dead definitions.
+"""Static checks on src/qcpn with the stdlib ast: no unused imports, no dead private names, no dead definitions;
+and no line of src/qcpn longer than 120 characters.
 
 An import counts as used when its bound name appears as a name anywhere in
 the module, string annotations included.  A private module-level name (one
@@ -130,6 +131,12 @@ def test_every_definition_is_named_elsewhere():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     dead = [f"{path.name}:{line} {name}" for path in MODULES for name, line in _definitions(_tree(path)) if name not in refs]
     assert not dead, "definitions nothing names: " + ", ".join(dead)
+
+
+def test_no_line_longer_than_120_characters():
+    long = [f"{path.name}:{i}" for path in MODULES for i, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > 120]
+    assert not long, "lines longer than 120 characters: " + ", ".join(long)
 
 
 def test_cli_import_leaves_out_slow_scipy_modules():

@@ -24,6 +24,7 @@ from qcpn.suq2 import (
     _hplus_slots,
     _ladder_args,
     _maxabs,
+    _slice_labels,
     build_triple,
     casimir_block_check,
     chain_b_vanishes,
@@ -508,6 +509,19 @@ def test_triple_locator_is_the_inverse_of_its_labels(j2, L):
     assert st._locate(*off).tolist() == [-1] * 5
 
 
+@pytest.mark.parametrize("L", [3, 6])
+def test_box_layout_is_its_slices_in_turn(L):
+    """The box is the slices 2n = -2L..2L in turn, each in ``_slice_labels`` order; _locate reads each label
+    back to its position and gives -1 where l < 0, |m| > l, |n| > l or l is past the wall; vac is |0,0,0>."""
+    box = SUq2Box(L, Q0)
+    assert np.array_equal(box._locate(*box.lmn), np.arange(box.dim))
+    assert np.array_equal(box.lmn, np.concatenate([_slice_labels(n2, L) for n2 in range(-2 * L, 2 * L + 1)], axis=1))
+    # columns: l < 0, |m| > l, |n| > l, l past the wall (at n = 0 and at |n| = 2L)
+    off = np.array([[-1, 1, 3, 2 * L + 2, 2 * L + 1], [1, 5, 1, 0, 1], [1, 1, 5, 0, 2 * L]])
+    assert box._locate(*off).tolist() == [-1] * 5
+    assert box.lmn[:, box.vac].tolist() == [0, 0, 0]
+
+
 @pytest.mark.parametrize("j2, L", [(1, 16), (3, 16)])
 def test_triple_holds_nothing_of_box_size(monkeypatch, j2, L):
     """After the suite's operators and the spectrum check, neither the triple nor its box holds an array
@@ -534,7 +548,8 @@ def test_triple_holds_nothing_of_box_size(monkeypatch, j2, L):
 
 @pytest.mark.parametrize("j2, L", [(1, 5), (3, 8), (7, 12)])
 def test_triple_basis_layout(j2, L):
-    """H_j is the slots n = -j..j in turn, each in box order; _hplus is the H_j^+ parity rule."""
+    """H_j is the slots n = -j..j in turn, each in ``_slice_labels`` order, as the box is laid out (so each
+    slot is a contiguous run of box states); _hplus is the H_j^+ parity rule."""
     st = build_triple(j2, L, Q0)
     slices = [st.box.gamma_slice(-n2) for n2 in range(-j2, j2 + 1, 2)]
     assert st.sel.tolist() == np.concatenate(slices).tolist()
@@ -1188,20 +1203,22 @@ def test_holo_dim(N, expected):
 
 def test_holo_dim_kernel_never_reaches_the_wall():
     """An L_F argument (l2 + N, l2 - N + 2) is zero only at l2 = |N| with N <= 0, so no zero link sits at
-    the wall: boundary_safe holds and largest_dropped is exactly 0.0 whatever N, L and q0."""
-    for N in range(-20, 21):
-        for L in (13, 16, 25):
-            for q0 in (0.1, 0.5, 0.9):
-                r = holo_dim(N, L, q0)
-                assert (r.boundary_safe, r.largest_dropped) == (True, 0.0), (N, L, q0)
+    the wall: boundary_safe holds and largest_dropped is exactly 0.0 whatever N, L and q0, also at
+    N = -620, L = 313, q0 = 0.1, where the other bracket of the kernel link, [621/2], is inf."""
+    cases = [(N, L, q0) for N in range(-20, 21) for L in (13, 16, 25) for q0 in (0.1, 0.5, 0.9)]
+    for N, L, q0 in cases + [(-620, 313, 0.1)]:
+        r = holo_dim(N, L, q0)
+        assert (r.boundary_safe, r.largest_dropped) == (True, 0.0), (N, L, q0)
 
 
 def _per_state_holo(N, L, q0):
-    """holo_dim's earlier body: the slice with one entry per state, two scalar brackets each."""
+    """holo_dim's earlier body: the slice with one entry per state, two scalar brackets each off the kernel,
+    and 0.0 on it by its label."""
     l2 = np.repeat(np.arange(abs(N), 2 * L + 1, 2), np.arange(abs(N) + 1, 2 * L + 2, 2))  # each l once per m
     a, b = _ladder_args("F", l2, -N)
     zero = (a == 0) | (b == 0)
-    links = np.sqrt([_brk(q0, x / 2) * _brk(q0, y / 2) for x, y in zip(a.tolist(), b.tolist())])
+    brackets = [_brk(q0, x / 2) * _brk(q0, y / 2) for x, y in zip(a.tolist(), b.tolist())]
+    links = np.where(zero, 0.0, np.sqrt(brackets))
     return HoloReport(int(zero.sum()), bool(np.all(l2[zero] == abs(N))),
                       float(links[~zero].min(initial=float("inf"))), float(links[zero].max(initial=0.0)))
 
@@ -1209,14 +1226,13 @@ def _per_state_holo(N, L, q0):
 def test_holo_dim_per_shell_equals_per_state():
     """One link per shell gives the per-state report on all four fields, bit for bit, also where the
     brackets overflow: at q0 = 0.1 and L = 320, at q0 = 0.5 and L = 1030, and at N = -620, where the
-    kernel link is 0 * inf = nan (a nan field must be nan on both sides)."""
+    kernel link is 0.0 by its label although its other bracket is inf, so no field is nan."""
     cases = [(N, L, q0) for N in range(-10, 4) for q0 in (0.1, 0.5, 0.9) for L in ((abs(N) + 7) // 2, 16)]
     cases += [(N, 320, 0.1) for N in (-10, -3, 0, 3)] + [(0, 1030, 0.5), (-2, 1030, 0.5), (-620, 313, 0.1)]
     overflow = 0
     for N, L, q0 in cases:
         got, want = holo_dim(N, L, q0), _per_state_holo(N, L, q0)
-        assert all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in
-                   zip(vars(got).values(), vars(want).values())), (N, L, q0, got, want)
+        assert vars(got) == vars(want), (N, L, q0, got, want)
         overflow += _brk(q0, L + 1) == math.inf  # [L + 1], a bracket of the top shell at N = 0
     assert overflow == 7
 
