@@ -979,41 +979,66 @@ def tau1_pairing(N: int, P: Presentation | None = None) -> QScalar:
 # ---------------------------------------------------------------------------
 
 
+def _window_entries(mat: sparse.spmatrix, keep: np.ndarray) -> Tuple[sparse.csr_matrix, np.ndarray]:
+    """``mat`` (square) as CSR with duplicates summed in place, and the mask of its stored entries on keep x keep.
+
+    One boolean mask over the states in ``keep``: repeated over ``indptr`` it
+    marks the rows, read at ``indices`` it marks the columns.  No fancy
+    indexing of a sparse matrix, and no copy of its arrays but the kept ones.
+    """
+    csr = mat.tocsr()
+    csr.sum_duplicates()
+    mask = np.zeros(csr.shape[0], dtype=bool)
+    mask[keep] = True
+    return csr, np.repeat(mask, np.diff(csr.indptr)) & mask[csr.indices]
+
+
+def _window(mat: sparse.spmatrix, keep: np.ndarray) -> sparse.csr_matrix:
+    """``mat`` on rows and columns ``keep`` (increasing, no repeats), as canonical CSR, from ``_window_entries``."""
+    csr, take = _window_entries(mat, keep)
+    before = np.concatenate(([0], np.cumsum(take)))  # window entries stored before each stored entry
+    indptr = np.append(before[csr.indptr[keep]], before[-1])
+    indices = np.searchsorted(keep, csr.indices[take])
+    return sparse.csr_matrix((csr.data[take], indices, indptr), shape=(len(keep), len(keep)))
+
+
 def _maxabs(mat: sparse.spmatrix, keep: np.ndarray) -> float:
     """max |entry| on the window keep x keep (implicit zeros count, as in the dense matrix)."""
-    sub = mat.tocsr()[np.ix_(keep, keep)]
-    return float(abs(sub).max()) if sub.shape[0] else 0.0
+    csr, take = _window_entries(mat, keep)
+    return float(np.abs(csr.data[take]).max(initial=0.0))
 
 
 def _block_norm(mat: sparse.spmatrix, labels: np.ndarray, j2: int) -> float:
-    """Operator norm of a commutator [D_j, a] on a window of H_j, exactly, from its diagonal blocks.
+    """Operator norm of a commutator [D_j, a] on a window of H_j, exactly, from its slot blocks.
 
     ``labels`` holds the doubled (l, m, n) of each basis state of the window,
-    rows and columns alike.  The slots pair up as (n, n + 1) from n = -j, so
-    slot n2 lies in pair (n2 + j2) // 4.  D_j only joins the two slots of a
-    pair and keeps m; a in {A, B, B^*} keeps the slot and shifts m by one fixed
-    dm.  So every nonzero entry joins a column (pair, m2) to a row
-    (pair, m2 + dm), the operator is the direct sum of these blocks, and its
-    norm is their largest singular value, from one batched SVD of the
-    zero-padded blocks.  An entry that joins two pairs, or a second m-shift,
-    raises ArithmeticError.
+    rows and columns alike.  Slot n2 is number (n2 + j2) // 2, and the slots
+    pair up as (n, n + 1) from n = -j, so the partner of slot s is s ^ 1.
+    D_j swaps the two slots of a pair and keeps m; a in {A, B, B^*} keeps the
+    slot and shifts m by one fixed dm.  So every nonzero entry joins a column
+    (s, m2) to a row (s ^ 1, m2 + dm), a one-to-one map of blocks: the
+    operator is the direct sum of these blocks, and its norm is their largest
+    singular value, from one batched SVD of the blocks zero-padded to the
+    largest.  An entry that does not go to the partner slot, or a second
+    m-shift, raises ArithmeticError.
     """
     _, m2, n2 = labels
-    pair = (n2 + j2) // 4
+    slot = (n2 + j2) // 2
     coo = sparse.coo_matrix(mat)
     coo.sum_duplicates()
     coo.eliminate_zeros()
     if not coo.nnz:
         return 0.0
     rows, cols = coo.row, coo.col
-    if np.any(pair[rows] != pair[cols]):
-        raise ArithmeticError("operator is not block diagonal: an entry joins two slot pairs")
+    if np.any(slot[rows] != slot[cols] ^ 1):
+        raise ArithmeticError("operator is not block diagonal: an entry does not join a slot to its partner")
     dm = m2[rows] - m2[cols]
     if np.any(dm != dm[0]):
         raise ArithmeticError("operator is not block diagonal: its m-shift is not constant")
-    # number the (pair, m2) blocks: m2 takes fewer than span values, so pair * span + m2 keys one block
+    # number the (slot, m2) blocks: m2 takes fewer than span values, so slot * span + m2 keys one block;
+    # the stack is indexed by the column's block, and the row's position is in its own block
     span = 2 * int(np.abs(m2).max()) + 1
-    _, block = np.unique(pair * span + m2, return_inverse=True)
+    _, block = np.unique(slot * span + m2, return_inverse=True)
     size = np.bincount(block)
     pos = np.empty_like(block)  # each state's position in its block
     pos[np.argsort(block, kind="stable")] = np.arange(len(block)) - np.repeat(np.cumsum(size) - size, size)
@@ -1049,14 +1074,15 @@ def triple_axiom_suite(j2: int, L: int, q0: float) -> Dict[str, float]:
     window l <= L - 3.  Every product there sums over states with l <= L - 2,
     so the wall does not reach it: the window entries are those of any box
     l <= L or larger.  ``commutator_norm_drift[a]`` is the relative change of
-    the exact norm of [D, a] (``_block_norm``, which asserts the block
-    structure it relies on) from that window to the window l <= L, a proxy
-    for boundedness.  Both windows are exact, so the drift is not a
-    truncation error: it is how much the window norm still grows with the
-    window, as ||[D, B]|| rises with l toward a supremum that no finite
-    window reaches (2.5e-8 for B at j = 1/2, L = 16, q0 = 0.5).  L must
-    satisfy 2L >= 2j + 4, and a window l <= L - 3 that holds no state of
-    H_j is an input error (ValueError).
+    the exact norm of [D, a] (``_block_norm``, over the blocks from one slot
+    and m to the partner slot, a structure it asserts) from that window to
+    the window l <= L, a proxy for boundedness.  Every window is read off the
+    CSR arrays of its operator by ``_window``.  Both norm windows are exact,
+    so the drift is not a truncation error: it is how much the window norm
+    still grows with the window, as ||[D, B]|| rises with l toward a supremum
+    that no finite window reaches (2.5e-8 for B at j = 1/2, L = 16,
+    q0 = 0.5).  L must satisfy 2L >= 2j + 4, and a window l <= L - 3 that
+    holds no state of H_j is an input error (ValueError).
     """
     if 2 * L < j2 + 4:
         raise ValueError("truncation L too small for this j")
@@ -1093,7 +1119,7 @@ def triple_axiom_suite(j2: int, L: int, q0: float) -> Dict[str, float]:
     # boundedness proxy: the operator norm of [D, a] must be stable as the window grows to l <= L
     wide = st.interior(3)
     for nm, da in das.items():
-        norms = [_block_norm(da.tocsr()[np.ix_(w, w)], st.labels[:, w], j2) for w in (win, wide)]
+        norms = [_block_norm(_window(da, w), st.labels[:, w], j2) for w in (win, wide)]
         res[f"commutator_norm_drift[{nm}]"] = abs(norms[1] - norms[0]) / max(norms[0], 1e-12)
     return res
 

@@ -25,6 +25,7 @@ from qcpn.suq2 import (
     _ladder_args,
     _maxabs,
     _slice_labels,
+    _window,
     build_triple,
     casimir_block_check,
     chain_b_vanishes,
@@ -462,12 +463,17 @@ def test_block_norm_is_the_dense_norm(j2, L):
 
 
 def test_block_norm_rejects_other_structure():
-    """An entry between two (pair, m) blocks, or a second m-shift, is an error; no entries give 0."""
+    """An entry off the slot blocks (slot s to its partner s ^ 1), or a second m-shift, is an error.
+
+    The third stray stays in one slot with the right m-shift, inside one slot pair: a check on pairs would
+    pass it.  No entries give 0.
+    """
     st = build_triple(3, 8, Q0)
     D, win = st.dirac(), st.interior(3)
     lab = st.labels[:, win]
     _, m2, n2 = lab
-    pair = (n2 + 3) // 4
+    slot = (n2 + 3) // 2
+    pair = slot // 2
 
     def comm(e):
         a = st.represent(e)
@@ -476,7 +482,8 @@ def test_block_norm_rejects_other_structure():
     ca = comm(A_EL)
     assert _block_norm(ca, lab, 3) > 0
     s = int(np.flatnonzero(pair == 0)[0])
-    for other in (pair == 1) & (m2 == m2[s]), (pair == 0) & (m2 == m2[s] + 2):
+    in_slot = (slot == 0) & (m2 == m2[s]) & (np.arange(len(m2)) != s)
+    for other in (pair == 1) & (m2 == m2[s]), (pair == 0) & (m2 == m2[s] + 2), in_slot:
         stray = sparse.csr_matrix(([1.0], ([int(np.flatnonzero(other)[0])], [s])), shape=ca.shape)
         with pytest.raises(ArithmeticError, match="not block diagonal"):
             _block_norm(ca + stray, lab, 3)
@@ -568,12 +575,42 @@ def test_triple_basis_layout(j2, L):
     assert (st.represent(A_EL) != st.box.represent(A_EL)[np.ix_(st.sel, st.sel)]).nnz == 0
 
 
+def _csr_with_duplicates(rng, n, nnz):
+    """An n x n CSR matrix storing nnz entries as they come: repeated (i, j), explicit zeros, unsorted columns.
+
+    The values are quarters of small integers, so every sum of duplicates is exact in any order.
+    """
+    rows = np.sort(rng.integers(0, n, nnz))
+    cols = rng.integers(0, n, nnz)
+    data = rng.integers(-8, 9, nnz) / 4.0
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return sparse.csr_matrix((data, cols, indptr), shape=(n, n))
+
+
 def test_maxabs_matches_dense():
+    """_maxabs and _window, read off the CSR arrays by one mask, equal the dense and the fancy-indexed windows."""
     rng = np.random.default_rng(5)
     dense = np.where(rng.random((9, 9)) < 0.3, -1.0 - rng.random((9, 9)), 0.0)
     keep = np.array([0, 2, 3, 7])
     assert _maxabs(sparse.csr_matrix(dense), keep) == np.abs(dense[np.ix_(keep, keep)]).max() > 1.0
     assert _maxabs(sparse.csr_matrix((9, 9)), keep) == 0.0
+    for n, nnz in ((1, 3), (6, 40), (13, 30), (40, 200)):
+        for _ in range(20):
+            mat = _csr_with_duplicates(rng, n, nnz)
+            want = mat.toarray()  # sums the duplicates
+            keep = np.flatnonzero(rng.random(n) < 0.5)
+            ref = mat.copy().tocsr()[np.ix_(keep, keep)]
+            assert _maxabs(mat.copy(), keep) == np.abs(want[np.ix_(keep, keep)]).max(initial=0.0)
+            win = _window(mat.copy(), keep)
+            assert win.shape == ref.shape == (len(keep), len(keep)) and win.has_canonical_format
+            assert np.array_equal(win.toarray(), ref.toarray())
+            assert np.array_equal(win.toarray(), want[np.ix_(keep, keep)])
+    # entries that cancel, an explicit zero, and a window that holds no stored entry read 0.0
+    mat = sparse.csr_matrix(([1.5, -1.5, 0.0, -2.0], [1, 1, 2, 5], [0, 2, 3, 3, 3, 3, 4]), shape=(6, 6))
+    assert _maxabs(mat.copy(), np.array([0, 1, 2])) == 0.0
+    assert _maxabs(mat.copy(), np.array([0, 2, 3, 4])) == 0.0
+    assert _maxabs(mat.copy(), np.array([], dtype=int)) == 0.0
+    assert _maxabs(mat.copy(), np.array([0, 5])) == 2.0
 
 
 def test_j_isometry():
