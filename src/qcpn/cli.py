@@ -369,14 +369,14 @@ def cmd_chern(args) -> Report:
         if identities.phi_from_chern(identities.chern_from_phi(v)) != v:
             bad += 1
     rep.add(_tally("round_trip", {"cases": 50}, bad))
-    nonint = 0
-    for row in identities.pairing_table(args.n, args.Nmax):
-        ch = identities.chern_from_phi(identities.ChernVector(row[: args.n + 1], "phi"))
-        if args.n >= 2:
+    if args.n >= 2:  # phi_2 is a component only from n = 2 on: below, no record rather than a vacuous pass
+        nonint = 0
+        for row in identities.pairing_table(args.n, args.Nmax):
+            ch = identities.chern_from_phi(identities.ChernVector(row[: args.n + 1], "phi"))
             phi2 = ch.components[2] - Fraction(1, 2) * ch.components[1]
             if phi2.denominator != 1:
                 nonint += 1
-    rep.add(_tally("phi2_integrality", {"rows": args.Nmax + 1}, nonint))
+        rep.add(_tally("phi2_integrality", {"rows": args.Nmax + 1}, nonint))
     return rep
 
 

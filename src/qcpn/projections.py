@@ -30,7 +30,7 @@ from .ncpoly import (
     uq_act,
 )
 from .qcoeff import ZERO, QScalar, qmultinomial, qpow
-from .rep_sphere import compose_sum, fock_image, rule_violations, scale_image
+from .rep_sphere import compose_sum, fock_images, rule_violations, scale_image
 
 MultiIndex = Tuple[int, ...]
 
@@ -153,10 +153,11 @@ def is_projection(M: AlgebraMatrix) -> bool:
     decided, each by comparing sum_l u_l img(C_il) o img(C_lj) with
     img(C_ij), where img is ``rep_sphere.fock_image`` in pi_{n,n} and o is
     ``rep_sphere.compose_sum``.  The images are taken of the core entries
-    as they stand: no product is rewritten, and nothing is reassociated
-    through Psi^dag Psi = 1.  The lower triangle follows: star is an
-    antilinear anti-automorphism, Q(s) coefficients are real, and the
-    weights u_l are real and central, so with C = C^dag, for i > j
+    as they stand, in one ``rep_sphere.fock_images`` call that images each
+    distinct word of the core once: no product is rewritten, and nothing
+    is reassociated through Psi^dag Psi = 1.  The lower triangle follows:
+    star is an antilinear anti-automorphism, Q(s) coefficients are real,
+    and the weights u_l are real and central, so with C = C^dag, for i > j
 
         (CUC)_ij = sum_l C_il u_l C_lj = sum_l star(C_li) u_l star(C_jl)
                  = star((CUC)_ji) = star(C_ji) = C_ij.
@@ -199,7 +200,8 @@ def _selfadjoint_is_idempotent(M: AlgebraMatrix) -> bool:
     n, k = M.presentation.n, len(M)
     if rule_violations(n):
         raise ArithmeticError(f"the Fock images break the rewrite rules at n={n} (bug)")
-    img = [[fock_image(e, n) for e in row] for row in M.core]
+    flat = fock_images([e for row in M.core for e in row], n)
+    img = [flat[i * k:(i + 1) * k] for i in range(k)]
     weighted = [[scale_image(img[l][j], M.weights[l]) for j in range(k)] for l in range(k)]  # U * core
     for i in range(k):
         for j in range(i, k):

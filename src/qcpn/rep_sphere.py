@@ -332,7 +332,7 @@ def _crossings(b: int, a: int) -> range:
 
 
 def _times_edge(amp: Amplitude, j: int, t: int) -> Amplitude:
-    """amp * (1 - q^{2t} Y_j^2), in a new map."""
+    """amp * (1 - q^{2t} Y_j^2), in a new map; amp is not mutated."""
     out = {y: dict(c) for y, c in amp.items()}
     for y, c in amp.items():
         y2 = y[:j] + (y[j] + 2,) + y[j + 1:]
@@ -352,7 +352,7 @@ def _word_image(w: Word, n: int) -> Tuple[Charge, Amplitude]:
         e += 2 * sum(charge[:j])
         for i in range(j):
             y[i] += 1
-        if j < n:
+        if j < n and charge[j] * step < 0:  # only opposite steps cross an edge twice
             edges.extend((j, t) for t in _crossings(charge[j], step))
         charge[j] += step
     amp = {tuple(y): {e: 1}}
@@ -361,17 +361,34 @@ def _word_image(w: Word, n: int) -> Tuple[Charge, Amplitude]:
     return tuple(charge), amp
 
 
+def fock_images(elems: Iterable[NCPoly], n: int) -> List[Image]:
+    """Exact images of the elements in pi_{n,n} (module docstring), in order; each distinct word is imaged once.
+
+    One word -> (charge, amplitude) table serves every element and dies with
+    the call.  Its amplitudes are shared read-only: the images are summed
+    into new maps, and neither the elements nor the table are mutated.  A
+    coefficient with a denominator raises NotLaurentError.
+    """
+    table: Dict[Word, Tuple[Charge, Amplitude]] = {}
+    out: List[Image] = []
+    for a in elems:
+        img: Image = {}
+        for w, c in a.terms.items():
+            lc = _laurent(c)
+            if w not in table:
+                table[w] = _word_image(w, n)
+            charge, amp = table[w]
+            acc = img.setdefault(charge, {})
+            for y, lau in amp.items():
+                if not _lmac(acc.setdefault(y, {}), lau, lc):
+                    del acc[y]
+        out.append({ch: amp for ch, amp in img.items() if amp})
+    return out
+
+
 def fock_image(a: NCPoly, n: int) -> Image:
-    """Exact image of a in pi_{n,n} (module docstring); a coefficient with a denominator raises NotLaurentError."""
-    out: Image = {}
-    for w, c in a.terms.items():
-        lc = _laurent(c)
-        charge, amp = _word_image(w, n)
-        acc = out.setdefault(charge, {})
-        for y, lau in amp.items():
-            if not _lmac(acc.setdefault(y, {}), lau, lc):
-                del acc[y]
-    return {ch: amp for ch, amp in out.items() if amp}
+    """Exact image of a in pi_{n,n}: ``fock_images`` of the one element, so each distinct word of a is imaged once."""
+    return fock_images([a], n)[0]
 
 
 def scale_image(img: Image, c: QScalar) -> Image:
@@ -381,11 +398,14 @@ def scale_image(img: Image, c: QScalar) -> Image:
 
 
 def compose_sum(pairs: Iterable[Tuple[Image, Image]]) -> Image:
-    """Image of sum_l a_l b_l from the (image of a_l, image of b_l) pairs; nothing is rewritten.
+    """Image of sum_l a_l b_l from the (image of a_l, image of b_l) pairs; nothing is rewritten or re-imaged.
 
     R_{ab}(Y) = R_a(q^{delta_b} Y) R_b(Y) times 1 - q^{2t} Y_j^2 for each
     edge t of coordinate j that delta_b and delta_a cross in opposite
-    directions; ``qcoeff._lmac`` does every coefficient product.
+    directions (none where they have one sign); ``qcoeff._lmac`` does every
+    coefficient product.  The input images are not mutated, so they may
+    share amplitudes, as the images of one ``fock_images`` call do: a
+    decision images each distinct word once and composes those images.
     """
     out: Image = {}
     for A, B in pairs:
@@ -393,8 +413,9 @@ def compose_sum(pairs: Iterable[Tuple[Image, Image]]) -> Image:
             for cb, rb in B.items():
                 acc = out.setdefault(tuple(map(add, ca, cb)), {})
                 for j in range(len(ca) - 1):
-                    for t in _crossings(cb[j], ca[j]):
-                        rb = _times_edge(rb, j, t)
+                    if cb[j] * ca[j] < 0:
+                        for t in _crossings(cb[j], ca[j]):
+                            rb = _times_edge(rb, j, t)
                 for ya, la in ra.items():
                     sh = 2 * sum(map(int.__mul__, cb[:-1], ya))  # Y -> q^{delta_b} Y in R_a
                     if sh:
@@ -411,15 +432,12 @@ def rule_violations(n: int, sphere_reduction: bool = True) -> Tuple[Tuple[int, i
     """The letter pairs (a, b) whose rewrite rule in ``Presentation._rewrite_pair`` fails on images.
 
     Empty means the images respect every relation of the level-n
-    presentation, so ``fock_image`` is an algebra homomorphism there.
+    presentation, so ``fock_image`` is an algebra homomorphism there.  Both
+    sides of every rule are imaged in one ``fock_images`` call.
     """
     P = Presentation(n, sphere_reduction)
-    bad = []
-    for a in range(2 * n + 2):
-        for b in range(2 * n + 2):
-            rule = P._rewrite_pair(a, b)
-            if rule is not None:
-                rhs = lincomb((NCPoly.word(w), c) for c, w in rule)
-                if fock_image(NCPoly.word((a, b)), n) != fock_image(rhs, n):
-                    bad.append((a, b))
-    return tuple(bad)
+    rules = {(a, b): rule for a in range(2 * n + 2) for b in range(2 * n + 2)
+             if (rule := P._rewrite_pair(a, b)) is not None}
+    imgs = fock_images([x for ab, rule in rules.items()
+                        for x in (NCPoly.word(ab), lincomb((NCPoly.word(w), c) for c, w in rule))], n)
+    return tuple(ab for ab, lhs, rhs in zip(rules, imgs[0::2], imgs[1::2]) if lhs != rhs)

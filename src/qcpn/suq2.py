@@ -30,7 +30,7 @@ from scipy import sparse
 
 from .ncpoly import NCPoly, Presentation, UqGenerator, coproduct_act, letter, star, uq_act
 from .qcoeff import ONE, ZERO, QScalar, qint, qpow
-from .rep_sphere import MAX_BOX_LABELS, Image, compose_sum, fock_image, rule_violations, scale_image, word_operator
+from .rep_sphere import MAX_BOX_LABELS, Image, compose_sum, fock_images, rule_violations, scale_image, word_operator
 
 Lmn = Tuple[int, int, int]  # doubled (2l, 2m, 2n)
 
@@ -854,9 +854,12 @@ def index_numeric(j2: int, L: int, q0: float, tol: float = 1e-8) -> IndexReport:
 
 
 def _cleared_images(elems: List[NCPoly], n: int) -> Tuple[QScalar, List[Image]]:
-    """den, a common denominator of the elements' coefficients, and the Laurent ``fock_image`` of each den * a."""
+    """den, a common denominator of the elements' coefficients, and the Laurent images of the den * a.
+
+    One ``fock_images`` call images them all, each distinct word once.
+    """
     den = math.prod({QScalar(c.den) for a in elems for c in a.terms.values()}, start=ONE)
-    return den, [fock_image(a.scale(den), n) for a in elems]
+    return den, fock_images([a.scale(den) for a in elems], n)
 
 
 def _haar_trace(img: Image, P: Presentation) -> QScalar:
@@ -951,7 +954,8 @@ def tau1_pairing(N: int, P: Presentation | None = None) -> QScalar:
     sum_{i0,i1} u_{i0} u_{i1} rho_{i0}^{-1} core[i0][i1] (XY)[i1][i0] with
     (XY)[i1][i0] = sum_{i2} u_{i2} x[i1][i2] y[i2][i0]: k^2 sums of k
     products, then one sum of k^2, composed on the Fock images of the core, x
-    and y entries and traced once.  P is an n = 1 presentation (a new one if None).
+    and y entries and traced once.  One ``fock_images`` call takes all 3k^2
+    images, each distinct word once.  P is an n = 1 presentation (a new one if None).
     Target value: q^{-4} [N].  Defined for N >= 0 only: ValueError otherwise.
     """
     from .projections import _projection, k2rho_eigenvalues, psi
@@ -963,13 +967,16 @@ def tau1_pairing(N: int, P: Presentation | None = None) -> QScalar:
     k = len(M)
     rho_inv = [x.inv() for x in k2rho_eigenvalues(av)]
     y = [[dbar(M.core[i][j], P) for j in range(k)] for i in range(k)]
+    # one fock_images call for the x, y and core entries, each k x k in row order;
     # x[i][j] = img (dbar core[i][j]^*)^*, where core[i][j]^* = core[j][i] as P_N is selfadjoint
-    x = [[fock_image(star(y[j][i], P), P.n) for j in range(k)] for i in range(k)]
+    flat = fock_images([star(y[j][i], P) for i in range(k) for j in range(k)]
+                       + [e for row in y for e in row] + [e for row in M.core for e in row], P.n)
+    x, img_y, img_core = ([flat[b + i * k:b + (i + 1) * k] for i in range(k)] for b in range(0, 3 * k * k, k * k))
     u = M.weights
-    uy = [[scale_image(fock_image(y[i2][i0], P.n), u[i2]) for i0 in range(k)] for i2 in range(k)]
+    uy = [[scale_image(img_y[i2][i0], u[i2]) for i0 in range(k)] for i2 in range(k)]
     xy = [[compose_sum((x[i1][i2], uy[i2][i0]) for i2 in range(k)) for i0 in range(k)] for i1 in range(k)]
     return _haar_trace(compose_sum(
-        (fock_image(M.core[i0][i1], P.n), scale_image(xy[i1][i0], u[i0] * u[i1] * rho_inv[i0]))
+        (img_core[i0][i1], scale_image(xy[i1][i0], u[i0] * u[i1] * rho_inv[i0]))
         for i0, i1 in itertools.product(range(k), repeat=2)
     ), P)
 

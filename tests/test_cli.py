@@ -201,6 +201,17 @@ def test_cli_identities_pass():
     assert "ALL PASS" in out
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_cli_chern_checks_phi2_only_from_n_2(n):
+    """phi_2 = ch_2 - ch_1/2 exists from n = 2 on; below, chern emits no phi2_integrality record at all."""
+    code, out, _ = run_cli("chern", "--n", str(n), "--Nmax", "6", "--json")
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [r["name"] for r in records] == ["round_trip"] + (["phi2_integrality"] if n >= 2 else [])
+    if n >= 2:
+        assert records[1]["params"] == {"rows": "7"} and records[1]["value"] == "0" and records[1]["pass"]
+
+
 def test_cli_verify_relations():
     code, out, _ = run_cli("verify", "relations", "--n", "2", "--cases", "60")
     assert code == 0

@@ -1,5 +1,7 @@
 """Fock representations pi_{n,k} and the Fredholm index pairing."""
 
+import collections
+import copy
 import functools
 import itertools
 import random
@@ -7,16 +9,19 @@ import random
 import numpy as np
 import pytest
 
+from qcpn import rep_sphere
 from qcpn.ncpoly import NCPoly, Presentation, mul, normalize
 from qcpn.projections import is_projection, projection, psi
-from qcpn.qcoeff import ONE, qpow
+from qcpn.qcoeff import ONE, qint, qpow
 from qcpn.rep_sphere import (
     FockRep,
     NotLaurentError,
     RepSpec,
     character,
+    _crossings,
     compose_sum,
     fock_image,
+    fock_images,
     fock_states,
     fredholm_pairing,
     fredholm_pairings,
@@ -478,6 +483,78 @@ def test_non_laurent_coefficient_raises_a_named_error():
     core[0][1], core[1][0] = core[0][1].scale(half), core[1][0].scale(half)
     with pytest.raises(NotLaurentError):
         is_projection(replace(M, core=core))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fock_images_equal_one_fock_image_per_element(n):
+    """fock_images(elems, n) is [fock_image(a, n) for a in elems], on elements that share words, the zero one included.
+
+    Composing the images leaves them as they were, though they share one word table.
+    """
+    rng = random.Random(30 + n)
+    pool = [tuple(rng.randrange(2 * n + 2) for _ in range(rng.randint(0, 6))) for _ in range(12)]
+    for _ in range(20):
+        elems = [NCPoly({w: qpow(rng.randint(-3, 3)) * rng.choice((ONE, -ONE, ONE + ONE))
+                         for w in rng.sample(pool, rng.randint(1, 5))}) for _ in range(6)]
+        elems.insert(rng.randrange(len(elems) + 1), NCPoly({}))
+        imgs = fock_images(elems, n)
+        assert imgs == [fock_image(a, n) for a in elems]
+        assert imgs[elems.index(NCPoly({}))] == {}
+        before = copy.deepcopy(imgs)
+        compose_sum(itertools.product(imgs, repeat=2))
+        assert imgs == before
+    half = ONE / (ONE + qpow(1))
+    bad = NCPoly.word((0, 1), half)
+    with pytest.raises(NotLaurentError) as one:
+        fock_image(bad, n)
+    with pytest.raises(NotLaurentError) as many:
+        fock_images([NCPoly.word(pool[0]), bad, NCPoly.word(pool[1])], n)
+    assert str(many.value) == str(one.value) == f"the coefficient {half} is not a Laurent polynomial in s"
+
+
+def _count_word_images(monkeypatch):
+    """Counter of the words ``rep_sphere._word_image`` is called on from now on."""
+    calls = collections.Counter()
+    word_image = rep_sphere._word_image
+
+    def counted(w, n):
+        calls[w] += 1
+        return word_image(w, n)
+
+    monkeypatch.setattr(rep_sphere, "_word_image", counted)
+    return calls
+
+
+def test_is_projection_images_each_distinct_word_once(monkeypatch):
+    """Deciding P^2 = P at N = 3, n = 2 images each distinct word of the core once, and no other word."""
+    M = projection(3, 2)
+    rule_violations(2)  # its cache holds the rule checks, which image words of their own
+    calls = _count_word_images(monkeypatch)
+    assert is_projection(M)
+    assert set(calls) == {w for row in M.core for e in row for w in e.terms}
+    assert max(calls.values()) == 1
+
+
+def test_tau1_pairing_images_each_distinct_word_once(monkeypatch):
+    """tau_1 at N = 4 images the x, y and core entries with each distinct word once."""
+    from qcpn.suq2 import tau1_pairing
+
+    rule_violations(1, True)  # the key _haar_trace reads
+    calls = _count_word_images(monkeypatch)
+    assert tau1_pairing(4) == qpow(-4) * qint(4)
+    assert calls and max(calls.values()) == 1
+
+
+def test_steps_of_one_sign_cross_no_edge_twice():
+    """_crossings(b, a) is empty whenever b * a >= 0, and otherwise the edges both steps cross, |a|, |b| <= 30."""
+    def edges(start, step):  # edge t joins t - 1 and t
+        return set(range(start + 1, start + step + 1)) if step > 0 else set(range(start + step + 1, start + 1))
+
+    for a, b in itertools.product(range(-30, 31), repeat=2):
+        got = _crossings(b, a)
+        assert set(got) == edges(0, b) & edges(b, a), (b, a)
+        if b * a >= 0:
+            assert not got, (b, a)
 
 
 def test_is_projection_needs_sphere_reduction():
