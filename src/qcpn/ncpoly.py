@@ -68,27 +68,29 @@ in s with integer coefficients, so every normal form of a word is too.  Inside
 ``Presentation`` a normal form is a ``{word: {e: k}}`` map, sum of k * s^e *
 word, with ``qcoeff``'s Laurent dicts as values; cached forms are shared and
 never mutated, and sums accumulate into fresh maps through ``qcoeff._lmac``.
-``_collect`` keeps one such sum per distinct denominator and builds one
-canonical QScalar per output word from the input numerators as they are;
-only a product with a non-unit denominator takes a QScalar product.  Normal
-forms are unique, so the coefficient storage changes no output.  When the
-input coefficients share one denominator (every Laurent input does), the
-words also come out in the order of a term-by-term add_terms sum.
+``_collect`` and ``lincomb`` keep one such sum per distinct denominator, and
+``_terms_of_groups`` builds one canonical QScalar per output word from the
+numerators as they are; only a product with a non-unit denominator takes a
+QScalar product.  Normal forms are unique, so the coefficient storage
+changes no output.  When the input coefficients share one denominator (every
+Laurent input does), the words also come out in the order of a term-by-term
+add_terms sum.
 
-Two kernels do all the summing.  ``_add_int`` sums Laurent numerators
-inside ``_collect``, and every sum of normal forms streams its (word,
-denominator, numerator) items into it: ``normalize``, ``mul_sum``, the U_q
-actions and ``lincomb``.  ``coproduct_act`` reads integer image tables, each
-letter's image a +-s^e monomial, so its items are a term's numerator shifted
-and signed.  ``mul_sum`` makes a sum of products, sum c * a * b, one integer
-accumulation where a normal form is wanted; ``mul`` is its one-product case.
-``lincomb`` shares its product rule (``_product_items``: ``_lmul`` for
-Laurent x Laurent, a QScalar product otherwise) and takes each word as its
-own normal form.  The Haar state and P^2 = P compose Fock images
-(``rep_sphere``) instead.  ``add_terms`` (acc += c * terms, zero
-coefficients dropped) sums QScalar TermMaps whose denominators differ, which
-no integer map can hold: it stays for NCPoly addition and for ``_collect``'s
-merge across denominators.
+Two kernels do all the summing, both on ``qcoeff._lmac``.  ``_add_int`` sums
+normal forms inside ``_collect``, and every sum that needs rewriting streams
+its (word, denominator, numerator) items into it: ``normalize``,
+``mul_sum`` and the U_q actions.  ``coproduct_act`` reads integer image
+tables, each letter's image a +-s^e monomial, so its items are a term's
+numerator shifted and signed.  ``mul_sum`` makes a sum of products, sum c *
+a * b, one integer accumulation where a normal form is wanted; ``mul`` is
+its one-product case.  ``lincomb`` rewrites nothing: in one pass over its
+terms it multiply-accumulates each Laurent coefficient times a Laurent
+scale straight into its word's numerator sum, and any other term takes one
+QScalar product into its denominator's group.  The Haar state and P^2 = P
+compose Fock images (``rep_sphere``) instead.  ``add_terms`` (acc += c *
+terms, zero coefficients dropped) sums QScalar TermMaps whose denominators
+differ, which no integer map can hold: it stays for NCPoly addition and for
+``_terms_of_groups``'s merge across denominators.
 """
 
 from __future__ import annotations
@@ -426,18 +428,34 @@ def add_terms(acc: TermMap, terms: TermMap, c: QScalar | None = None) -> TermMap
 
 
 def lincomb(pairs: Iterable[Tuple[NCPoly, QScalar | None]]) -> NCPoly:
-    """sum of c * a over the (a, c) pairs (c None counts as 1).
+    """sum of c * a over the (a, c) pairs (c None counts as 1), in one pass over the terms.
 
-    The sum is one ``_collect`` with each word as its own normal form, and
-    c * a is the product a * (c 1) of ``mul_sum``: Laurent coefficients
-    multiply and add on integers, with no QScalar operation.  The normal
-    words are a basis and the sum drops zero coefficients, so a linear
-    combination of normal forms (outputs of mul, normalize, star with a
-    presentation, uq_act) is itself the normal form: it needs no further
-    normalize.
+    A term whose coefficient and scale are both Laurent multiply-accumulates
+    straight into its word's numerator sum (``_lmac``), with no QScalar
+    operation; any other term takes one QScalar product into its
+    denominator's group, as in ``mul_sum``.  A word whose sum cancels is
+    dropped, and ``_terms_of_groups`` gives each word one QScalar.  The
+    normal words are a basis, so a linear combination of normal forms
+    (outputs of mul, normalize, star with a presentation, uq_act) is itself
+    the normal form: it needs no further normalize.
     """
-    scaled = ((a, NCPoly.one() if c is None else NCPoly.scalar(c), None) for a, c in pairs)
-    return _collect(_product_items(scaled), None)
+    groups: Dict[DenKey, IntForm] = {}  # denominator -> sum
+    for a, c in pairs:
+        if c is None:
+            c = ONE
+        elif c.is_zero():
+            continue
+        lc = c.is_laurent()
+        for w, cw in a.terms.items():
+            if lc and cw.is_laurent():
+                den, num, scale = _UNIT_DEN, cw.num, c.num
+            else:
+                p = cw * c
+                den, num, scale = tuple(sorted(p.den.items())), p.num, _UNIT
+            acc = groups.setdefault(den, {})
+            if not _lmac(acc.setdefault(w, {}), num, scale):
+                del acc[w]
+    return _terms_of_groups(groups)
 
 
 def _add_int(acc: IntForm, form: IntForm, c: Laurent) -> None:
@@ -451,26 +469,21 @@ def _add_int(acc: IntForm, form: IntForm, c: Laurent) -> None:
             del acc[w]
 
 
-def _word_form(w: Word) -> IntForm:
-    """w as its own normal form, for ``lincomb``."""
-    return {w: _UNIT}
-
-
-def _collect(items: Iterable[Tuple[Word, DenKey, Laurent]], P: Presentation | None) -> NCPoly:
+def _collect(items: Iterable[Tuple[Word, DenKey, Laurent]], P: Presentation) -> NCPoly:
     """sum of (num / den) * (normal form of w) over the (w, den, num) items (den canonical).
 
-    One {word: {e: k}} map per denominator sums on integers, each output word
-    gets one canonical QScalar, and sums across denominators go through
-    add_terms.  With P None every word is its own normal form.
+    One {word: {e: k}} map per denominator sums the normal forms on
+    integers, and ``_terms_of_groups`` turns the sums into the NCPoly.
     """
-    if P is None:
-        normal_word = _word_form
-    else:
-        P._steps = 0  # the step budget bounds a single operation: one whole sum
-        normal_word = P._normal_word
+    P._steps = 0  # the step budget bounds a single operation: one whole sum
     groups: Dict[DenKey, IntForm] = {}  # denominator -> sum
     for w, den, num in items:
-        _add_int(groups.setdefault(den, {}), normal_word(w), num)
+        _add_int(groups.setdefault(den, {}), P._normal_word(w), num)
+    return _terms_of_groups(groups)
+
+
+def _terms_of_groups(groups: Dict[DenKey, IntForm]) -> NCPoly:
+    """The NCPoly of per-denominator integer sums: one canonical QScalar per word, add_terms across denominators."""
     out: TermMap = {}
     for den, acc in groups.items():
         if den == _UNIT_DEN:

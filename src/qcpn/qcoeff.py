@@ -299,6 +299,12 @@ class QScalar:
         return QScalar(_lmul(self.num, other.den), _lmul(self.den, other.num))
 
     def inv(self) -> "QScalar":
+        """1 / self; a monomial k s^e / (d s^f) inverts to the canonical d s^(f-e) / k with no reduction."""
+        if len(self.num) == 1 and len(self.den) == 1:
+            (e, k), = self.num.items()
+            (f, d), = self.den.items()
+            g = math.gcd(k, d) if k > 0 else -math.gcd(k, d)
+            return QScalar({f - e: d // g}, {0: k // g}, _canonical=True)
         return ONE / self
 
     def __pow__(self, k: int) -> "QScalar":

@@ -428,16 +428,25 @@ def compose_sum(pairs: Iterable[Tuple[Image, Image]]) -> Image:
 
 
 @lru_cache(maxsize=None)
-def rule_violations(n: int, sphere_reduction: bool = True) -> Tuple[Tuple[int, int], ...]:
-    """The letter pairs (a, b) whose rewrite rule in ``Presentation._rewrite_pair`` fails on images.
-
-    Empty means the images respect every relation of the level-n
-    presentation, so ``fock_image`` is an algebra homomorphism there.  Both
-    sides of every rule are imaged in one ``fock_images`` call.
-    """
+def _rule_check(n: int, sphere_reduction: bool) -> Tuple[Tuple[int, int], ...]:
     P = Presentation(n, sphere_reduction)
     rules = {(a, b): rule for a in range(2 * n + 2) for b in range(2 * n + 2)
              if (rule := P._rewrite_pair(a, b)) is not None}
     imgs = fock_images([x for ab, rule in rules.items()
                         for x in (NCPoly.word(ab), lincomb((NCPoly.word(w), c) for c, w in rule))], n)
     return tuple(ab for ab, lhs, rhs in zip(rules, imgs[0::2], imgs[1::2]) if lhs != rhs)
+
+
+def rule_violations(n: int, sphere_reduction: bool = True) -> Tuple[Tuple[int, int], ...]:
+    """The letter pairs (a, b) whose rewrite rule in ``Presentation._rewrite_pair`` fails on images.
+
+    Empty means the images respect every relation of the level-n
+    presentation, so ``fock_image`` is an algebra homomorphism there.  Both
+    sides of every rule are imaged in one ``fock_images`` call.  The check
+    is cached once per (n, sphere_reduction), however a call spells its
+    arguments; ``rule_violations.__wrapped__`` runs it uncached.
+    """
+    return _rule_check(n, sphere_reduction)
+
+
+rule_violations.__wrapped__ = _rule_check.__wrapped__

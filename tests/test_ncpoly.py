@@ -397,6 +397,49 @@ def _rand_poly(P, rng, coeffs, deg=4, terms=3):
     )
 
 
+_THIRD = QScalar.from_fraction(Fraction(1, 3))
+LINCOMB_POOLS = {  # (coefficients, non-None scales)
+    "laurent": (SUM_COEFFS[:4], SUM_COEFFS[:4]),
+    "rational": ([_THIRD * c for c in SUM_COEFFS[:4]], SUM_COEFFS[:4]),  # every product over 3
+    "mixed": (SUM_COEFFS, SUM_COEFFS),  # 1/3, 1/[2] and their products: several denominators
+}
+
+
+def _lincomb_reference(pairs):
+    """sum of c * a as a term-by-term add_terms fold."""
+    acc = {}
+    for a, c in pairs:
+        add_terms(acc, a.terms, c)
+    return acc
+
+
+@pytest.mark.parametrize("kind", list(LINCOMB_POOLS))
+def test_lincomb_equals_a_term_by_term_sum(kind):
+    """Equal terms, and the word order of the fold whenever every product has one denominator."""
+    coeffs, scales = LINCOMB_POOLS[kind]
+    rng = random.Random(len(kind))
+    words = [tuple(rng.randrange(6) for _ in range(rng.randint(0, 3))) for _ in range(8)]  # few words: repeats
+    cancelled = ordered = 0
+    for _ in range(300):
+        pairs = []
+        for _ in range(rng.randint(0, 5)):
+            a = NCPoly({w: rng.choice(coeffs) for w in rng.sample(words, rng.randint(0, 4))})
+            c = rng.choice([None, ZERO] + scales)
+            pairs.append((a, c))
+            if rng.random() < 0.25:  # a taken away again
+                pairs.append((a, -(ONE if c is None else c)))
+        got, want = lincomb(iter(pairs)), _lincomb_reference(pairs)
+        assert got.terms == want, pairs
+        dens = {tuple(sorted((cw if c is None else cw * c).den.items()))
+                for a, c in pairs if c is None or not c.is_zero() for cw in a.terms.values()}
+        if len(dens) <= 1:
+            assert list(got.terms) == list(want), pairs
+            ordered += 1
+        cancelled += any(a.terms for a, _ in pairs) and not got.terms
+    assert cancelled and ordered
+    assert ordered == 300 or kind == "mixed"
+
+
 @pytest.mark.parametrize("sphere", [True, False], ids=["sphere", "no-sphere"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_mul_sum_equals_lincomb_of_products(n, sphere):

@@ -232,6 +232,24 @@ def test_all_zero_denominator_raises(den):
         QScalar({1: 1}, den)
 
 
+def test_monomial_inverse_is_exact_shift_of_the_division_route(monkeypatch):
+    """k s^e / d inverts to the canonical form of ONE / x, structurally, with no _reduce; others still reduce."""
+    monomials = [QScalar({e: k}, {0: d}) for e in range(-40, 41) for k in (1, -1, 3, -3) for d in (1, 2)]
+    others = [ONE + qpow(1), qint(3), qint(2).inv(), QScalar({1: 2, 4: -1}, {0: 3})]
+    want = [ONE / x for x in monomials + others]
+    reduced = []
+    reduce = qcoeff._reduce
+    monkeypatch.setattr(qcoeff, "_reduce", lambda num, den: reduced.append(num) or reduce(num, den))
+    got = [x.inv() for x in monomials]
+    assert not reduced
+    got += [x.inv() for x in others]
+    assert len(reduced) == len(others)
+    for x, g, w in zip(monomials + others, got, want):
+        assert (g.num, g.den) == (w.num, w.den), x
+    with pytest.raises(ZeroDivisionError):
+        ZERO.inv()
+
+
 @settings(max_examples=200, deadline=None)
 @given(laurent_dicts, laurent_dicts, laurent_dicts, st.booleans())
 # o + a*b == 0 exactly, and o + a*b with its top coefficient cancelling

@@ -535,6 +535,19 @@ def test_is_projection_images_each_distinct_word_once(monkeypatch):
     assert max(calls.values()) == 1
 
 
+def test_rule_check_takes_one_cache_entry_however_it_is_called(monkeypatch):
+    """rule_violations(2) and rule_violations(2, True) are one check: the second call images no word."""
+    rep_sphere._rule_check.cache_clear()
+    calls = _count_word_images(monkeypatch)
+    assert rule_violations(2) == ()
+    assert calls
+    calls.clear()
+    assert rule_violations(2, True) == rule_violations(2, sphere_reduction=True) == rule_violations(n=2) == ()
+    assert not calls
+    assert rule_violations(2, False) == ()
+    assert calls  # without sphere reduction the rules differ, and so does the check
+
+
 def test_tau1_pairing_images_each_distinct_word_once(monkeypatch):
     """tau_1 at N = 4 images the x, y and core entries with each distinct word once."""
     from qcpn.suq2 import tau1_pairing
